@@ -26,6 +26,7 @@
 #include "analysis/Analyzer.h"
 
 #include "opt/Pipeline.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -55,15 +56,6 @@ AnalyzerOptions resolveOptions(AnalyzerOptions Opts) {
   Opts.Memo = resolveMemoOptions(Opts, Opts.NumThreads);
   return Opts;
 }
-
-struct VectorHash {
-  size_t operator()(const std::vector<int64_t> &V) const {
-    size_t H = V.size();
-    for (int64_t X : V)
-      H = H * 1099511628211ull + static_cast<uint64_t>(X);
-    return H;
-  }
-};
 
 } // namespace
 
@@ -204,20 +196,38 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
                                        : R.Fingerprint;
   };
 
-  // Phase 1 (serial, cheap): enumerate candidate pairs in the canonical
-  // (source ref, sink ref) order every downstream consumer relies on,
-  // with each pair's common-loop count (loop-object prefix, as the
-  // builder computes it) and fingerprint key.
+  // Phase 1 (serial; linear in references plus candidates): enumerate
+  // candidate pairs in the canonical (source ref, sink ref) order every
+  // downstream consumer relies on, with each pair's common-loop count
+  // (loop-object prefix, as the builder computes it) and fingerprint
+  // key. A dependence needs a shared array and a write, so each ref
+  // pairs only with later refs of its own array: all of them when it
+  // is a write, only the writes when it is a read. Refs arrive in
+  // program order, so each array's lists are ascending and the pairs
+  // come out sorted by (I, J) with no sort.
+  std::vector<std::vector<unsigned>> RefsOf(Prog.numArrays());
+  std::vector<std::vector<unsigned>> WritesOf(Prog.numArrays());
+  for (unsigned I = 0; I < Refs.size(); ++I) {
+    RefsOf[Refs[I].ArrayId].push_back(I);
+    if (Refs[I].IsWrite)
+      WritesOf[Refs[I].ArrayId].push_back(I);
+  }
+  // Per array: how many of its refs and writes precede the current I.
+  std::vector<size_t> RefsSeen(Prog.numArrays(), 0);
+  std::vector<size_t> WritesSeen(Prog.numArrays(), 0);
   std::vector<std::pair<unsigned, unsigned>> Candidates;
   std::vector<unsigned> CandCommon;
   std::vector<uint64_t> CandKey;
   for (unsigned I = 0; I < Refs.size(); ++I) {
-    for (unsigned J = I; J < Refs.size(); ++J) {
-      // A dependence needs a write and a shared array.
-      if (!Refs[I].IsWrite && !Refs[J].IsWrite)
-        continue;
-      if (Refs[I].ArrayId != Refs[J].ArrayId)
-        continue;
+    unsigned A = Refs[I].ArrayId;
+    const std::vector<unsigned> &Sinks =
+        Refs[I].IsWrite ? RefsOf[A] : WritesOf[A];
+    size_t First = Refs[I].IsWrite ? RefsSeen[A] : WritesSeen[A];
+    ++RefsSeen[A];
+    if (Refs[I].IsWrite)
+      ++WritesSeen[A];
+    for (size_t K = First; K < Sinks.size(); ++K) {
+      unsigned J = Sinks[K];
       Candidates.emplace_back(I, J);
       unsigned Common = 0;
       while (Common < Refs[I].Loops.size() &&
@@ -313,6 +323,12 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
     DependencePair Pair;
     Pair.RefA = I;
     Pair.RefB = J;
+    // The builder's common nest, from Phase 1's count. Reused pairs need
+    // it to point into the *new* program (the count matches the old pair
+    // by key construction); unanalyzable ones still need it so clients
+    // (the parallelizer) serialize conservatively.
+    Pair.CommonLoops.assign(Refs[I].Loops.begin(),
+                            Refs[I].Loops.begin() + CandCommon[C]);
 
     if (const DependencePair *Old = Reused[C]) {
       Pair.Answer = Old->Answer;
@@ -320,10 +336,6 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       Pair.Exact = Old->Exact;
       Pair.FromCache = true;
       Pair.Directions = Old->Directions;
-      // CommonLoops must point into the *new* program; the count
-      // matches the old pair by key construction.
-      for (unsigned L = 0; L < CandCommon[C]; ++L)
-        Pair.CommonLoops.push_back(Refs[I].Loops[L]);
       // The report header's unanalyzable count is structural and must
       // stay bit-identical to a fresh run; Stats (decision counters)
       // intentionally cover only re-run pairs.
@@ -338,18 +350,10 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       Pair.Answer = DepAnswer::Unknown;
       Pair.DecidedBy = TestKind::Unanalyzable;
       Pair.Exact = false;
-      // Clients (the parallelizer) still need the common nest to
-      // serialize conservatively.
-      for (unsigned L = 0; L < Refs[I].Loops.size() &&
-                           L < Refs[J].Loops.size() &&
-                           Refs[I].Loops[L] == Refs[J].Loops[L];
-           ++L)
-        Pair.CommonLoops.push_back(Refs[I].Loops[L]);
       Result.Stats.recordDecision(TestKind::Unanalyzable, false);
       Result.Pairs.push_back(std::move(Pair));
       continue;
     }
-    Pair.CommonLoops = BC.Built->CommonLoops;
 
     // Array constants are handled without dependence testing (paper
     // section 4) — and without memoization overhead, which would
@@ -388,8 +392,8 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   // ordered by first occurrence; with it off every task is independent.
   std::vector<std::vector<size_t>> Groups;
   if (Opts.UseMemoization) {
-    std::unordered_map<std::vector<int64_t>, size_t, VectorHash>
-        GroupIndex;
+    std::unordered_map<std::vector<int64_t>, size_t, decltype(&hashVector)>
+        GroupIndex(TaskCandidate.size(), &hashVector);
     for (size_t T = 0; T < TaskCandidate.size(); ++T) {
       const std::vector<int64_t> &Key =
           BuiltPairs[TaskCandidate[T]].GroupKey;

@@ -60,10 +60,9 @@ bool bindsVar(const std::vector<StmtPtr> &Body, unsigned VarId) {
 void rewriteVarUses(std::vector<StmtPtr> &Body, unsigned VarId,
                     const ExprPtr &Replacement) {
   auto Rewrite = [VarId, &Replacement](const ExprPtr &E) {
-    return E->substitute(
-        [VarId, &Replacement](unsigned Var) -> ExprPtr {
-          return Var == VarId ? Replacement : nullptr;
-        });
+    return substitute(E, [VarId, &Replacement](unsigned Var) -> ExprPtr {
+      return Var == VarId ? Replacement : nullptr;
+    });
   };
   std::function<void(Stmt &)> RewriteStmt = [&](Stmt &S) {
     if (S.kind() == StmtKind::Assign) {

@@ -65,30 +65,58 @@ ExprPtr Expr::makeArrayRead(unsigned ArrayId,
   return Node;
 }
 
-ExprPtr Expr::substitute(
-    const std::function<ExprPtr(unsigned)> &Subst) const {
-  switch (Kind) {
+// The fold marker must live in the padding after Kind: Expr nodes are the
+// bulk of a parsed program, and a wider node shows up in peak memory.
+static_assert(sizeof(Expr) == 2 * sizeof(int64_t) + 2 * sizeof(ExprPtr) +
+                                  sizeof(std::vector<ExprPtr>),
+              "Expr grew; keep the fold marker in Kind's padding");
+
+ExprPtr edda::substitute(const ExprPtr &E,
+                         const std::function<ExprPtr(unsigned)> &Subst) {
+  switch (E->kind()) {
   case ExprKind::Const:
-    return makeConst(Value);
+    return E;
   case ExprKind::Var: {
-    if (ExprPtr Repl = Subst(varId()))
+    if (ExprPtr Repl = Subst(E->varId()))
       return Repl;
-    return makeVar(varId());
+    return E;
   }
   case ExprKind::Add:
-    return makeAdd(Lhs->substitute(Subst), Rhs->substitute(Subst));
   case ExprKind::Sub:
-    return makeSub(Lhs->substitute(Subst), Rhs->substitute(Subst));
-  case ExprKind::Mul:
-    return makeMul(Lhs->substitute(Subst), Rhs->substitute(Subst));
-  case ExprKind::Neg:
-    return makeNeg(Lhs->substitute(Subst));
+  case ExprKind::Mul: {
+    ExprPtr L = substitute(E->lhs(), Subst);
+    ExprPtr R = substitute(E->rhs(), Subst);
+    if (L == E->lhs() && R == E->rhs())
+      return E;
+    if (E->kind() == ExprKind::Add)
+      return Expr::makeAdd(std::move(L), std::move(R));
+    if (E->kind() == ExprKind::Sub)
+      return Expr::makeSub(std::move(L), std::move(R));
+    return Expr::makeMul(std::move(L), std::move(R));
+  }
+  case ExprKind::Neg: {
+    ExprPtr L = substitute(E->lhs(), Subst);
+    if (L == E->lhs())
+      return E;
+    return Expr::makeNeg(std::move(L));
+  }
   case ExprKind::ArrayRead: {
+    // NewSubs stays empty until the first subscript changes.
+    const std::vector<ExprPtr> &Subs = E->subscripts();
     std::vector<ExprPtr> NewSubs;
-    NewSubs.reserve(Subs.size());
-    for (const ExprPtr &S : Subs)
-      NewSubs.push_back(S->substitute(Subst));
-    return makeArrayRead(arrayId(), std::move(NewSubs));
+    for (size_t I = 0; I < Subs.size(); ++I) {
+      ExprPtr S = substitute(Subs[I], Subst);
+      if (NewSubs.empty()) {
+        if (S == Subs[I])
+          continue;
+        NewSubs.reserve(Subs.size());
+        NewSubs.assign(Subs.begin(), Subs.begin() + I);
+      }
+      NewSubs.push_back(std::move(S));
+    }
+    if (NewSubs.empty())
+      return E;
+    return Expr::makeArrayRead(E->arrayId(), std::move(NewSubs));
   }
   }
   assert(false && "unknown expression kind");

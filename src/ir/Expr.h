@@ -17,6 +17,7 @@
 #ifndef EDDA_IR_EXPR_H
 #define EDDA_IR_EXPR_H
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -96,11 +97,6 @@ public:
   static ExprPtr makeArrayRead(unsigned ArrayId,
                                std::vector<ExprPtr> Subscripts);
 
-  /// Rebuilds the tree with every Var node mapped through \p Subst; a null
-  /// result from \p Subst keeps the variable reference unchanged.
-  ExprPtr substitute(
-      const std::function<ExprPtr(unsigned)> &Subst) const;
-
   /// Collects the ids of all variables referenced, in first-seen order.
   void collectVars(std::vector<unsigned> &Out) const;
 
@@ -117,10 +113,19 @@ public:
   /// Renders with a name resolver (id -> name) for diagnostics.
   std::string str(const std::function<std::string(unsigned)> &Name) const;
 
+  /// True once opt/Fold has returned this node as a fold result. Folding
+  /// is idempotent, so a marked node folds to itself and the folder can
+  /// return it without another walk.
+  bool isFolded() const { return Folded.load(std::memory_order_relaxed); }
+  void markFolded() const { Folded.store(true, std::memory_order_relaxed); }
+
 private:
   explicit Expr(ExprKind K) : Kind(K), Value(0) {}
 
   ExprKind Kind;
+  /// Fold marker. Nodes are shared across programs and threads, so the
+  /// bit is atomic; it sits in the padding after Kind and costs no space.
+  mutable std::atomic<bool> Folded{false};
   int64_t Value; ///< Constant value, or variable/array id for leaves.
   ExprPtr Lhs;
   ExprPtr Rhs;
@@ -188,6 +193,13 @@ private:
   void addTerm(unsigned VarId, int64_t Coeff);
   static AffineExpr overflowedExpr();
 };
+
+/// Rebuilds \p E with every Var node mapped through \p Subst; a null
+/// result from \p Subst keeps the variable reference unchanged. Subtrees
+/// in which no variable is replaced are shared with \p E, not copied, so
+/// a substitution that replaces nothing returns \p E itself.
+ExprPtr substitute(const ExprPtr &E,
+                   const std::function<ExprPtr(unsigned)> &Subst);
 
 /// Converts an expression tree to affine form. Returns std::nullopt when
 /// the tree is not affine (for example a product of two variables) or when

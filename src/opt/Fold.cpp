@@ -75,10 +75,21 @@ ExprPtr foldStructural(const ExprPtr &E) {
   case ExprKind::Var:
     return E;
   case ExprKind::ArrayRead: {
+    // Subs stays empty until the first subscript changes.
+    const std::vector<ExprPtr> &Old = E->subscripts();
     std::vector<ExprPtr> Subs;
-    Subs.reserve(E->subscripts().size());
-    for (const ExprPtr &S : E->subscripts())
-      Subs.push_back(foldExpr(S));
+    for (size_t I = 0; I < Old.size(); ++I) {
+      ExprPtr S = foldExpr(Old[I]);
+      if (Subs.empty()) {
+        if (S == Old[I])
+          continue;
+        Subs.reserve(Old.size());
+        Subs.assign(Old.begin(), Old.begin() + I);
+      }
+      Subs.push_back(std::move(S));
+    }
+    if (Subs.empty())
+      return E;
     return Expr::makeArrayRead(E->arrayId(), std::move(Subs));
   }
   case ExprKind::Neg: {
@@ -89,6 +100,8 @@ ExprPtr foldStructural(const ExprPtr &E) {
     }
     if (L->kind() == ExprKind::Neg)
       return L->lhs(); // --x == x
+    if (L == E->lhs())
+      return E;
     return Expr::makeNeg(std::move(L));
   }
   case ExprKind::Add: {
@@ -103,6 +116,8 @@ ExprPtr foldStructural(const ExprPtr &E) {
       return R;
     if (R->kind() == ExprKind::Const && R->constValue() == 0)
       return L;
+    if (L == E->lhs() && R == E->rhs())
+      return E;
     return Expr::makeAdd(std::move(L), std::move(R));
   }
   case ExprKind::Sub: {
@@ -117,6 +132,8 @@ ExprPtr foldStructural(const ExprPtr &E) {
       return L;
     if (L->kind() == ExprKind::Const && L->constValue() == 0)
       return foldExpr(Expr::makeNeg(std::move(R)));
+    if (L == E->lhs() && R == E->rhs())
+      return E;
     return Expr::makeSub(std::move(L), std::move(R));
   }
   case ExprKind::Mul: {
@@ -139,6 +156,8 @@ ExprPtr foldStructural(const ExprPtr &E) {
       if (C->constValue() == -1)
         return foldExpr(Expr::makeNeg(Other));
     }
+    if (L == E->lhs() && R == E->rhs())
+      return E;
     return Expr::makeMul(std::move(L), std::move(R));
   }
   }
@@ -149,7 +168,14 @@ ExprPtr foldStructural(const ExprPtr &E) {
 } // namespace
 
 ExprPtr edda::foldExpr(const ExprPtr &E) {
-  return canonicalize(foldStructural(E));
+  // Folding is idempotent, so a node this function returned before is
+  // its own fold; the marker spares the prepass's repeated passes from
+  // rebuilding subtrees nothing has touched since.
+  if (E->isFolded())
+    return E;
+  ExprPtr Out = canonicalize(foldStructural(E));
+  Out->markFolded();
+  return Out;
 }
 
 namespace {

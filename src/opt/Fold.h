@@ -22,7 +22,8 @@ namespace edda {
 
 /// Returns a simplified equivalent of \p E: constants folded, identity
 /// elements dropped, double negation removed, subtraction of a constant
-/// canonicalized.
+/// canonicalized. Idempotent: a result folds to itself, and folding it
+/// again returns the same node without rebuilding it.
 ExprPtr foldExpr(const ExprPtr &E);
 
 /// Folds every expression in \p P (subscripts, right-hand sides, loop

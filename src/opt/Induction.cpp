@@ -102,7 +102,7 @@ private:
   /// Replaces uses of the variables in \p Values inside \p E.
   static ExprPtr substituteUses(const ExprPtr &E,
                                 const std::map<unsigned, ExprPtr> &Values) {
-    ExprPtr Out = E->substitute([&Values](unsigned VarId) -> ExprPtr {
+    ExprPtr Out = substitute(E, [&Values](unsigned VarId) -> ExprPtr {
       auto It = Values.find(VarId);
       return It == Values.end() ? nullptr : It->second;
     });

@@ -45,7 +45,7 @@ private:
   std::vector<unsigned> ActiveLoops;
 
   ExprPtr rewrite(const ExprPtr &E) {
-    ExprPtr Substituted = E->substitute([this](unsigned VarId) -> ExprPtr {
+    ExprPtr Substituted = substitute(E, [this](unsigned VarId) -> ExprPtr {
       auto It = Env.find(VarId);
       return It == Env.end() ? nullptr : It->second;
     });

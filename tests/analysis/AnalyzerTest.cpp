@@ -8,6 +8,7 @@
 #include "analysis/Analyzer.h"
 
 #include "testutil/Helpers.h"
+#include "workload/Generator.h"
 #include "gtest/gtest.h"
 
 using namespace edda;
@@ -20,6 +21,36 @@ AnalysisResult analyzeSource(const std::string &Source,
   Program P = mustParse(Source, /*Prepass=*/false);
   DependenceAnalyzer Analyzer(Opts);
   return Analyzer.analyze(P);
+}
+
+/// Checks \p R's pair list against the definition of a candidate pair,
+/// enumerated by brute force: every (I, J >= I) on one array with at
+/// least one write, I ascending then J ascending, each with the loops
+/// both references share.
+void expectBruteForceEnumeration(const AnalysisResult &R,
+                                 const std::string &What) {
+  const std::vector<ArrayReference> &Refs = R.Refs;
+  std::vector<std::pair<unsigned, unsigned>> Expected;
+  for (unsigned I = 0; I < Refs.size(); ++I)
+    for (unsigned J = I; J < Refs.size(); ++J)
+      if (Refs[I].ArrayId == Refs[J].ArrayId &&
+          (Refs[I].IsWrite || Refs[J].IsWrite))
+        Expected.emplace_back(I, J);
+  std::vector<std::pair<unsigned, unsigned>> Got;
+  for (const DependencePair &Pair : R.Pairs)
+    Got.emplace_back(Pair.RefA, Pair.RefB);
+  ASSERT_EQ(Got, Expected) << What;
+  EXPECT_EQ(R.PairsConsidered, Expected.size()) << What;
+  for (const DependencePair &Pair : R.Pairs) {
+    const std::vector<const LoopStmt *> &A = Refs[Pair.RefA].Loops;
+    const std::vector<const LoopStmt *> &B = Refs[Pair.RefB].Loops;
+    size_t Common = 0;
+    while (Common < A.size() && Common < B.size() && A[Common] == B[Common])
+      ++Common;
+    EXPECT_EQ(Pair.CommonLoops,
+              std::vector<const LoopStmt *>(A.begin(), A.begin() + Common))
+        << What << ": pair (" << Pair.RefA << ", " << Pair.RefB << ")";
+  }
 }
 
 } // namespace
@@ -244,4 +275,52 @@ end
   ASSERT_EQ(R.Pairs.size(), 2u);
   for (const DependencePair &Pair : R.Pairs)
     EXPECT_NE(Pair.Answer, DepAnswer::Unknown);
+}
+
+TEST(Analyzer, EnumerationMatchesBruteForce) {
+  // Interleaved arrays (a and b alternate), a read-only array (c), a
+  // single-write array (d: only its self-pair), a single-read array (e:
+  // no pair), write self-pairs, an unanalyzable reference (a[c[i]]) and
+  // a reference outside the loop (a different common nest).
+  AnalysisResult R = analyzeSource(R"(program s
+  array a[100]
+  array b[100]
+  array c[100]
+  array d[100]
+  array e[100]
+  for i = 1 to 10 do
+    a[i] = b[i] + a[i + 1]
+    b[i + 1] = a[i - 1] + c[i]
+    d[i] = c[i + 2] + a[2 * i]
+    x = e[i] + b[i + 2]
+    a[c[i]] = 0
+  end
+  a[5] = b[3]
+end
+)");
+  expectBruteForceEnumeration(R, "hand-written");
+  unsigned SelfPairs = 0, ReadOnlyPairs = 0, Unanalyzable = 0;
+  for (const DependencePair &Pair : R.Pairs) {
+    const ArrayReference &A = R.Refs[Pair.RefA];
+    SelfPairs += Pair.RefA == Pair.RefB;
+    ReadOnlyPairs += A.ArrayId == 2 || A.ArrayId == 4;
+    Unanalyzable += Pair.DecidedBy == TestKind::Unanalyzable;
+  }
+  EXPECT_EQ(SelfPairs, 5u); // a[i], b[i+1], d[i], a[c[i]], a[5]
+  EXPECT_EQ(ReadOnlyPairs, 0u);
+  EXPECT_GT(Unanalyzable, 0u);
+}
+
+TEST(Analyzer, EnumerationMatchesBruteForceOnSuite) {
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions()))
+    expectBruteForceEnumeration(analyzeSource(Source), Name);
+}
+
+TEST(Analyzer, EnumerationMatchesBruteForceOnRandomPrograms) {
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    SplitRng Rng(Seed);
+    expectBruteForceEnumeration(analyzeSource(generateRandomProgram(Rng)),
+                                "seed " + std::to_string(Seed));
+  }
 }

@@ -37,7 +37,7 @@ TEST(Expr, Rendering) {
 
 TEST(Expr, SubstituteReplacesVars) {
   ExprPtr E = Expr::makeAdd(Expr::makeVar(0), Expr::makeVar(1));
-  ExprPtr Out = E->substitute([](unsigned Id) -> ExprPtr {
+  ExprPtr Out = substitute(E, [](unsigned Id) -> ExprPtr {
     if (Id == 0)
       return Expr::makeConst(7);
     return nullptr;
@@ -49,11 +49,50 @@ TEST(Expr, SubstituteInsideArrayRead) {
   std::vector<ExprPtr> Subs;
   Subs.push_back(Expr::makeVar(0));
   ExprPtr E = Expr::makeArrayRead(5, std::move(Subs));
-  ExprPtr Out = E->substitute([](unsigned Id) -> ExprPtr {
+  ExprPtr Out = substitute(E, [](unsigned Id) -> ExprPtr {
     return Id == 0 ? Expr::makeConst(9) : nullptr;
   });
   ASSERT_EQ(Out->kind(), ExprKind::ArrayRead);
   EXPECT_EQ(Out->subscripts()[0]->constValue(), 9);
+}
+
+TEST(Expr, SubstituteReplacingNothingReturnsInput) {
+  std::vector<ExprPtr> Subs;
+  Subs.push_back(Expr::makeSub(Expr::makeVar(1), Expr::makeConst(2)));
+  Subs.push_back(Expr::makeVar(0));
+  ExprPtr E = Expr::makeAdd(
+      Expr::makeMul(Expr::makeConst(3), Expr::makeNeg(Expr::makeVar(0))),
+      Expr::makeArrayRead(4, std::move(Subs)));
+  // No hit at all, and a hit on a variable that does not occur.
+  EXPECT_EQ(substitute(E, [](unsigned) -> ExprPtr { return nullptr; }), E);
+  EXPECT_EQ(substitute(E, [](unsigned Id) -> ExprPtr {
+              return Id == 9 ? Expr::makeConst(1) : nullptr;
+            }),
+            E);
+}
+
+TEST(Expr, SubstituteSharesUntouchedSubtrees) {
+  ExprPtr Left = Expr::makeMul(Expr::makeConst(3), Expr::makeVar(0));
+  ExprPtr Two = Expr::makeConst(2);
+  ExprPtr FirstSub = Expr::makeAdd(Expr::makeVar(0), Expr::makeConst(1));
+  std::vector<ExprPtr> Subs;
+  Subs.push_back(FirstSub);
+  Subs.push_back(Expr::makeSub(Expr::makeVar(1), Two));
+  ExprPtr Read = Expr::makeArrayRead(4, std::move(Subs));
+  ExprPtr E = Expr::makeAdd(Left, Read);
+
+  ExprPtr Out = substitute(E, [](unsigned Id) -> ExprPtr {
+    return Id == 1 ? Expr::makeConst(8) : nullptr;
+  });
+  EXPECT_EQ(Out->str(nameOf), "((3 * v0) + @4[(v0 + 1)][(8 - 2)])");
+  // Only the path from the root to v1 is rebuilt.
+  EXPECT_NE(Out, E);
+  EXPECT_EQ(Out->lhs(), Left);
+  EXPECT_NE(Out->rhs(), Read);
+  EXPECT_EQ(Out->rhs()->subscripts()[0], FirstSub);
+  EXPECT_EQ(Out->rhs()->subscripts()[1]->rhs(), Two);
+  // The input is untouched.
+  EXPECT_EQ(E->str(nameOf), "((3 * v0) + @4[(v0 + 1)][(v1 - 2)])");
 }
 
 TEST(Expr, CollectVarsFirstSeenOrder) {

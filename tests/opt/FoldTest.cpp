@@ -7,9 +7,13 @@
 
 #include "opt/Fold.h"
 
+#include "opt/Pipeline.h"
+#include "testutil/Helpers.h"
+#include "workload/Generator.h"
 #include "gtest/gtest.h"
 
 #include <climits>
+#include <iterator>
 
 using namespace edda;
 
@@ -18,6 +22,106 @@ namespace {
 std::string nameOf(unsigned Id) { return "v" + std::to_string(Id); }
 
 std::string folded(const ExprPtr &E) { return foldExpr(E)->str(nameOf); }
+
+/// A fresh copy of \p E sharing no node with it, so no node carries a
+/// fold marker and folding the copy runs the whole folder.
+ExprPtr deepCopy(const ExprPtr &E) {
+  switch (E->kind()) {
+  case ExprKind::Const:
+    return Expr::makeConst(E->constValue());
+  case ExprKind::Var:
+    return Expr::makeVar(E->varId());
+  case ExprKind::Add:
+    return Expr::makeAdd(deepCopy(E->lhs()), deepCopy(E->rhs()));
+  case ExprKind::Sub:
+    return Expr::makeSub(deepCopy(E->lhs()), deepCopy(E->rhs()));
+  case ExprKind::Mul:
+    return Expr::makeMul(deepCopy(E->lhs()), deepCopy(E->rhs()));
+  case ExprKind::Neg:
+    return Expr::makeNeg(deepCopy(E->lhs()));
+  case ExprKind::ArrayRead: {
+    std::vector<ExprPtr> Subs;
+    for (const ExprPtr &S : E->subscripts())
+      Subs.push_back(deepCopy(S));
+    return Expr::makeArrayRead(E->arrayId(), std::move(Subs));
+  }
+  }
+  return nullptr;
+}
+
+/// Every expression of \p Body: subscripts, right-hand sides, bounds.
+void collectExprs(const std::vector<StmtPtr> &Body,
+                  std::vector<ExprPtr> &Out) {
+  for (const StmtPtr &S : Body) {
+    if (S->kind() == StmtKind::Assign) {
+      const AssignStmt &A = asAssign(*S);
+      if (A.isArrayLhs())
+        for (const ExprPtr &Sub : A.lhsSubscripts())
+          Out.push_back(Sub);
+      Out.push_back(A.rhs());
+      continue;
+    }
+    const LoopStmt &L = asLoop(*S);
+    Out.push_back(L.lo());
+    Out.push_back(L.hi());
+    collectExprs(L.body(), Out);
+  }
+}
+
+/// Folding a fold result again changes nothing: structurally, with the
+/// marker out of play (on an unmarked copy), and by identity, with it.
+/// The fold marker's shortcut is sound only because of the first half.
+void expectIdempotent(const ExprPtr &E) {
+  ExprPtr Once = foldExpr(deepCopy(E));
+  ExprPtr Twice = foldExpr(deepCopy(Once));
+  EXPECT_TRUE(exprEquals(Once, Twice))
+      << E->str(nameOf) << " folds to " << Once->str(nameOf)
+      << " but that folds to " << Twice->str(nameOf);
+  EXPECT_EQ(foldExpr(Once), Once);
+}
+
+/// The parsed and the prepassed expressions of \p Source.
+std::vector<ExprPtr> programExprs(const std::string &Source) {
+  std::vector<ExprPtr> Out;
+  Program P = testutil::mustParse(Source, /*Prepass=*/false);
+  collectExprs(P.body(), Out);
+  runPrepass(P);
+  collectExprs(P.body(), Out);
+  return Out;
+}
+
+/// A random tree over a few variables, small constants and the int64
+/// extremes (so overflowing folds are drawn too).
+ExprPtr randomExpr(SplitRng &Rng, unsigned Depth) {
+  static const int64_t Consts[] = {0,  1,         -1,        2,
+                                   -3, 7,         INT64_MAX, INT64_MIN,
+                                   INT64_MIN + 1};
+  unsigned Pick = Depth == 0 ? Rng.below(2) : Rng.below(8);
+  switch (Pick) {
+  case 0:
+    return Expr::makeConst(Consts[Rng.below(std::size(Consts))]);
+  case 1:
+    return Expr::makeVar(static_cast<unsigned>(Rng.below(3)));
+  case 2:
+    return Expr::makeAdd(randomExpr(Rng, Depth - 1),
+                         randomExpr(Rng, Depth - 1));
+  case 3:
+    return Expr::makeSub(randomExpr(Rng, Depth - 1),
+                         randomExpr(Rng, Depth - 1));
+  case 4:
+  case 5:
+    return Expr::makeMul(randomExpr(Rng, Depth - 1),
+                         randomExpr(Rng, Depth - 1));
+  case 6:
+    return Expr::makeNeg(randomExpr(Rng, Depth - 1));
+  default: {
+    std::vector<ExprPtr> Subs;
+    for (uint64_t D = 0, N = 1 + Rng.below(2); D < N; ++D)
+      Subs.push_back(randomExpr(Rng, Depth - 1));
+    return Expr::makeArrayRead(0, std::move(Subs));
+  }
+  }
+}
 
 } // namespace
 
@@ -101,4 +205,45 @@ TEST(Fold, WholeProgram) {
   const AssignStmt &S = asAssign(*L.body()[0]);
   EXPECT_EQ(S.lhsSubscripts()[0]->kind(), ExprKind::Var);
   EXPECT_EQ(S.rhs()->constValue(), 5);
+}
+
+TEST(Fold, FoldedNodeFoldsToItself) {
+  ExprPtr E = Expr::makeAdd(Expr::makeMul(Expr::makeConst(2),
+                                          Expr::makeVar(0)),
+                            Expr::makeConst(3));
+  ExprPtr F = foldExpr(E);
+  EXPECT_EQ(foldExpr(F), F);
+  // Unchanged subtrees of a non-affine tree are shared, not rebuilt.
+  std::vector<ExprPtr> Subs;
+  Subs.push_back(F);
+  ExprPtr Read = Expr::makeArrayRead(0, std::move(Subs));
+  ExprPtr Sum = Expr::makeAdd(Read, Expr::makeVar(1));
+  ExprPtr FoldedSum = foldExpr(Sum);
+  EXPECT_EQ(FoldedSum, Sum);
+  EXPECT_EQ(FoldedSum->lhs()->subscripts()[0], F);
+}
+
+TEST(Fold, IdempotentOnSuiteExpressions) {
+  size_t Checked = 0;
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions()))
+    for (const ExprPtr &E : programExprs(Source)) {
+      expectIdempotent(E);
+      ++Checked;
+    }
+  EXPECT_GT(Checked, 10000u);
+}
+
+TEST(Fold, IdempotentOnRandomPrograms) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SplitRng Rng(Seed);
+    for (const ExprPtr &E : programExprs(generateRandomProgram(Rng)))
+      expectIdempotent(E);
+  }
+}
+
+TEST(Fold, IdempotentOnRandomTrees) {
+  SplitRng Rng(7);
+  for (unsigned I = 0; I < 5000; ++I)
+    expectIdempotent(randomExpr(Rng, 1 + I % 5));
 }

@@ -15,6 +15,8 @@
 #include "workload/Generator.h"
 #include "gtest/gtest.h"
 
+#include <iterator>
+
 using namespace edda;
 using namespace edda::testutil;
 
@@ -30,6 +32,16 @@ Program prepassed(const std::string &Source) {
   EXPECT_TRUE(R2.Ok);
   EXPECT_EQ(R1.Memory, R2.Memory) << "prepass changed semantics";
   return P;
+}
+
+/// FNV-1a, 64-bit: a fixed, portable digest for golden output values.
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t H = 14695981039346656037ull;
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
 }
 
 /// True when every reference's subscripts are affine in enclosing loop
@@ -142,4 +154,31 @@ end
   std::string Once = P.print();
   runPrepass(P);
   EXPECT_EQ(P.print(), Once);
+}
+
+TEST(Pipeline, SuitePrepassOutputGolden) {
+  // Digests of Program::print() after runPrepass for every suite
+  // program at the default generator options. They pin the prepass's
+  // output bytes: sharing unchanged subtrees and skipping already-folded
+  // nodes are pure speedups and must not change a single byte.
+  const std::pair<const char *, uint64_t> Golden[] = {
+      {"AP", 0x3734585c84acaf79ull}, {"CS", 0x0b2b89bb02d46e8bull},
+      {"LG", 0xdb1217b5d3f37044ull}, {"LW", 0x2c2710716d50d8bdull},
+      {"MT", 0x4e5e2b49ce3d60b6ull}, {"NA", 0x39dc1b10a7f2e4b8ull},
+      {"OC", 0x337c2c65068fa858ull}, {"SD", 0x783e5e5d71b9031aull},
+      {"SM", 0x83f2310136f58420ull}, {"SR", 0x283bc925e9966790ull},
+      {"TF", 0xdf6146e3bd294795ull}, {"TI", 0xe37dead6f7be2621ull},
+      {"WS", 0x4d60f7f3b9c7dacfull},
+  };
+  std::vector<std::pair<std::string, std::string>> Suite =
+      generatePerfectClubSuite(GeneratorOptions());
+  ASSERT_EQ(Suite.size(), std::size(Golden));
+  for (size_t I = 0; I < Suite.size(); ++I) {
+    const auto &[Name, Source] = Suite[I];
+    EXPECT_EQ(Name, Golden[I].first);
+    Program P = mustParse(Source, /*Prepass=*/false);
+    runPrepass(P);
+    EXPECT_EQ(fnv1a(P.print()), Golden[I].second)
+        << Name << " prepass output changed";
+  }
 }
