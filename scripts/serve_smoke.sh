@@ -245,4 +245,28 @@ if ! awk -v h="$HIT" -v m="$MIN_HIT" 'BEGIN { exit !(h >= m) }'; then
 fi
 [ -s "$STATS_LOG" ] || { echo "error: stats log is empty" >&2; exit 1; }
 
+# The per-request log holds exactly one line per payload request
+# (analyze, features, problem, edit). It spans both daemon lifetimes
+# while the counters restart with the daemon, so the expected count
+# sums the cold daemon's last snapshot and the warm daemon's final one.
+stat_of() { sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p" "$1"; }
+payload_requests() {
+  echo $(( $(stat_of "$1" analyze_requests) + $(stat_of "$1" features_requests) \
+         + $(stat_of "$1" problem_requests) + $(stat_of "$1" edit_requests) ))
+}
+WANT_LINES=$(( $(payload_requests "$OUT/stats-cold.json") \
+             + $(payload_requests "$OUT/stats-features.json") ))
+GOT_LINES=$(wc -l < "$STATS_LOG")
+if [ "$GOT_LINES" -ne "$WANT_LINES" ]; then
+  echo "error: stats log has $GOT_LINES lines for $WANT_LINES payload requests" >&2
+  exit 1
+fi
+BAD_LINES=$(grep -cv '"op":"[a-z]*".*"id":[0-9-]*' "$STATS_LOG" || true)
+NO_WALL=$(grep -cv '"wall_ns":[0-9]' "$STATS_LOG" || true)
+if [ "$BAD_LINES" -ne 0 ] || [ "$NO_WALL" -ne 0 ]; then
+  echo "error: $BAD_LINES stats-log lines lack op/id, $NO_WALL lack wall_ns" >&2
+  exit 1
+fi
+echo "stats log: $GOT_LINES lines, one per payload request, each with op, id and wall_ns"
+
 echo "serve smoke passed (stats + per-request log in $OUT/)"

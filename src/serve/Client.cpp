@@ -53,62 +53,18 @@ ServeClient::~ServeClient() {
 bool ServeClient::send(ServeRequest &R, std::string *Error) {
   if (R.Id == 0)
     R.Id = NextId++;
-  std::string Line = R.toJson().str();
-  Line += '\n';
-  const char *Data = Line.data();
-  size_t Len = Line.size();
-  while (Len) {
-    ssize_t N = ::send(Fd, Data, Len, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      if (Error)
-        *Error = std::string("send: ") + std::strerror(errno);
-      return false;
-    }
-    Data += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
+  if (sendLine(Fd, R.toJson().str()))
+    return true;
+  if (Error)
+    *Error = std::string("send: ") + std::strerror(errno);
+  return false;
 }
 
 std::optional<std::string> ServeClient::readLine(std::string *Error) {
-  for (;;) {
-    size_t Nl = Buf.find('\n');
-    if (Nl != std::string::npos) {
-      std::string Line = Buf.substr(0, Nl);
-      Buf.erase(0, Nl + 1);
-      return Line;
-    }
-    char Chunk[4096];
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      if (Error)
-        *Error = std::string("read: ") + std::strerror(errno);
-      return std::nullopt;
-    }
-    if (N == 0) {
-      if (Error && Error->empty())
-        *Error = "connection closed by server";
-      return std::nullopt;
-    }
-    Buf.append(Chunk, static_cast<size_t>(N));
-  }
-}
-
-std::optional<ServeResponse> ServeClient::receive(std::string *Error) {
-  if (!Pending.empty()) {
-    auto It = Pending.begin();
-    ServeResponse R = std::move(It->second);
-    Pending.erase(It);
-    return R;
-  }
-  std::optional<std::string> Line = readLine(Error);
-  if (!Line)
-    return std::nullopt;
-  return parseServeResponse(*Line, Error);
+  std::optional<std::string> Line = Reader.next(Error);
+  if (!Line && Error && Error->empty())
+    *Error = "connection closed by server";
+  return Line;
 }
 
 std::optional<ServeResponse> ServeClient::call(ServeRequest R,

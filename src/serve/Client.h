@@ -40,25 +40,22 @@ public:
   ServeClient &operator=(const ServeClient &) = delete;
 
   /// Sends \p R (assigning a fresh id when R.Id == 0) and blocks until
-  /// its response arrives. Responses for other pipelined ids received
-  /// meanwhile are buffered for their own call()/receive().
+  /// its response arrives. Responses for other ids received meanwhile
+  /// are buffered for their own call().
   std::optional<ServeResponse> call(ServeRequest R, std::string *Error);
 
-  /// Pipelined use: send without waiting, then collect responses in
-  /// arrival order. receive() returns nullopt on EOF or a transport
-  /// error.
-  bool send(ServeRequest &R, std::string *Error);
-  std::optional<ServeResponse> receive(std::string *Error);
-
 private:
-  explicit ServeClient(int Fd) : Fd(Fd) {}
+  explicit ServeClient(int Fd) : Fd(Fd), Reader(Fd) {}
+
+  /// Writes one request line (assigning a fresh id when R.Id == 0).
+  bool send(ServeRequest &R, std::string *Error);
 
   /// Reads one NDJSON line from the socket (nullopt on EOF/error).
   std::optional<std::string> readLine(std::string *Error);
 
   int Fd = -1;
   int64_t NextId = 1;
-  std::string Buf;
+  LineReader Reader;
   std::map<int64_t, ServeResponse> Pending;
 };
 

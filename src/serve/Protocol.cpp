@@ -7,6 +7,12 @@
 
 #include "serve/Protocol.h"
 
+#include <cerrno>
+#include <cstring>
+
+#include <sys/socket.h>
+#include <unistd.h>
+
 using namespace edda;
 
 const char *edda::serveOpName(ServeRequest::Op Operation) {
@@ -32,22 +38,9 @@ const char *edda::serveOpName(ServeRequest::Op Operation) {
 }
 
 static std::optional<ServeRequest::Op> opFromName(const std::string &S) {
-  if (S == "analyze")
-    return ServeRequest::Op::Analyze;
-  if (S == "features")
-    return ServeRequest::Op::Features;
-  if (S == "problem")
-    return ServeRequest::Op::Problem;
-  if (S == "edit")
-    return ServeRequest::Op::Edit;
-  if (S == "stats")
-    return ServeRequest::Op::Stats;
-  if (S == "ping")
-    return ServeRequest::Op::Ping;
-  if (S == "checkpoint")
-    return ServeRequest::Op::Checkpoint;
-  if (S == "shutdown")
-    return ServeRequest::Op::Shutdown;
+  for (int I = 0; I <= static_cast<int>(ServeRequest::Op::Shutdown); ++I)
+    if (S == serveOpName(static_cast<ServeRequest::Op>(I)))
+      return static_cast<ServeRequest::Op>(I);
   return std::nullopt;
 }
 
@@ -55,8 +48,7 @@ JsonValue ServeRequest::toJson() const {
   JsonValue O = JsonValue::object();
   O.set("id", Id);
   O.set("op", serveOpName(Operation));
-  if (Operation == Op::Analyze || Operation == Op::Features ||
-      Operation == Op::Problem || Operation == Op::Edit) {
+  if (hasPayload()) {
     O.set(Operation == Op::Problem ? "problem" : "program", Payload);
     if (Operation == Op::Edit && !Session.empty())
       O.set("session", Session);
@@ -81,14 +73,16 @@ JsonValue ServeRequest::toJson() const {
 std::optional<ServeRequest>
 edda::parseServeRequest(const std::string &Line, std::string *Error,
                         int64_t *IdOut) {
+  auto Fail = [Error](std::string Message) -> std::optional<ServeRequest> {
+    if (Error)
+      *Error = std::move(Message);
+    return std::nullopt;
+  };
   std::optional<JsonValue> V = parseJson(Line, Error);
   if (!V)
     return std::nullopt;
-  if (!V->isObject()) {
-    if (Error)
-      *Error = "request must be a JSON object";
-    return std::nullopt;
-  }
+  if (!V->isObject())
+    return Fail("request must be a JSON object");
 
   ServeRequest R;
   R.Id = V->getInt("id", 0);
@@ -97,26 +91,17 @@ edda::parseServeRequest(const std::string &Line, std::string *Error,
 
   std::string OpName = V->getString("op");
   std::optional<ServeRequest::Op> Operation = opFromName(OpName);
-  if (!Operation) {
-    if (Error)
-      *Error = OpName.empty() ? "missing 'op' field"
-                              : "unknown op '" + OpName + "'";
-    return std::nullopt;
-  }
+  if (!Operation)
+    return Fail(OpName.empty() ? "missing 'op' field"
+                               : "unknown op '" + OpName + "'");
   R.Operation = *Operation;
 
-  if (R.Operation == ServeRequest::Op::Analyze ||
-      R.Operation == ServeRequest::Op::Features ||
-      R.Operation == ServeRequest::Op::Problem ||
-      R.Operation == ServeRequest::Op::Edit) {
+  if (R.hasPayload()) {
     const char *Field =
         R.Operation == ServeRequest::Op::Problem ? "problem" : "program";
     const JsonValue *Payload = V->find(Field);
-    if (!Payload || !Payload->isString()) {
-      if (Error)
-        *Error = std::string("missing '") + Field + "' string field";
-      return std::nullopt;
-    }
+    if (!Payload || !Payload->isString())
+      return Fail(std::string("missing '") + Field + "' string field");
     R.Payload = Payload->stringValue();
     R.Directions = V->getBool("directions", false);
     R.Explain = V->getBool("explain", false);
@@ -126,21 +111,55 @@ edda::parseServeRequest(const std::string &Line, std::string *Error,
     R.PipelineSpec = V->getString("pipeline");
     R.Session = V->getString("session");
     int64_t Budget = V->getInt("fm_budget", 0);
-    if (Budget < 0) {
-      if (Error)
-        *Error = "'fm_budget' must be non-negative";
-      return std::nullopt;
-    }
-    if (Budget != 0 && R.Operation == ServeRequest::Op::Edit) {
-      if (Error)
-        *Error = "'fm_budget' is not accepted on edit requests: a "
-                 "one-off budget would splice degraded answers into "
-                 "the session's later re-analyses";
-      return std::nullopt;
-    }
+    if (Budget < 0)
+      return Fail("'fm_budget' must be non-negative");
+    if (Budget != 0 && R.Operation == ServeRequest::Op::Edit)
+      return Fail("'fm_budget' is not accepted on edit requests: a "
+                  "one-off budget would splice degraded answers into "
+                  "the session's later re-analyses");
     R.FmBudget = static_cast<uint64_t>(Budget);
   }
   return R;
+}
+
+bool edda::sendLine(int Fd, std::string Line) {
+  Line += '\n';
+  const char *Data = Line.data();
+  size_t Len = Line.size();
+  while (Len) {
+    ssize_t N = ::send(Fd, Data, Len, MSG_NOSIGNAL);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    Data += N;
+    Len -= static_cast<size_t>(N);
+  }
+  return true;
+}
+
+std::optional<std::string> LineReader::next(std::string *Error) {
+  for (;;) {
+    size_t Nl = Buf.find('\n');
+    if (Nl != std::string::npos) {
+      std::string Line = Buf.substr(0, Nl);
+      Buf.erase(0, Nl + 1);
+      return Line;
+    }
+    char Chunk[4096];
+    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      if (Error)
+        *Error = std::string("read: ") + std::strerror(errno);
+      return std::nullopt;
+    }
+    if (N == 0)
+      return std::nullopt;
+    Buf.append(Chunk, static_cast<size_t>(N));
+  }
 }
 
 std::optional<ServeResponse>

@@ -43,6 +43,7 @@ namespace edda {
 ///   checkpoint  force a warm-start checkpoint now (no payload)
 ///   shutdown    acknowledge, then drain and exit
 struct ServeRequest {
+  /// Shutdown stays last: the op-name lookup walks the ops up to it.
   enum class Op {
     Analyze,
     Features,
@@ -82,6 +83,13 @@ struct ServeRequest {
   /// take turns editing one program.
   std::string Session;
 
+  /// analyze, features, problem and edit carry a payload; each answers
+  /// with a report, per-request stats and a stats-log line.
+  bool hasPayload() const {
+    return Operation == Op::Analyze || Operation == Op::Features ||
+           Operation == Op::Problem || Operation == Op::Edit;
+  }
+
   JsonValue toJson() const;
 };
 
@@ -110,6 +118,24 @@ std::optional<ServeResponse> parseServeResponse(const std::string &Line,
                                                 std::string *Error);
 
 const char *serveOpName(ServeRequest::Op Operation);
+
+/// Writes \p Line and its newline to socket \p Fd, retrying short
+/// writes; false (with errno set) on a transport error.
+bool sendLine(int Fd, std::string Line);
+
+/// Splits one socket's byte stream into protocol lines.
+class LineReader {
+public:
+  explicit LineReader(int Fd) : Fd(Fd) {}
+
+  /// The next line, without its newline; nullopt on EOF or a read
+  /// error (the error is described in \p Error when given).
+  std::optional<std::string> next(std::string *Error = nullptr);
+
+private:
+  int Fd;
+  std::string Buf;
+};
 
 } // namespace edda
 

@@ -15,11 +15,13 @@
 #include "parser/Parser.h"
 #include "serve/Render.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <vector>
@@ -102,21 +104,46 @@ uint64_t calibrateFmBudget(unsigned TimeoutMs) {
   return static_cast<uint64_t>(Budget);
 }
 
-bool writeAllFd(int Fd, const char *Data, size_t Len) {
-  while (Len) {
-    ssize_t N = ::send(Fd, Data, Len, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
 } // namespace
+
+/// Every ServeStats counter under its stats-op key: the one list that
+/// operator+= sums and statsJson() renders.
+constexpr std::pair<const char *, uint64_t ServeStats::*> ServeCounters[] = {
+    {"requests", &ServeStats::Requests},
+    {"analyze_requests", &ServeStats::AnalyzeRequests},
+    {"features_requests", &ServeStats::FeaturesRequests},
+    {"problem_requests", &ServeStats::ProblemRequests},
+    {"edit_requests", &ServeStats::EditRequests},
+    {"errors", &ServeStats::Errors},
+    {"pairs_tested", &ServeStats::PairsTested},
+    {"pairs_cached", &ServeStats::PairsCached},
+    {"pairs_constant", &ServeStats::PairsConstant},
+    {"pairs_unanalyzable", &ServeStats::PairsUnanalyzable},
+    {"problems_tested", &ServeStats::ProblemsTested},
+    {"problems_cached", &ServeStats::ProblemsCached},
+    {"tests_run", &ServeStats::TestsRun},
+    {"cache_hits_full", &ServeStats::MemoHitsFull},
+    {"cache_hits_nobounds", &ServeStats::MemoHitsNoBounds},
+    {"fm_work", &ServeStats::FmWork},
+    {"widened", &ServeStats::WidenedQueries},
+    {"degraded_requests", &ServeStats::DegradedRequests},
+    {"wall_ns", &ServeStats::WallNs},
+    {"checkpoints", &ServeStats::Checkpoints},
+    {"evicted", &ServeStats::Evicted},
+    {"warm_loaded_entries", &ServeStats::WarmLoadedEntries},
+    {"warm_rejected_entries", &ServeStats::WarmRejectedEntries},
+    {"pairs_reused", &ServeStats::PairsReused},
+    {"pairs_invalidated", &ServeStats::PairsInvalidated},
+};
+static_assert(sizeof(ServeStats) ==
+                  std::size(ServeCounters) * sizeof(uint64_t),
+              "every ServeStats counter must be listed in ServeCounters");
+
+ServeStats &ServeStats::operator+=(const ServeStats &RHS) {
+  for (const auto &[Key, Field] : ServeCounters)
+    this->*Field += RHS.*Field;
+  return *this;
+}
 
 double ServeStats::hitRatePct() const {
   uint64_t Hits = PairsCached + ProblemsCached;
@@ -126,18 +153,99 @@ double ServeStats::hitRatePct() const {
                : 0.0;
 }
 
-/// All counters are relaxed atomics: they are monotone accounting with
-/// no ordering relationship to the answers themselves.
-struct ServeCore::Counters {
-  std::atomic<uint64_t> Requests{0}, AnalyzeRequests{0},
-      FeaturesRequests{0}, ProblemRequests{0}, EditRequests{0},
-      Errors{0}, PairsTested{0},
-      PairsCached{0}, PairsConstant{0}, PairsUnanalyzable{0},
-      ProblemsTested{0}, ProblemsCached{0}, TestsRun{0}, MemoHitsFull{0},
-      MemoHitsNoBounds{0}, FmWork{0}, WidenedQueries{0},
-      DegradedRequests{0}, WallNs{0}, Checkpoints{0}, Evicted{0},
-      WarmLoadedEntries{0}, WarmRejectedEntries{0}, PairsReused{0},
-      PairsInvalidated{0};
+namespace {
+
+/// Named JSON members in the order a response emits them.
+using JsonFields = std::vector<std::pair<std::string, JsonValue>>;
+
+/// A delta of \p N on one counter.
+ServeStats delta(uint64_t ServeStats::*Counter, uint64_t N = 1) {
+  ServeStats D;
+  D.*Counter = N;
+  return D;
+}
+
+/// Parses a LoopLang payload; nullopt plus the diagnostics in \p Error
+/// on failure.
+std::optional<Program> parsePayload(const std::string &Source,
+                                    std::string &Error) {
+  ParseResult Parsed = parseProgram(Source);
+  if (Parsed.succeeded())
+    return std::move(*Parsed.Prog);
+  Error = "parse error";
+  for (const Diagnostic &D : Parsed.Diags) {
+    Error += "; ";
+    Error += D.str();
+  }
+  return std::nullopt;
+}
+
+/// True when the FM work budget cut an answer short: an inexact
+/// Fourier-Motzkin Unknown, or a direction refinement that gave up.
+bool budgetDegraded(DepAnswer Answer, bool Exact, TestKind DecidedBy,
+                    const std::optional<DirectionResult> &Dirs) {
+  return (Answer == DepAnswer::Unknown && !Exact &&
+          DecidedBy == TestKind::FourierMotzkin) ||
+         (Dirs && !Dirs->Exact);
+}
+
+/// The per-request stats analyze and features report for one analysis,
+/// and its counter delta. "Tested" pairs ran the cascade, "cached" ones
+/// were served from the store.
+void tallyPairs(const AnalysisResult &Result, JsonFields &Stats,
+                ServeStats &Delta) {
+  bool Degraded = false;
+  for (const DependencePair &Pair : Result.Pairs) {
+    if (Pair.DecidedBy == TestKind::Unanalyzable)
+      ++Delta.PairsUnanalyzable;
+    else if (Pair.FromCache)
+      ++Delta.PairsCached;
+    else if (Pair.DecidedBy == TestKind::ArrayConstant)
+      ++Delta.PairsConstant; // Decided structurally; never enters the store.
+    else
+      ++Delta.PairsTested;
+    Degraded |= budgetDegraded(Pair.Answer, Pair.Exact, Pair.DecidedBy,
+                               Pair.Directions);
+  }
+  Delta.TestsRun = Result.Stats.totalDecided();
+  Delta.MemoHitsFull = Result.Stats.MemoHitsFull;
+  Delta.MemoHitsNoBounds = Result.Stats.MemoHitsNoBounds;
+  Delta.FmWork = Result.Stats.FmWork;
+  Delta.WidenedQueries = Result.Stats.WidenedQueries;
+  Delta.DegradedRequests = Degraded;
+  Stats = {{"pairs", Result.PairsConsidered},
+           {"pairs_cached", Delta.PairsCached},
+           {"pairs_tested", Delta.PairsTested},
+           {"unanalyzable", Result.UnanalyzablePairs},
+           {"tests_run", Delta.TestsRun},
+           {"cache_hits_full", Delta.MemoHitsFull},
+           {"cache_hits_nobounds", Delta.MemoHitsNoBounds},
+           {"fm_work", Delta.FmWork},
+           {"widened", Delta.WidenedQueries},
+           {"degraded", Degraded}};
+}
+
+} // namespace
+
+struct ServeCore::Reply {
+  Reply() = default;
+  explicit Reply(JsonFields Body) : Body(std::move(Body)) {}
+  static Reply failure(std::string Error) {
+    Reply A;
+    A.Error = std::move(Error);
+    return A;
+  }
+
+  /// Non-empty makes the response an ok:false error.
+  std::string Error;
+  /// The rendered report (payload ops).
+  std::string Text;
+  /// Op-specific body members, after id/ok/text.
+  JsonFields Body;
+  /// Per-request stats, after wall_ns (payload ops).
+  JsonFields Stats;
+  /// Counter delta; handle() counts Requests, Errors and WallNs itself.
+  ServeStats Delta;
 };
 
 /// One edit-loop program: the incremental analyzer state plus the lock
@@ -168,8 +276,7 @@ ServeCore::ServeCore(ServeOptions O, std::string *Error)
     : Opts(std::move(O)),
       Cache(servingMemoOptions(Opts.NumThreads
                                    ? Opts.NumThreads
-                                   : ThreadPool::hardwareThreads())),
-      C(std::make_unique<Counters>()) {
+                                   : ThreadPool::hardwareThreads())) {
   if (Opts.NumThreads == 0)
     Opts.NumThreads = ThreadPool::hardwareThreads();
   if (Opts.BatchSize == 0)
@@ -184,14 +291,14 @@ ServeCore::ServeCore(ServeOptions O, std::string *Error)
     if (::stat(Opts.CachePath.c_str(), &St) == 0) {
       CacheLoadStats LoadStats;
       if (Cache.loadFromFile(Opts.CachePath, &LoadStats)) {
-        C->WarmLoadedEntries.store(Cache.uniqueFull() +
+        Totals.WarmLoadedEntries = Cache.uniqueFull() +
                                    Cache.uniqueDirections() +
-                                   Cache.uniqueNoBounds());
+                                   Cache.uniqueNoBounds();
       } else {
         // Report what was lost instead of silently cold-starting: a
         // stale-format file says how many entries it held, and the
         // count stays visible through the stats op afterwards.
-        C->WarmRejectedEntries.store(LoadStats.RejectedEntries);
+        Totals.WarmRejectedEntries = LoadStats.RejectedEntries;
         if (Error) {
           *Error = "warm-start file '" + Opts.CachePath + "' ";
           if (LoadStats.FileVersion != 0 &&
@@ -256,8 +363,8 @@ bool ServeCore::checkpoint() {
     return false;
   std::lock_guard<std::mutex> Lock(CheckpointMutex);
   if (Opts.MaxCacheEntries != 0)
-    C->Evicted.fetch_add(Cache.evictOldest(Opts.MaxCacheEntries),
-                         std::memory_order_relaxed);
+    count(delta(&ServeStats::Evicted,
+                     Cache.evictOldest(Opts.MaxCacheEntries)));
   std::string Tmp =
       Opts.CachePath + ".tmp." + std::to_string(::getpid());
   if (!Cache.saveToFile(Tmp)) {
@@ -268,24 +375,41 @@ bool ServeCore::checkpoint() {
     ::unlink(Tmp.c_str());
     return false;
   }
-  C->Checkpoints.fetch_add(1, std::memory_order_relaxed);
+  count(delta(&ServeStats::Checkpoints));
   return true;
 }
 
-std::shared_ptr<const TestPipeline>
-ServeCore::pipelineFor(const std::string &Spec, std::string *Error) {
-  const std::string &Effective =
-      Spec.empty() ? Opts.PipelineSpec : Spec;
-  if (Effective.empty() || Effective == "default")
-    return nullptr; // CascadeOptions null = the paper's cascade.
-  std::lock_guard<std::mutex> Lock(PipelineMutex);
-  auto It = Pipelines.find(Effective);
-  if (It != Pipelines.end())
-    return It->second;
-  std::shared_ptr<const TestPipeline> P = makePipeline(Effective, Error);
-  if (P)
-    Pipelines.emplace(Effective, P);
-  return P;
+bool ServeCore::analyzerOptions(const ServeRequest &R, uint64_t FmBudget,
+                                AnalyzerOptions &AO, std::string &Error) {
+  const std::string &Spec =
+      R.PipelineSpec.empty() ? Opts.PipelineSpec : R.PipelineSpec;
+  std::shared_ptr<const TestPipeline> Pipe; // Null = the paper's cascade.
+  if (!Spec.empty() && Spec != "default") {
+    std::string PipeError;
+    Pipe = makePipeline(Spec, &PipeError);
+    if (!Pipe) {
+      Error = "bad pipeline: " + PipeError;
+      return false;
+    }
+  }
+  uint64_t Budget = FmBudget ? FmBudget : DefaultBudget;
+  AO.RunPrepass = R.Prepass;
+  // A per-request budget override bypasses the shared store entirely:
+  // its possibly-degraded answers must never be served to an
+  // unbudgeted request (the server-wide default budget is uniform
+  // across requests, so those results stay mutually consistent).
+  AO.UseMemoization = FmBudget == 0;
+  AO.NumThreads = 1;
+  AO.Cascade.Pipeline = Pipe;
+  AO.Cascade.Widen = R.Widen;
+  AO.Direction.Cascade.Pipeline = Pipe;
+  AO.Direction.Cascade.Widen = R.Widen;
+  if (Budget) {
+    AO.Direction.MaxRefineFmWork = Budget;
+    AO.Cascade.Fm.MaxCombines = Budget;
+    AO.Direction.Cascade.Fm.MaxCombines = Budget;
+  }
+  return true;
 }
 
 void ServeCore::logRequest(const JsonValue &Entry) {
@@ -296,88 +420,32 @@ void ServeCore::logRequest(const JsonValue &Entry) {
   LogStream.flush();
 }
 
-static ServeResponse errorResponse(int64_t Id, std::string Error) {
-  ServeResponse R;
-  R.Id = Id;
-  R.Ok = false;
-  R.Error = std::move(Error);
-  JsonValue O = JsonValue::object();
-  O.set("id", Id);
-  O.set("ok", false);
-  O.set("error", R.Error);
-  R.Body = std::move(O);
-  return R;
+void ServeCore::count(const ServeStats &Delta) {
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  Totals += Delta;
 }
 
-ServeResponse ServeCore::handleAnalyze(const ServeRequest &R) {
-  uint64_t Start = nowNs();
-
-  ParseResult Parsed = parseProgram(R.Payload);
-  if (!Parsed.succeeded()) {
-    std::string Msg = "parse error";
-    for (const Diagnostic &D : Parsed.Diags) {
-      Msg += "; ";
-      Msg += D.str();
-    }
-    return errorResponse(R.Id, Msg);
-  }
-  Program Prog = std::move(*Parsed.Prog);
-
-  std::string PipeError;
-  std::shared_ptr<const TestPipeline> Pipe =
-      pipelineFor(R.PipelineSpec, &PipeError);
-  if (!Pipe && !PipeError.empty())
-    return errorResponse(R.Id, "bad pipeline: " + PipeError);
-
-  uint64_t Budget = R.FmBudget ? R.FmBudget : DefaultBudget;
-
+ServeCore::Reply ServeCore::handleAnalyze(const ServeRequest &R) {
+  std::string Error;
+  std::optional<Program> Prog = parsePayload(R.Payload, Error);
   AnalyzerOptions AO;
-  AO.RunPrepass = R.Prepass;
-  // A per-request budget override bypasses the shared store entirely:
-  // its possibly-degraded answers must never be served to an
-  // unbudgeted request (the server-wide default budget is uniform
-  // across requests, so those results stay mutually consistent).
-  AO.UseMemoization = R.FmBudget == 0;
+  if (!Prog || !analyzerOptions(R, R.FmBudget, AO, Error))
+    return Reply::failure(Error);
   AO.ComputeDirections = R.Directions;
-  AO.NumThreads = 1;
   AO.Trace = R.Explain;
-  AO.Cascade.Pipeline = Pipe;
-  AO.Cascade.Widen = R.Widen;
-  AO.Direction.Cascade.Pipeline = Pipe;
-  AO.Direction.Cascade.Widen = R.Widen;
-  if (Budget) {
-    AO.Direction.MaxRefineFmWork = Budget;
-    AO.Cascade.Fm.MaxCombines = Budget;
-    AO.Direction.Cascade.Fm.MaxCombines = Budget;
-  }
+  AnalysisResult Result = DependenceAnalyzer(AO, Cache).analyze(*Prog);
 
-  DependenceAnalyzer Analyzer(AO, Cache);
-  AnalysisResult Result = Analyzer.analyze(Prog);
-  uint64_t WallNs = nowNs() - Start;
-
+  Reply A;
+  A.Delta.AnalyzeRequests = 1;
+  tallyPairs(Result, A.Stats, A.Delta);
   ReportOptions Report;
   Report.Directions = R.Directions;
   Report.Explain = R.Explain;
   Report.CacheMarkers = R.CacheMarkers;
+  A.Text = renderAnalysisReport(*Prog, Result, Report);
 
-  uint64_t Tested = 0, Cached = 0, Constant = 0, Unanalyzable = 0;
-  bool Degraded = false;
   JsonValue Pairs = JsonValue::array();
   for (const DependencePair &Pair : Result.Pairs) {
-    if (Pair.DecidedBy == TestKind::Unanalyzable)
-      ++Unanalyzable;
-    else if (Pair.FromCache)
-      ++Cached;
-    else if (Pair.DecidedBy == TestKind::ArrayConstant)
-      ++Constant; // Decided structurally; never enters the store.
-    else
-      ++Tested;
-    if (Pair.Directions && !Pair.Directions->Exact)
-      Degraded = true;
-    if (Pair.Answer == DepAnswer::Unknown && !Pair.Exact &&
-        Pair.DecidedBy == TestKind::FourierMotzkin)
-      Degraded = true;
-
     JsonValue PJ = JsonValue::object();
     PJ.set("a", Pair.RefA);
     PJ.set("b", Pair.RefB);
@@ -397,200 +465,57 @@ ServeResponse ServeCore::handleAnalyze(const ServeRequest &R) {
     }
     Pairs.push(std::move(PJ));
   }
-
-  JsonValue Stats = JsonValue::object();
-  Stats.set("wall_ns", WallNs);
-  Stats.set("pairs", Result.PairsConsidered);
-  Stats.set("pairs_cached", Cached);
-  Stats.set("pairs_tested", Tested);
-  Stats.set("unanalyzable", Result.UnanalyzablePairs);
-  Stats.set("tests_run", Result.Stats.totalDecided());
-  Stats.set("cache_hits_full", Result.Stats.MemoHitsFull);
-  Stats.set("cache_hits_nobounds", Result.Stats.MemoHitsNoBounds);
-  Stats.set("fm_work", Result.Stats.FmWork);
-  Stats.set("widened", Result.Stats.WidenedQueries);
-  Stats.set("degraded", Degraded);
-
-  ServeResponse Out;
-  Out.Id = R.Id;
-  Out.Ok = true;
-  Out.Text = renderAnalysisReport(Prog, Result, Report);
-  JsonValue O = JsonValue::object();
-  O.set("id", R.Id);
-  O.set("ok", true);
-  O.set("text", Out.Text);
-  O.set("pairs", std::move(Pairs));
-  O.set("stats", Stats);
-  Out.Body = std::move(O);
-
-  C->AnalyzeRequests.fetch_add(1, std::memory_order_relaxed);
-  C->PairsTested.fetch_add(Tested, std::memory_order_relaxed);
-  C->PairsCached.fetch_add(Cached, std::memory_order_relaxed);
-  C->PairsConstant.fetch_add(Constant, std::memory_order_relaxed);
-  C->PairsUnanalyzable.fetch_add(Unanalyzable,
-                                 std::memory_order_relaxed);
-  C->TestsRun.fetch_add(Result.Stats.totalDecided(),
-                        std::memory_order_relaxed);
-  C->MemoHitsFull.fetch_add(Result.Stats.MemoHitsFull,
-                            std::memory_order_relaxed);
-  C->MemoHitsNoBounds.fetch_add(Result.Stats.MemoHitsNoBounds,
-                                std::memory_order_relaxed);
-  C->FmWork.fetch_add(Result.Stats.FmWork, std::memory_order_relaxed);
-  C->WidenedQueries.fetch_add(Result.Stats.WidenedQueries,
-                              std::memory_order_relaxed);
-  if (Degraded)
-    C->DegradedRequests.fetch_add(1, std::memory_order_relaxed);
-  C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
-
-  Stats.set("op", "analyze");
-  Stats.set("id", R.Id);
-  logRequest(Stats);
-  return Out;
+  A.Body = {{"pairs", std::move(Pairs)}};
+  return A;
 }
 
-ServeResponse ServeCore::handleFeatures(const ServeRequest &R) {
-  uint64_t Start = nowNs();
-
-  ParseResult Parsed = parseProgram(R.Payload);
-  if (!Parsed.succeeded()) {
-    std::string Msg = "parse error";
-    for (const Diagnostic &D : Parsed.Diags) {
-      Msg += "; ";
-      Msg += D.str();
-    }
-    return errorResponse(R.Id, Msg);
-  }
-  Program Prog = std::move(*Parsed.Prog);
-
-  std::string PipeError;
-  std::shared_ptr<const TestPipeline> Pipe =
-      pipelineFor(R.PipelineSpec, &PipeError);
-  if (!Pipe && !PipeError.empty())
-    return errorResponse(R.Id, "bad pipeline: " + PipeError);
-
-  uint64_t Budget = R.FmBudget ? R.FmBudget : DefaultBudget;
-
+ServeCore::Reply ServeCore::handleFeatures(const ServeRequest &R) {
+  std::string Error;
+  std::optional<Program> Prog = parsePayload(R.Payload, Error);
   AnalyzerOptions AO;
-  AO.RunPrepass = R.Prepass;
-  AO.UseMemoization = R.FmBudget == 0;
+  if (!Prog || !analyzerOptions(R, R.FmBudget, AO, Error))
+    return Reply::failure(Error);
   // The direction summaries and distance histograms are the point of
   // the op, so directions are always computed.
   AO.ComputeDirections = true;
-  AO.NumThreads = 1;
-  AO.Cascade.Pipeline = Pipe;
-  AO.Cascade.Widen = R.Widen;
-  AO.Direction.Cascade.Pipeline = Pipe;
-  AO.Direction.Cascade.Widen = R.Widen;
-  if (Budget) {
-    AO.Direction.MaxRefineFmWork = Budget;
-    AO.Cascade.Fm.MaxCombines = Budget;
-    AO.Direction.Cascade.Fm.MaxCombines = Budget;
-  }
+  AnalysisResult Result = DependenceAnalyzer(AO, Cache).analyze(*Prog);
 
-  DependenceAnalyzer Analyzer(AO, Cache);
-  AnalysisResult Result = Analyzer.analyze(Prog);
-  JsonValue Features = extractFeatures(Prog, Result);
-  uint64_t WallNs = nowNs() - Start;
-
-  uint64_t Tested = 0, Cached = 0, Constant = 0, Unanalyzable = 0;
-  for (const DependencePair &Pair : Result.Pairs) {
-    if (Pair.DecidedBy == TestKind::Unanalyzable)
-      ++Unanalyzable;
-    else if (Pair.FromCache)
-      ++Cached;
-    else if (Pair.DecidedBy == TestKind::ArrayConstant)
-      ++Constant;
-    else
-      ++Tested;
-  }
-
-  JsonValue Stats = JsonValue::object();
-  Stats.set("wall_ns", WallNs);
-  Stats.set("pairs", Result.PairsConsidered);
-  Stats.set("pairs_cached", Cached);
-  Stats.set("pairs_tested", Tested);
-  Stats.set("unanalyzable", Result.UnanalyzablePairs);
-  Stats.set("fm_work", Result.Stats.FmWork);
-
-  ServeResponse Out;
-  Out.Id = R.Id;
-  Out.Ok = true;
-  Out.Text = Features.str();
-  JsonValue O = JsonValue::object();
-  O.set("id", R.Id);
-  O.set("ok", true);
-  O.set("text", Out.Text);
-  O.set("features", std::move(Features));
-  O.set("stats", Stats);
-  Out.Body = std::move(O);
-
-  C->FeaturesRequests.fetch_add(1, std::memory_order_relaxed);
-  C->PairsTested.fetch_add(Tested, std::memory_order_relaxed);
-  C->PairsCached.fetch_add(Cached, std::memory_order_relaxed);
-  C->PairsConstant.fetch_add(Constant, std::memory_order_relaxed);
-  C->PairsUnanalyzable.fetch_add(Unanalyzable,
-                                 std::memory_order_relaxed);
-  C->TestsRun.fetch_add(Result.Stats.totalDecided(),
-                        std::memory_order_relaxed);
-  C->MemoHitsFull.fetch_add(Result.Stats.MemoHitsFull,
-                            std::memory_order_relaxed);
-  C->MemoHitsNoBounds.fetch_add(Result.Stats.MemoHitsNoBounds,
-                                std::memory_order_relaxed);
-  C->FmWork.fetch_add(Result.Stats.FmWork, std::memory_order_relaxed);
-  C->WidenedQueries.fetch_add(Result.Stats.WidenedQueries,
-                              std::memory_order_relaxed);
-  C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
-
-  Stats.set("op", "features");
-  Stats.set("id", R.Id);
-  logRequest(Stats);
-  return Out;
+  Reply A;
+  A.Delta.FeaturesRequests = 1;
+  tallyPairs(Result, A.Stats, A.Delta);
+  JsonValue Features = extractFeatures(*Prog, Result);
+  A.Text = Features.str();
+  A.Body = {{"features", std::move(Features)}};
+  return A;
 }
 
-ServeResponse ServeCore::handleProblem(const ServeRequest &R) {
-  uint64_t Start = nowNs();
-
+ServeCore::Reply ServeCore::handleProblem(const ServeRequest &R) {
   ProblemParseResult Parsed = parseProblemText(R.Payload);
   if (!Parsed.succeeded())
-    return errorResponse(R.Id, "problem parse error: " + Parsed.Error);
+    return Reply::failure("problem parse error: " + Parsed.Error);
+  std::string Error;
+  AnalyzerOptions AO;
+  if (!analyzerOptions(R, R.FmBudget, AO, Error))
+    return Reply::failure(Error);
   const DependenceProblem &P = *Parsed.Problem;
-
-  std::string PipeError;
-  std::shared_ptr<const TestPipeline> Pipe =
-      pipelineFor(R.PipelineSpec, &PipeError);
-  if (!Pipe && !PipeError.empty())
-    return errorResponse(R.Id, "bad pipeline: " + PipeError);
-
-  uint64_t Budget = R.FmBudget ? R.FmBudget : DefaultBudget;
-  bool UseMemo = R.FmBudget == 0; // Same bypass rule as analyze.
-
-  CascadeOptions CO;
-  CO.Pipeline = Pipe;
-  CO.Widen = R.Widen;
-  if (Budget)
-    CO.Fm.MaxCombines = Budget;
+  const CascadeOptions &CO = AO.Cascade;
+  const bool UseMemo = AO.UseMemoization; // Same bypass rule as analyze.
 
   DepStats Stats;
-  bool FromCache = false;
-  CascadeResult Result;
-  if (UseMemo) {
-    if (std::optional<CascadeResult> Hit = Cache.lookupFull(P)) {
-      Result = *Hit;
-      FromCache = true;
-    }
-  }
-  if (!FromCache) {
-    Result = testDependence(P, CO, &Stats);
-    if (UseMemo)
-      Cache.insertFull(P, Result);
-  }
+  std::optional<CascadeResult> Hit;
+  if (UseMemo)
+    Hit = Cache.lookupFull(P);
+  const bool FromCache = Hit.has_value();
+  CascadeResult Result = FromCache ? *Hit : testDependence(P, CO, &Stats);
+  if (UseMemo && !FromCache)
+    Cache.insertFull(P, Result);
 
   std::optional<PipelineTrace> Trace;
   if (R.Explain) {
     // Observational re-run, exactly as edda-cli --explain does: no
     // stats, no memoization, so the trace cannot perturb the answer.
     const TestPipeline &Pipeline =
-        Pipe ? *Pipe : TestPipeline::defaultPipeline();
+        CO.Pipeline ? *CO.Pipeline : TestPipeline::defaultPipeline();
     Trace.emplace();
     Pipeline.run(P, {}, CO, /*Stats=*/nullptr, &*Trace);
   }
@@ -598,100 +523,58 @@ ServeResponse ServeCore::handleProblem(const ServeRequest &R) {
   std::optional<DirectionResult> Dirs;
   bool DirsFromCache = false;
   if (R.Directions && Result.Answer != DepAnswer::Independent) {
-    if (UseMemo) {
-      if (std::optional<DirectionResult> Hit =
-              Cache.lookupDirections(P)) {
-        Dirs = *Hit;
-        DirsFromCache = true;
-      }
-    }
+    if (UseMemo)
+      Dirs = Cache.lookupDirections(P);
+    DirsFromCache = Dirs.has_value();
     if (!Dirs) {
-      DirectionOptions DirOpts;
-      DirOpts.Cascade = CO;
-      if (Budget)
-        DirOpts.MaxRefineFmWork = Budget;
-      Dirs = computeDirectionVectors(P, DirOpts);
+      Dirs = computeDirectionVectors(P, AO.Direction);
       Stats += Dirs->TestStats;
       if (UseMemo)
         Cache.insertDirections(P, *Dirs);
     }
   }
-  uint64_t WallNs = nowNs() - Start;
 
+  bool Cached = FromCache && (!Dirs || DirsFromCache);
   bool Degraded =
-      (Result.Answer == DepAnswer::Unknown && !Result.Exact &&
-       Result.DecidedBy == TestKind::FourierMotzkin) ||
-      (Dirs && !Dirs->Exact);
-
-  ServeResponse Out;
-  Out.Id = R.Id;
-  Out.Ok = true;
-  Out.Text = renderProblemReport(P, Result, Dirs ? &*Dirs : nullptr,
-                                 Trace ? &*Trace : nullptr);
-
-  JsonValue Stat = JsonValue::object();
-  Stat.set("wall_ns", WallNs);
-  Stat.set("from_cache", FromCache && (!Dirs || DirsFromCache));
-  Stat.set("tests_run", Stats.totalDecided());
-  Stat.set("fm_work", Stats.FmWork);
-  Stat.set("widened", Stats.WidenedQueries);
-  Stat.set("degraded", Degraded);
-
-  JsonValue O = JsonValue::object();
-  O.set("id", R.Id);
-  O.set("ok", true);
-  O.set("text", Out.Text);
-  O.set("answer", shortAnswerName(Result.Answer));
-  O.set("decided_by", testKindName(Result.DecidedBy));
-  O.set("exact", Result.Exact);
+      budgetDegraded(Result.Answer, Result.Exact, Result.DecidedBy, Dirs);
+  Reply A;
+  A.Text = renderProblemReport(P, Result, Dirs ? &*Dirs : nullptr,
+                               Trace ? &*Trace : nullptr);
+  A.Body = {{"answer", shortAnswerName(Result.Answer)},
+            {"decided_by", testKindName(Result.DecidedBy)},
+            {"exact", Result.Exact}};
   if (Dirs) {
     JsonValue DV = JsonValue::array();
     for (const DirVector &V : Dirs->Vectors)
       DV.push(dirVectorStr(V));
-    O.set("directions", std::move(DV));
+    A.Body.emplace_back("directions", std::move(DV));
   }
-  O.set("stats", Stat);
-  Out.Body = std::move(O);
-
-  C->ProblemRequests.fetch_add(1, std::memory_order_relaxed);
-  bool CountedCached = FromCache && (!Dirs || DirsFromCache);
-  (CountedCached ? C->ProblemsCached : C->ProblemsTested)
-      .fetch_add(1, std::memory_order_relaxed);
-  C->TestsRun.fetch_add(Stats.totalDecided(),
-                        std::memory_order_relaxed);
-  C->FmWork.fetch_add(Stats.FmWork, std::memory_order_relaxed);
-  C->WidenedQueries.fetch_add(Stats.WidenedQueries,
-                              std::memory_order_relaxed);
-  if (Degraded)
-    C->DegradedRequests.fetch_add(1, std::memory_order_relaxed);
-  C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
-
-  Stat.set("op", "problem");
-  Stat.set("id", R.Id);
-  logRequest(Stat);
-  return Out;
+  A.Stats = {{"from_cache", Cached},
+             {"tests_run", Stats.totalDecided()},
+             {"fm_work", Stats.FmWork},
+             {"widened", Stats.WidenedQueries},
+             {"degraded", Degraded}};
+  A.Delta.ProblemRequests = 1;
+  (Cached ? A.Delta.ProblemsCached : A.Delta.ProblemsTested) = 1;
+  A.Delta.TestsRun = Stats.totalDecided();
+  A.Delta.FmWork = Stats.FmWork;
+  A.Delta.WidenedQueries = Stats.WidenedQueries;
+  A.Delta.DegradedRequests = Degraded;
+  return A;
 }
 
-ServeResponse ServeCore::handleEdit(const ServeRequest &R,
-                                    uint64_t ConnId) {
-  uint64_t Start = nowNs();
-
-  ParseResult Parsed = parseProgram(R.Payload);
-  if (!Parsed.succeeded()) {
-    std::string Msg = "parse error";
-    for (const Diagnostic &D : Parsed.Diags) {
-      Msg += "; ";
-      Msg += D.str();
-    }
-    return errorResponse(R.Id, Msg);
-  }
-  Program Prog = std::move(*Parsed.Prog);
-
-  std::string PipeError;
-  std::shared_ptr<const TestPipeline> Pipe =
-      pipelineFor(R.PipelineSpec, &PipeError);
-  if (!Pipe && !PipeError.empty())
-    return errorResponse(R.Id, "bad pipeline: " + PipeError);
+ServeCore::Reply ServeCore::handleEdit(const ServeRequest &R,
+                                       uint64_t ConnId) {
+  // A session's analyzer options are fixed by its first request:
+  // reanalysis is bit-identical to from-scratch only under unchanged
+  // options, so later flags must not re-steer a live session. The
+  // server default budget applies uniformly, exactly as it does to
+  // every analyze request.
+  std::string Error;
+  std::optional<Program> Prog = parsePayload(R.Payload, Error);
+  AnalyzerOptions AO;
+  if (!Prog || !analyzerOptions(R, /*FmBudget=*/0, AO, Error))
+    return Reply::failure(Error);
 
   const std::string Key = R.Session.empty()
                               ? "conn:" + std::to_string(ConnId)
@@ -701,130 +584,62 @@ ServeResponse ServeCore::handleEdit(const ServeRequest &R,
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
     auto It = Sessions.find(Key);
-    if (It == Sessions.end()) {
-      // A session's analyzer options are fixed by its first request:
-      // reanalysis is bit-identical to from-scratch only under
-      // unchanged options, so later flags must not re-steer a live
-      // session. The server default budget applies uniformly, exactly
-      // as it does to every analyze request.
-      AnalyzerOptions AO;
-      AO.RunPrepass = R.Prepass;
-      AO.NumThreads = 1;
-      AO.Cascade.Pipeline = Pipe;
-      AO.Cascade.Widen = R.Widen;
-      AO.Direction.Cascade.Pipeline = Pipe;
-      AO.Direction.Cascade.Widen = R.Widen;
-      if (DefaultBudget) {
-        AO.Direction.MaxRefineFmWork = DefaultBudget;
-        AO.Cascade.Fm.MaxCombines = DefaultBudget;
-        AO.Direction.Cascade.Fm.MaxCombines = DefaultBudget;
-      }
+    if (It == Sessions.end())
       It = Sessions
                .emplace(Key, std::make_shared<EditSession>(std::move(AO)))
                .first;
-    }
     Session = It->second;
     Session->LastUsed = ++SessionClock;
 
-    // Bound abandoned sessions. Erasing only drops the registry's
-    // reference; a request already holding the shared_ptr finishes
-    // against its own copy.
+    // Bound abandoned sessions. A request adds at most one session and
+    // has just made its own the most recent, so the least recent is
+    // always another. Erasing only drops the registry's reference; a
+    // request already holding the shared_ptr finishes against its own
+    // copy.
     constexpr size_t MaxSessions = 64;
-    while (Sessions.size() > MaxSessions) {
-      auto Oldest = Sessions.end();
-      for (auto I = Sessions.begin(); I != Sessions.end(); ++I)
-        if (I->second != Session &&
-            (Oldest == Sessions.end() ||
-             I->second->LastUsed < Oldest->second->LastUsed))
-          Oldest = I;
-      if (Oldest == Sessions.end())
-        break;
-      Sessions.erase(Oldest);
-    }
+    if (Sessions.size() > MaxSessions)
+      Sessions.erase(std::min_element(
+          Sessions.begin(), Sessions.end(), [](const auto &L, const auto &R) {
+            return L.second->LastUsed < R.second->LastUsed;
+          }));
   }
 
+  Reply A;
   ReanalyzeStats RS;
-  std::string Text, GraphText;
+  std::string GraphText;
   {
     // Edits to one session serialize here; other sessions (and all
     // analyze/problem traffic) keep running on their own state.
     std::lock_guard<std::mutex> Lock(Session->Mutex);
-    RS = Session->Incr.update(std::move(Prog));
+    RS = Session->Incr.update(std::move(*Prog));
 
     ReportOptions Report;
     Report.Directions = R.Directions;
     // Explain is ignored: spliced pairs have no fresh pipeline trace,
     // and a half-traced report would be misleading.
     Report.CacheMarkers = R.CacheMarkers;
-    Text = renderAnalysisReport(Session->Incr.program(),
-                                Session->Incr.result(), Report);
+    A.Text = renderAnalysisReport(Session->Incr.program(),
+                                  Session->Incr.result(), Report);
     GraphText = Session->Incr.graph().str(Session->Incr.program());
   }
-  uint64_t WallNs = nowNs() - Start;
-
-  JsonValue Stats = JsonValue::object();
-  Stats.set("wall_ns", WallNs);
-  Stats.set("pairs", RS.PairsTotal);
-  Stats.set("pairs_reused", RS.PairsReused);
-  Stats.set("pairs_invalidated", RS.PairsInvalidated);
-
-  ServeResponse Out;
-  Out.Id = R.Id;
-  Out.Ok = true;
-  Out.Text = Text;
-  JsonValue O = JsonValue::object();
-  O.set("id", R.Id);
-  O.set("ok", true);
-  O.set("text", Out.Text);
-  O.set("graph", GraphText);
-  O.set("session", Key);
-  O.set("stats", Stats);
-  Out.Body = std::move(O);
-
-  C->EditRequests.fetch_add(1, std::memory_order_relaxed);
-  C->PairsReused.fetch_add(RS.PairsReused, std::memory_order_relaxed);
-  C->PairsInvalidated.fetch_add(RS.PairsInvalidated,
-                                std::memory_order_relaxed);
-  C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
-
-  Stats.set("op", "edit");
-  Stats.set("id", R.Id);
-  Stats.set("session", Key);
-  logRequest(Stats);
-  return Out;
+  A.Body = {{"graph", std::move(GraphText)}, {"session", Key}};
+  A.Stats = {{"pairs", RS.PairsTotal},
+             {"pairs_reused", RS.PairsReused},
+             {"pairs_invalidated", RS.PairsInvalidated}};
+  A.Delta.EditRequests = 1;
+  A.Delta.PairsReused = RS.PairsReused;
+  A.Delta.PairsInvalidated = RS.PairsInvalidated;
+  return A;
 }
 
 JsonValue ServeCore::statsJson() const {
   ServeStats S = stats();
   JsonValue O = JsonValue::object();
-  O.set("requests", S.Requests);
-  O.set("analyze_requests", S.AnalyzeRequests);
-  O.set("features_requests", S.FeaturesRequests);
-  O.set("problem_requests", S.ProblemRequests);
-  O.set("edit_requests", S.EditRequests);
-  O.set("errors", S.Errors);
-  O.set("pairs_tested", S.PairsTested);
-  O.set("pairs_cached", S.PairsCached);
-  O.set("pairs_constant", S.PairsConstant);
-  O.set("pairs_unanalyzable", S.PairsUnanalyzable);
-  O.set("problems_tested", S.ProblemsTested);
-  O.set("problems_cached", S.ProblemsCached);
+  for (const auto &[Key, Field] : ServeCounters)
+    O.set(Key, S.*Field);
   O.set("hit_rate_pct", S.hitRatePct());
-  O.set("tests_run", S.TestsRun);
-  O.set("cache_hits_full", S.MemoHitsFull);
-  O.set("cache_hits_nobounds", S.MemoHitsNoBounds);
   O.set("cache_queries_dir", Cache.dirQueries());
   O.set("cache_hits_dir", Cache.dirHits());
-  O.set("fm_work", S.FmWork);
-  O.set("widened", S.WidenedQueries);
-  O.set("degraded_requests", S.DegradedRequests);
-  O.set("pairs_reused", S.PairsReused);
-  O.set("pairs_invalidated", S.PairsInvalidated);
-  O.set("wall_ns", S.WallNs);
-  O.set("checkpoints", S.Checkpoints);
-  O.set("evicted", S.Evicted);
-  O.set("warm_loaded_entries", S.WarmLoadedEntries);
-  O.set("warm_rejected_entries", S.WarmRejectedEntries);
   O.set("unique_full", Cache.uniqueFull());
   O.set("unique_directions", Cache.uniqueDirections());
   O.set("unique_nobounds", Cache.uniqueNoBounds());
@@ -838,37 +653,12 @@ JsonValue ServeCore::statsJson() const {
 }
 
 ServeStats ServeCore::stats() const {
-  ServeStats S;
-  S.Requests = C->Requests.load();
-  S.AnalyzeRequests = C->AnalyzeRequests.load();
-  S.FeaturesRequests = C->FeaturesRequests.load();
-  S.ProblemRequests = C->ProblemRequests.load();
-  S.EditRequests = C->EditRequests.load();
-  S.Errors = C->Errors.load();
-  S.PairsTested = C->PairsTested.load();
-  S.PairsCached = C->PairsCached.load();
-  S.PairsConstant = C->PairsConstant.load();
-  S.PairsUnanalyzable = C->PairsUnanalyzable.load();
-  S.ProblemsTested = C->ProblemsTested.load();
-  S.ProblemsCached = C->ProblemsCached.load();
-  S.TestsRun = C->TestsRun.load();
-  S.MemoHitsFull = C->MemoHitsFull.load();
-  S.MemoHitsNoBounds = C->MemoHitsNoBounds.load();
-  S.FmWork = C->FmWork.load();
-  S.WidenedQueries = C->WidenedQueries.load();
-  S.DegradedRequests = C->DegradedRequests.load();
-  S.WallNs = C->WallNs.load();
-  S.Checkpoints = C->Checkpoints.load();
-  S.Evicted = C->Evicted.load();
-  S.WarmLoadedEntries = C->WarmLoadedEntries.load();
-  S.WarmRejectedEntries = C->WarmRejectedEntries.load();
-  S.PairsReused = C->PairsReused.load();
-  S.PairsInvalidated = C->PairsInvalidated.load();
-  return S;
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  return Totals;
 }
 
-ServeResponse ServeCore::handle(const ServeRequest &R, uint64_t ConnId) {
-  C->Requests.fetch_add(1, std::memory_order_relaxed);
+ServeCore::Reply ServeCore::answer(const ServeRequest &R,
+                                   uint64_t ConnId) {
   switch (R.Operation) {
   case ServeRequest::Op::Analyze:
     return handleAnalyze(R);
@@ -878,61 +668,67 @@ ServeResponse ServeCore::handle(const ServeRequest &R, uint64_t ConnId) {
     return handleProblem(R);
   case ServeRequest::Op::Edit:
     return handleEdit(R, ConnId);
-  case ServeRequest::Op::Stats: {
-    ServeResponse Out;
-    Out.Id = R.Id;
-    Out.Ok = true;
-    JsonValue O = JsonValue::object();
-    O.set("id", R.Id);
-    O.set("ok", true);
-    O.set("server", statsJson());
-    Out.Body = std::move(O);
-    return Out;
-  }
-  case ServeRequest::Op::Ping: {
-    ServeResponse Out;
-    Out.Id = R.Id;
-    Out.Ok = true;
-    JsonValue O = JsonValue::object();
-    O.set("id", R.Id);
-    O.set("ok", true);
-    O.set("op", "ping");
-    Out.Body = std::move(O);
-    return Out;
-  }
+  case ServeRequest::Op::Stats:
+    return Reply(JsonFields{{"server", statsJson()}});
+  case ServeRequest::Op::Ping:
+    return Reply(JsonFields{{"op", "ping"}});
   case ServeRequest::Op::Checkpoint: {
-    bool Saved = checkpoint();
-    ServeResponse Out;
-    Out.Id = R.Id;
-    Out.Ok = Saved;
-    if (!Saved)
-      Out.Error = Opts.CachePath.empty()
-                      ? "no --cache path configured"
-                      : "checkpoint write failed";
-    JsonValue O = JsonValue::object();
-    O.set("id", R.Id);
-    O.set("ok", Saved);
-    if (!Saved)
-      O.set("error", Out.Error);
-    O.set("entries", Cache.uniqueFull() + Cache.uniqueDirections() +
-                         Cache.uniqueNoBounds());
-    Out.Body = std::move(O);
-    return Out;
+    Reply A;
+    if (!checkpoint())
+      A.Error = Opts.CachePath.empty() ? "no --cache path configured"
+                                       : "checkpoint write failed";
+    A.Body = {{"entries", Cache.uniqueFull() + Cache.uniqueDirections() +
+                              Cache.uniqueNoBounds()}};
+    return A;
   }
-  case ServeRequest::Op::Shutdown: {
+  case ServeRequest::Op::Shutdown:
     ShutdownFlag.store(true, std::memory_order_release);
-    ServeResponse Out;
-    Out.Id = R.Id;
-    Out.Ok = true;
-    JsonValue O = JsonValue::object();
-    O.set("id", R.Id);
-    O.set("ok", true);
-    O.set("op", "shutdown");
-    Out.Body = std::move(O);
-    return Out;
+    return Reply(JsonFields{{"op", "shutdown"}});
   }
+  return Reply::failure("unhandled op");
+}
+
+ServeResponse ServeCore::handle(const ServeRequest &R, uint64_t ConnId) {
+  // Counted on entry, so a stats request's snapshot includes itself.
+  count(delta(&ServeStats::Requests));
+  uint64_t Start = nowNs();
+  Reply A = answer(R, ConnId);
+  uint64_t WallNs = nowNs() - Start;
+
+  ServeResponse Out;
+  Out.Id = R.Id;
+  Out.Ok = A.Error.empty();
+  Out.Error = std::move(A.Error);
+  Out.Text = std::move(A.Text);
+  JsonValue O = JsonValue::object();
+  O.set("id", R.Id);
+  O.set("ok", Out.Ok);
+  if (!Out.Ok)
+    O.set("error", Out.Error);
+  const bool Served = Out.Ok && R.hasPayload();
+  if (Served)
+    O.set("text", Out.Text);
+  for (auto &[Name, Value] : A.Body)
+    O.set(std::move(Name), std::move(Value));
+  if (Served) {
+    JsonValue Stats = JsonValue::object();
+    Stats.set("wall_ns", WallNs);
+    for (auto &[Name, Value] : A.Stats)
+      Stats.set(std::move(Name), std::move(Value));
+    O.set("stats", Stats);
+    // The stats-log line: the request's stats under its op and id,
+    // plus the session an edit applied to.
+    Stats.set("op", serveOpName(R.Operation));
+    Stats.set("id", R.Id);
+    if (const JsonValue *Session = O.find("session"))
+      Stats.set("session", *Session);
+    logRequest(Stats);
+    A.Delta.WallNs = WallNs;
   }
-  return errorResponse(R.Id, "unhandled op");
+  A.Delta.Errors = !Out.Ok;
+  count(A.Delta);
+  Out.Body = std::move(O);
+  return Out;
 }
 
 std::string ServeCore::handleLine(const std::string &Line,
@@ -940,15 +736,16 @@ std::string ServeCore::handleLine(const std::string &Line,
   std::string Error;
   int64_t Id = 0;
   std::optional<ServeRequest> R = parseServeRequest(Line, &Error, &Id);
-  if (!R) {
-    C->Requests.fetch_add(1, std::memory_order_relaxed);
-    C->Errors.fetch_add(1, std::memory_order_relaxed);
-    return errorResponse(Id, Error).Body.str();
-  }
-  ServeResponse Out = handle(*R, ConnId);
-  if (!Out.Ok)
-    C->Errors.fetch_add(1, std::memory_order_relaxed);
-  return Out.Body.str();
+  if (R)
+    return handle(*R, ConnId).Body.str();
+  // A malformed line never reaches handle(), so it is counted here.
+  count(delta(&ServeStats::Requests));
+  count(delta(&ServeStats::Errors));
+  JsonValue O = JsonValue::object();
+  O.set("id", Id);
+  O.set("ok", false);
+  O.set("error", Error);
+  return O.str();
 }
 
 void ServeCore::submit(std::string Line,
@@ -1025,38 +822,22 @@ void serveConnection(ServeCore &Core, int Fd, uint64_t ConnId) {
   auto WriteMutex = std::make_shared<std::mutex>();
   const uint64_t Limit = 2 * Core.options().BatchSize;
 
-  std::string Buf;
-  char Chunk[4096];
-  for (;;) {
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (N == 0)
-      break; // EOF (or shutdown(SHUT_RD) from the accept loop).
-    Buf.append(Chunk, static_cast<size_t>(N));
-    size_t Start = 0;
-    for (size_t Nl; (Nl = Buf.find('\n', Start)) != std::string::npos;
-         Start = Nl + 1) {
-      std::string Line = Buf.substr(Start, Nl - Start);
-      if (Line.empty())
-        continue;
-      Flight->acquire(Limit);
-      Core.submit(std::move(Line),
-                  [Flight, WriteMutex, Fd](std::string Resp) {
-                    Resp += '\n';
-                    {
-                      std::lock_guard<std::mutex> Lock(*WriteMutex);
-                      // A hung-up client only loses its own replies.
-                      (void)writeAllFd(Fd, Resp.data(), Resp.size());
-                    }
-                    Flight->release();
-                  },
-                  ConnId);
-    }
-    Buf.erase(0, Start);
+  // Reads until EOF (or shutdown(SHUT_RD) from the accept loop).
+  LineReader Reader(Fd);
+  while (std::optional<std::string> Line = Reader.next()) {
+    if (Line->empty())
+      continue;
+    Flight->acquire(Limit);
+    Core.submit(std::move(*Line),
+                [Flight, WriteMutex, Fd](std::string Resp) {
+                  {
+                    std::lock_guard<std::mutex> Lock(*WriteMutex);
+                    // A hung-up client only loses its own replies.
+                    (void)sendLine(Fd, std::move(Resp));
+                  }
+                  Flight->release();
+                },
+                ConnId);
   }
   Flight->waitEmpty();
   ::close(Fd);

@@ -56,6 +56,8 @@
 
 namespace edda {
 
+struct AnalyzerOptions;
+
 /// Daemon configuration (tools/edda-serve.cpp maps flags onto this).
 struct ServeOptions {
   /// Worker threads for request dispatch; 0 = one per hardware core.
@@ -88,7 +90,8 @@ struct ServeOptions {
   std::string StatsLogPath;
 };
 
-/// Server-lifetime counters (a stats-op snapshot; all monotone).
+/// Server-lifetime counters (a stats-op snapshot; all monotone). The
+/// server keeps one instance and adds each request's delta to it.
 struct ServeStats {
   uint64_t Requests = 0;
   uint64_t AnalyzeRequests = 0;
@@ -96,7 +99,8 @@ struct ServeStats {
   uint64_t ProblemRequests = 0;
   uint64_t EditRequests = 0;
   uint64_t Errors = 0;
-  /// Reference-pair accounting across analyze requests. "Tested" ran
+  /// Reference-pair accounting across analyze and features requests
+  /// (both run a full analysis against the shared store). "Tested" ran
   /// the cascade, "cached" was served from the store; constant and
   /// unanalyzable pairs are never memoized, so the serving hit rate
   /// is PairsCached / (PairsCached + PairsTested), with problem-op
@@ -127,6 +131,8 @@ struct ServeStats {
   /// not wall time — is the serving-side incremental claim.
   uint64_t PairsReused = 0;
   uint64_t PairsInvalidated = 0;
+
+  ServeStats &operator+=(const ServeStats &RHS);
 
   /// Serving cache hit rate in percent (see PairsTested).
   double hitRatePct() const;
@@ -187,24 +193,32 @@ public:
   uint64_t defaultFmBudget() const { return DefaultBudget; }
 
 private:
-  ServeResponse handleAnalyze(const ServeRequest &R);
+  /// One request's answer as a handler computes it: the op-specific
+  /// body and stats members plus the counter delta. handle() is the
+  /// request envelope: it owns the clock, frames the response, counts
+  /// errors, applies the delta and writes the stats-log line.
+  struct Reply;
+  Reply answer(const ServeRequest &R, uint64_t ConnId);
+  Reply handleAnalyze(const ServeRequest &R);
   /// Serves one features request: a full analysis with directions
   /// forced on, answered as the per-nest feature summary
   /// (analysis/Features.h) instead of a rendered report.
-  ServeResponse handleFeatures(const ServeRequest &R);
-  ServeResponse handleProblem(const ServeRequest &R);
+  Reply handleFeatures(const ServeRequest &R);
+  Reply handleProblem(const ServeRequest &R);
   /// Serves one edit request against the per-connection (or named)
   /// IncrementalSession, splicing unchanged pairs from the previous
   /// analysis and answering from the spliced graph.
-  ServeResponse handleEdit(const ServeRequest &R, uint64_t ConnId);
+  Reply handleEdit(const ServeRequest &R, uint64_t ConnId);
   JsonValue statsJson() const;
 
-  /// Resolves a request's pipeline spec against a small memoized
-  /// spec->pipeline map (specs repeat across requests; parsing one is
-  /// cheap but not free). Null + \p Error on a bad spec.
-  std::shared_ptr<const TestPipeline> pipelineFor(const std::string &Spec,
-                                                  std::string *Error);
+  /// Fills \p AO with a request's single-threaded analyzer options:
+  /// its pipeline (false + \p Error on a bad spec), prepass and widen
+  /// flags, and FM budget. A non-zero \p FmBudget overrides the server
+  /// default and turns memoization off.
+  bool analyzerOptions(const ServeRequest &R, uint64_t FmBudget,
+                       AnalyzerOptions &AO, std::string &Error);
 
+  void count(const ServeStats &Delta);
   void logRequest(const JsonValue &Entry);
   void checkpointLoop();
 
@@ -212,9 +226,6 @@ private:
   uint64_t DefaultBudget = 0;
   DependenceCache Cache;
   std::unique_ptr<ThreadPool> Pool;
-
-  std::mutex PipelineMutex;
-  std::map<std::string, std::shared_ptr<const TestPipeline>> Pipelines;
 
   /// Edit-session registry, keyed "conn:<id>" for anonymous
   /// connection-scoped programs and "user:<name>" for named ones.
@@ -240,8 +251,8 @@ private:
 
   std::atomic<bool> ShutdownFlag{false};
 
-  struct Counters;
-  std::unique_ptr<Counters> C;
+  mutable std::mutex StatsMutex;
+  ServeStats Totals;
 };
 
 /// Serves newline-delimited requests from stdin to stdout until EOF or

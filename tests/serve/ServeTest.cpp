@@ -24,9 +24,11 @@
 #include "serve/Render.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -546,6 +548,8 @@ TEST(Serve, BadPipelineSpecIsAnError) {
   ServeResponse Resp = Core.handle(R);
   EXPECT_FALSE(Resp.Ok);
   EXPECT_NE(Resp.Error.find("pipeline"), std::string::npos);
+  // In-process callers of handle() see the error counted too.
+  EXPECT_EQ(Core.stats().Errors, 1u);
 }
 
 TEST(ServeProtocol, FeaturesRequestRoundTrips) {
@@ -604,4 +608,207 @@ TEST(Serve, FeaturesOpReportsParseErrorsInBand) {
   EXPECT_FALSE(Served.Ok);
   EXPECT_FALSE(Served.Error.empty());
   EXPECT_EQ(Served.Id, 2);
+}
+
+namespace {
+
+/// Two small nests; the edited version changes only the first, so an
+/// edit re-analysis reuses the second nest's pair.
+const char *goldenSource() {
+  return "program golden\n"
+         "  array a[100]\n"
+         "  array b[100]\n"
+         "  for i = 1 to 10 do\n"
+         "    a[i + 1] = a[i] + 3\n"
+         "  end\n"
+         "  for i = 2 to 10 do\n"
+         "    b[i] = 1\n"
+         "  end\n"
+         "end\n";
+}
+
+const char *goldenSourceEdited() {
+  return "program golden\n"
+         "  array a[100]\n"
+         "  array b[100]\n"
+         "  for i = 1 to 10 do\n"
+         "    a[i + 2] = a[i] + 3\n"
+         "  end\n"
+         "  for i = 2 to 10 do\n"
+         "    b[i] = 1\n"
+         "  end\n"
+         "end\n";
+}
+
+/// A 2-deep triangular nest with coupled subscripts: Fourier-Motzkin
+/// decides its flow pair, so a one-combine budget degrades it.
+const char *coupledSource() {
+  return "program coupled\n"
+         "  array a[400][700]\n"
+         "  for i = 1 to 100 do\n"
+         "    for j = i to 100 do\n"
+         "      a[i + j + 1][i - 2 * j + 300] = a[i + j][j + 300]\n"
+         "    end\n"
+         "  end\n"
+         "end\n";
+}
+
+ServeRequest request(int64_t Id, ServeRequest::Op Operation,
+                     const char *Payload = "") {
+  ServeRequest R;
+  R.Id = Id;
+  R.Operation = Operation;
+  R.Payload = Payload;
+  return R;
+}
+
+/// A response body or stats-log line with its wall times zeroed: the
+/// per-request `wall_ns` and the per-stage `--explain` timings.
+std::string withoutWallNs(JsonValue V) {
+  if (const JsonValue *S = V.find("stats")) {
+    JsonValue Stats = *S;
+    Stats.set("wall_ns", 0);
+    V.set("stats", std::move(Stats));
+  } else if (V.find("wall_ns")) {
+    V.set("wall_ns", 0);
+  }
+  static const std::regex StageNs("[0-9]+ ns");
+  return std::regex_replace(V.str(), StageNs, "0 ns");
+}
+
+std::vector<std::string> readLines(const std::string &Path) {
+  std::ifstream In(Path);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line);
+  return Lines;
+}
+
+} // namespace
+
+TEST(Serve, GoldenEnvelope) {
+  using Op = ServeRequest::Op;
+  std::string LogPath = ::testing::TempDir() + "/edda_serve_golden.jsonl";
+  std::remove(LogPath.c_str());
+  ServeOptions Opts;
+  Opts.NumThreads = 1;
+  Opts.StatsLogPath = LogPath;
+  std::vector<std::string> Got;
+  {
+    ServeCore Core(Opts);
+    auto Serve = [&](const ServeRequest &R) {
+      Got.push_back(withoutWallNs(Core.handle(R).Body));
+    };
+    Serve(request(1, Op::Analyze, goldenSource()));
+    ServeRequest Explained = request(2, Op::Analyze, goldenSource());
+    Explained.Directions = true;
+    Explained.Explain = true;
+    Serve(Explained);
+    ServeRequest Budgeted = request(3, Op::Analyze, coupledSource());
+    Budgeted.FmBudget = 1;
+    Serve(Budgeted);
+    Serve(request(4, Op::Features, goldenSource()));
+    ServeRequest Problem = request(5, Op::Problem, coupledProblem());
+    Problem.Directions = true;
+    Serve(Problem); // Cold.
+    Problem.Id = 6;
+    Serve(Problem); // Warm.
+    Serve(editRequest(7, goldenSource()));
+    Serve(editRequest(8, goldenSourceEdited()));
+    Serve(request(9, Op::Ping));
+    Serve(request(10, Op::Checkpoint));
+    Serve(request(11, Op::Shutdown));
+    Serve(request(12, Op::Analyze, "for for"));
+    ServeRequest BadPipe = request(13, Op::Analyze, goldenSource());
+    BadPipe.PipelineSpec = "definitely-not-a-test";
+    Serve(BadPipe);
+  }
+  for (const std::string &Line : readLines(LogPath)) {
+    std::optional<JsonValue> Entry = parseJson(Line);
+    ASSERT_TRUE(Entry.has_value()) << Line;
+    Got.push_back(withoutWallNs(*Entry));
+  }
+  std::remove(LogPath.c_str());
+
+  // One line per request (ids 1-13), then one stats-log line per
+  // successful payload request. A byte that moves here is a protocol
+  // change.
+  std::vector<std::string> Want = readLines(EDDA_SERVE_GOLDEN);
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I)
+    EXPECT_EQ(Got[I], Want[I]) << "golden line " << I + 1;
+}
+
+TEST(Serve, StatsOpServerKeysAndValues) {
+  using Op = ServeRequest::Op;
+  ServeOptions Opts;
+  Opts.NumThreads = 2;
+  ServeCore Core(Opts);
+  ASSERT_TRUE(Core.handle(request(1, Op::Analyze, goldenSource())).Ok);
+  ASSERT_TRUE(Core.handle(request(2, Op::Features, goldenSource())).Ok);
+  ASSERT_TRUE(Core.handle(request(3, Op::Problem, coupledProblem())).Ok);
+  ASSERT_TRUE(Core.handle(editRequest(4, goldenSource())).Ok);
+  ASSERT_TRUE(Core.handle(editRequest(5, goldenSourceEdited())).Ok);
+  ServeResponse S = Core.handle(request(6, Op::Stats));
+  ASSERT_TRUE(S.Ok) << S.Error;
+  JsonValue Server = S.Body.get("server");
+  ASSERT_TRUE(Server.isObject()) << S.Body.str();
+  EXPECT_GT(Server.getInt("wall_ns"), 0);
+  Server.set("wall_ns", 0);
+
+  // The object is flat and numeric, so its members are the
+  // comma-separated pieces of the serialization; compared sorted, so
+  // the key order is free but the key set and values are not.
+  std::string Flat = Server.str();
+  std::vector<std::string> Members;
+  for (size_t Begin = 1, End; Begin < Flat.size(); Begin = End + 1) {
+    End = Flat.find(',', Begin);
+    if (End == std::string::npos)
+      End = Flat.size() - 1;
+    Members.push_back(Flat.substr(Begin, End - Begin));
+  }
+  std::sort(Members.begin(), Members.end());
+  std::vector<std::string> Want = {
+      "\"analyze_requests\":1",     "\"cache_hits_dir\":0",
+      "\"cache_hits_full\":0",      "\"cache_hits_nobounds\":1",
+      "\"cache_queries_dir\":3",    "\"checkpoints\":0",
+      "\"default_fm_budget\":0",    "\"degraded_requests\":0",
+      "\"edit_requests\":2",        "\"edit_sessions\":1",
+      "\"errors\":0",               "\"evicted\":0",
+      "\"features_requests\":1",    "\"fm_work\":0",
+      "\"hit_rate_pct\":0",         "\"pairs_cached\":0",
+      "\"pairs_constant\":0",       "\"pairs_invalidated\":5",
+      "\"pairs_reused\":1",         "\"pairs_tested\":6",
+      "\"pairs_unanalyzable\":0",   "\"problem_requests\":1",
+      "\"problems_cached\":0",      "\"problems_tested\":1",
+      "\"requests\":6",             "\"tests_run\":7",
+      "\"threads\":2",              "\"unique_directions\":3",
+      "\"unique_full\":4",          "\"unique_nobounds\":2",
+      "\"wall_ns\":0",              "\"warm_loaded_entries\":0",
+      "\"warm_rejected_entries\":0", "\"widened\":0"};
+  EXPECT_EQ(Members, Want) << Flat;
+}
+
+TEST(Serve, BudgetDegradedFeaturesFlaggedAndCounted) {
+  using Op = ServeRequest::Op;
+  ServeCore Core(ServeOptions{});
+  ServeRequest Analyze = request(1, Op::Analyze, coupledSource());
+  Analyze.FmBudget = 1;
+  ServeResponse A = Core.handle(Analyze);
+  ASSERT_TRUE(A.Ok) << A.Error;
+  EXPECT_TRUE(A.Body.get("stats").getBool("degraded")) << A.Body.str();
+  EXPECT_EQ(Core.stats().DegradedRequests, 1u);
+
+  // The same budget-exhausted analysis behind the features op carries
+  // the analyze op's stats keys and counts as a degraded request.
+  ServeRequest Features = request(2, Op::Features, coupledSource());
+  Features.FmBudget = 1;
+  ServeResponse F = Core.handle(Features);
+  ASSERT_TRUE(F.Ok) << F.Error;
+  const JsonValue &Stats = F.Body.get("stats");
+  for (const char *Key : {"tests_run", "cache_hits_full",
+                          "cache_hits_nobounds", "widened", "degraded"})
+    EXPECT_NE(Stats.find(Key), nullptr) << Key << " in " << Stats.str();
+  EXPECT_TRUE(Stats.getBool("degraded")) << Stats.str();
+  EXPECT_EQ(Core.stats().DegradedRequests, 2u);
 }
