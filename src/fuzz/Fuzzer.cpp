@@ -7,12 +7,10 @@
 
 #include "fuzz/Fuzzer.h"
 
-#include "analysis/Analyzer.h"
 #include "analysis/DependenceGraph.h"
 #include "analysis/Incremental.h"
 #include "analysis/Interp.h"
 #include "analysis/Parallelizer.h"
-#include "analysis/Search.h"
 #include "analysis/Widths.h"
 #include "deptest/Cascade.h"
 #include "deptest/Direction.h"
@@ -20,14 +18,15 @@
 #include "deptest/ProblemIO.h"
 #include "deptest/TestPipeline.h"
 #include "fuzz/Shrink.h"
-#include "oracle/Oracle.h"
 #include "parser/Parser.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <unistd.h>
@@ -35,74 +34,11 @@
 namespace edda {
 namespace fuzz {
 
-const char *fuzzAxisName(FuzzAxis Axis) {
-  switch (Axis) {
-  case FuzzAxis::Oracle:
-    return "oracle";
-  case FuzzAxis::Dirs:
-    return "dirs";
-  case FuzzAxis::Pipeline:
-    return "pipeline";
-  case FuzzAxis::Widen:
-    return "widen";
-  case FuzzAxis::Threads:
-    return "threads";
-  case FuzzAxis::Memo:
-    return "memo";
-  case FuzzAxis::Incr:
-    return "incr";
-  case FuzzAxis::Xform:
-    return "xform";
-  case FuzzAxis::Width:
-    return "width";
-  case FuzzAxis::Parse:
-    return "parse";
-  }
-  return "unknown";
-}
-
-const char *injectedBugName(InjectedBug Bug) {
-  switch (Bug) {
-  case InjectedBug::None:
-    return nullptr;
-  case InjectedBug::NegateEqConst:
-    return "negate-eq-const";
-  case InjectedBug::MisSignDirPrune:
-    return "dir-prune-sign";
-  case InjectedBug::StaleFingerprint:
-    return "stale-fingerprint";
-  case InjectedBug::FmDarkShadow:
-    return "fm-dark-shadow";
-  case InjectedBug::MisSignSkew:
-    return "skew-sign";
-  }
-  return nullptr;
-}
-
 namespace {
 
 namespace fs = std::filesystem;
 using oracle::oracleDependent;
 using oracle::oracleDependentSampled;
-
-/// Perturbs the problem handed to the cascade under test; the oracle
-/// always judges the original. MisSignDirPrune is not a problem
-/// perturbation — it rides in as a DirectionOptions hook, so only the
-/// direction hierarchy (and hence only the dirs axis) can see it.
-DependenceProblem applyBug(DependenceProblem P, InjectedBug Bug) {
-  if (Bug == InjectedBug::NegateEqConst && !P.Equations.empty())
-    P.Equations[0].Const = -P.Equations[0].Const;
-  return P;
-}
-
-/// Options-side analog of applyBug for injected bugs that ride in
-/// CascadeOptions hooks rather than perturbing the problem text. The
-/// oracle always judges the honest problem under honest options.
-CascadeOptions applyBug(CascadeOptions CO, InjectedBug Bug) {
-  if (Bug == InjectedBug::FmDarkShadow)
-    CO.Fm.InjectDarkShadowOffByOne = true;
-  return CO;
-}
 
 std::string answerName(DepAnswer A) {
   switch (A) {
@@ -116,18 +52,29 @@ std::string answerName(DepAnswer A) {
   return "?";
 }
 
-/// Display names for the 2^4 direction-option combinations, indexed by
-/// mask bit 0 = EliminateUnusedVars, bit 1 = DistanceVectorPruning,
-/// bit 2 = SeparableDimensions, bit 3 = FM sub-result sharing DISABLED
-/// (sharing is the default, so the unsuffixed half runs with it on).
-const char *const DirComboNames[16] = {
-    "plain",         "elim",          "prune",
-    "elim+prune",    "sep",           "elim+sep",
-    "prune+sep",     "elim+prune+sep",
-    "noshare",       "elim+noshare",  "prune+noshare",
-    "elim+prune+noshare",             "sep+noshare",
-    "elim+sep+noshare",               "prune+sep+noshare",
-    "elim+prune+sep+noshare"};
+/// "answer (decider)", as the mismatch details print a verdict.
+std::string verdict(const CascadeResult &R) {
+  return answerName(R.Answer) + " (" + testKindName(R.DecidedBy) + ")";
+}
+
+void setWiden(AnalyzerOptions &AO, bool Widen) {
+  AO.Cascade.Widen = Widen;
+  AO.Direction.Cascade.Widen = Widen;
+}
+
+/// Display name of a direction-option combination: mask bit 0 =
+/// EliminateUnusedVars, bit 1 = DistanceVectorPruning, bit 2 =
+/// SeparableDimensions, bit 3 = FM sub-result sharing DISABLED (sharing
+/// is the default, so the unsuffixed half runs with it on).
+std::string dirComboName(unsigned Mask) {
+  std::string Name;
+  for (const char *Part : {"elim", "prune", "sep", "noshare"}) {
+    if (Mask & 1)
+      Name += (Name.empty() ? "" : "+") + std::string(Part);
+    Mask >>= 1;
+  }
+  return Name.empty() ? "plain" : Name;
+}
 
 std::string renderVectors(const std::vector<DirVector> &Vectors) {
   if (Vectors.empty())
@@ -149,9 +96,12 @@ std::string renderVectors(const std::vector<DirVector> &Vectors) {
 /// missing pattern, an Independent root over a dependence, or a wrong
 /// pinned distance is a definite bug at any valuation.
 std::optional<std::string>
-dirComboVsTruth(const char *Combo, const DirectionResult &R,
+dirComboVsTruth(unsigned Mask, const DirectionResult &R,
                 const oracle::DirectionOracle &Truth, bool SoundOnly,
                 const std::string &Where) {
+  // Named only on a mismatch: the symbolic sweep calls this per
+  // valuation.
+  auto Tag = [Mask] { return "dirs[" + dirComboName(Mask) + "]: "; };
   // Soundness: every concrete direction pattern must be covered by
   // some reported vector ('*' is a wildcard).
   for (const DirVector &Concrete : Truth.Patterns) {
@@ -159,18 +109,15 @@ dirComboVsTruth(const char *Combo, const DirectionResult &R,
     for (const DirVector &V : R.Vectors)
       Covered |= oracle::dirMatches(V, Concrete);
     if (!Covered)
-      return std::string("dirs[") + Combo + "]: concrete direction " +
-             dirVectorStr(Concrete) + Where +
-             " is covered by no reported vector " +
+      return Tag() + "concrete direction " + dirVectorStr(Concrete) +
+             Where + " is covered by no reported vector " +
              renderVectors(R.Vectors);
   }
   if (!Truth.Patterns.empty() && R.RootAnswer == DepAnswer::Independent)
-    return std::string("dirs[") + Combo +
-           "]: root says independent but a dependence exists" + Where;
+    return Tag() + "root says independent but a dependence exists" + Where;
   if (!SoundOnly) {
     if (Truth.Patterns.empty() && R.RootAnswer == DepAnswer::Dependent)
-      return std::string("dirs[") + Combo +
-             "]: root says dependent but enumeration finds no point";
+      return Tag() + "root says dependent but enumeration finds no point";
     // Minimality: an Exact result may not report a vector that matches
     // zero concrete patterns.
     if (R.Exact)
@@ -179,8 +126,7 @@ dirComboVsTruth(const char *Combo, const DirectionResult &R,
         for (const DirVector &Concrete : Truth.Patterns)
           Matches |= oracle::dirMatches(V, Concrete);
         if (!Matches)
-          return std::string("dirs[") + Combo +
-                 "]: exact result reports " + dirVectorStr(V) +
+          return Tag() + "exact result reports " + dirVectorStr(V) +
                  " which matches no concrete direction";
       }
   }
@@ -193,13 +139,11 @@ dirComboVsTruth(const char *Combo, const DirectionResult &R,
       if (!R.Distances[K])
         continue;
       if (!Truth.PinnedDistances[K])
-        return std::string("dirs[") + Combo + "]: reported distance[" +
-               std::to_string(K) + "] = " +
+        return Tag() + "reported distance[" + std::to_string(K) + "] = " +
                std::to_string(*R.Distances[K]) +
                " but the concrete i'_k - i_k is not constant" + Where;
       if (*Truth.PinnedDistances[K] != *R.Distances[K])
-        return std::string("dirs[") + Combo + "]: reported distance[" +
-               std::to_string(K) + "] = " +
+        return Tag() + "reported distance[" + std::to_string(K) + "] = " +
                std::to_string(*R.Distances[K]) + " but enumeration pins " +
                std::to_string(*Truth.PinnedDistances[K]) + Where;
     }
@@ -211,34 +155,6 @@ std::string tempCachePath(const char *Tag) {
   std::ostringstream OS;
   OS << "edda-fuzz-" << ::getpid() << "-" << Tag << ".memo";
   return (fs::temp_directory_path() / OS.str()).string();
-}
-
-/// Single-problem cache persistence check; doubles as the memo-axis
-/// shrink predicate.
-bool memoRoundTripFails(const DependenceProblem &P, bool Widen) {
-  DependenceCache C1;
-  CascadeOptions CO;
-  CO.Widen = Widen;
-  CascadeResult R = testDependence(P, CO);
-  C1.insertFull(P, R);
-  std::optional<CascadeResult> Expected = C1.lookupFull(P);
-  if (!Expected)
-    return false;
-  std::string Path = tempCachePath("shrink");
-  bool Failed = true;
-  if (C1.saveToFile(Path)) {
-    DependenceCache C2;
-    if (C2.loadFromFile(Path)) {
-      std::optional<CascadeResult> Got = C2.lookupFull(P);
-      Failed = !Got || Got->Answer != Expected->Answer ||
-               Got->DecidedBy != Expected->DecidedBy ||
-               Got->Exact != Expected->Exact ||
-               Got->Widened != Expected->Widened;
-    }
-  }
-  std::error_code EC;
-  fs::remove(Path, EC);
-  return Failed;
 }
 
 /// Per-pair comparison for the threads and whole-program memo axes.
@@ -287,55 +203,6 @@ std::optional<std::string> comparePairs(const AnalysisResult &A,
   return std::nullopt;
 }
 
-/// One incremental edit-loop run for the incr axis: applies the edit
-/// sequence named by \p EditSeeds to \p Source step by step through an
-/// IncrementalSession (print -> parse after every edit, as an
-/// editor-driven loop would, which also exercises fingerprint
-/// stability across re-parsing) and compares the spliced graph's
-/// rendering against a from-scratch analysis after every step. Returns
-/// the first mismatch description, empty when every step agrees; this
-/// doubles as the axis's shrink predicate (non-empty means fails).
-std::string incrSequenceMismatch(const std::string &Source,
-                                 const std::vector<uint64_t> &EditSeeds,
-                                 bool Widen, bool InjectStale) {
-  ParseResult PR = parseProgram(Source);
-  if (!PR.succeeded())
-    return "";
-  AnalyzerOptions Fresh;
-  Fresh.ComputeDirections = true;
-  Fresh.Cascade.Widen = Widen;
-  Fresh.Direction.Cascade.Widen = Widen;
-  // Only the session under test carries the injected bug; the
-  // from-scratch baseline always analyzes honestly.
-  AnalyzerOptions Incr = Fresh;
-  Incr.InjectStaleFingerprint = InjectStale;
-  IncrementalSession Session(Incr);
-
-  Program Master = *PR.Prog; // Un-prepassed; edits apply here.
-  Session.update(Master);
-
-  for (size_t E = 0; E < EditSeeds.size(); ++E) {
-    SplitRng ERng(EditSeeds[E]);
-    std::string EditDesc = applyRandomEdit(Master, ERng);
-    ParseResult EP = parseProgram(Master.print());
-    if (!EP.succeeded())
-      return ""; // An edit-model bug, not an incr mismatch.
-    Master = std::move(*EP.Prog);
-
-    Session.update(Master);
-    std::string Spliced = Session.graph().str(Session.program());
-
-    Program Scratch = Master;
-    DependenceAnalyzer Analyzer(Fresh);
-    DependenceGraph FreshGraph = DependenceGraph::build(Scratch, Analyzer);
-    if (Spliced != FreshGraph.str(Scratch))
-      return "edit " + std::to_string(E + 1) + "/" +
-             std::to_string(EditSeeds.size()) + " (" + EditDesc +
-             "): spliced graph diverges from from-scratch analysis";
-  }
-  return "";
-}
-
 /// Collects the statement-index path of every perfect loop pair (a
 /// loop whose body is exactly one loop) for the xform axis's direct
 /// skew probes.
@@ -354,44 +221,398 @@ void collectPerfectPairPaths(const std::vector<StmtPtr> &Body,
   }
 }
 
-/// The xform axis on one program: every perfect loop pair is
-/// skew-probed (fresh direction vectors vs. the skewVector
-/// prediction), then a small beam search runs and its output is held
-/// against ground truth — predictions must hold, the interpreter must
-/// see identical memory images for base and best, and every
-/// parallel-marked loop must re-validate on a from-scratch analysis
-/// with no carried scalar. Returns the first mismatch description
-/// (empty when clean); doubles as the shrink predicate. The injected
-/// MisSignSkew bug rides in via \p InjectMisSign and is visible only
-/// to the prediction audits.
-std::string xformMismatch(const std::string &Source, bool Widen,
-                          bool InjectMisSign) {
-  ParseResult PR = parseProgram(Source);
-  if (!PR.succeeded())
-    return "";
+DependenceProblem underTest(DependenceProblem P, const FuzzContext &Ctx) {
+  if (Ctx.Subject.Perturb)
+    Ctx.Subject.Perturb(P);
+  return P;
+}
 
-  SearchOptions SO;
+//===----------------------------------------------------------------------===//
+// The checks. Each returns a mismatch detail, or nullopt when its axis
+// agrees, and is also its axis's shrink predicate.
+//===----------------------------------------------------------------------===//
+
+std::optional<std::string> checkParse(const ProgramCase &C) {
+  if (!C.Prog)
+    return "generated program failed to parse: " + C.ParseError;
+  std::string Printed = C.Prog->print();
+  ParseResult Again = parseProgram(Printed);
+  if (!Again.succeeded() || Again.Prog->print() != Printed)
+    return "print/parse round-trip is not stable";
+  return std::nullopt;
+}
+
+/// The oracle's case against answer \p R on C.P, or nullopt when it has
+/// none: enumeration decides concrete problems; on symbolic ones a
+/// sampled valuation that depends refutes Independent, and finding
+/// none proves nothing. \p Conclusive reports whether the oracle had
+/// jurisdiction.
+std::optional<std::string> oracleRefutes(const ProblemCase &C,
+                                         const CascadeResult &R,
+                                         bool &Conclusive) {
+  const DependenceProblem &P = C.P;
+  bool Symbolic = P.NumSymbolic != 0;
+  std::optional<bool> Truth =
+      Symbolic ? oracleDependentSampled(P, {}, C.Ctx.Symbolic)
+               : oracleDependent(P, {}, C.Ctx.Oracle);
+  Conclusive = Truth.has_value();
+  if (!Truth || R.Answer == DepAnswer::Unknown ||
+      *Truth == (R.Answer == DepAnswer::Dependent) || (Symbolic && !*Truth))
+    return std::nullopt;
+  return Symbolic ? "a sampled symbolic valuation depends"
+         : *Truth ? "enumeration finds a point"
+                  : "enumeration finds no point";
+}
+
+std::optional<std::string> checkOracle(const ProblemCase &C, unsigned,
+                                       bool &Conclusive) {
+  const CascadeResult &R = C.result();
+  if (std::optional<std::string> Why = oracleRefutes(C, R, Conclusive))
+    return "cascade says " + verdict(R) + " but " + *Why;
+  // The witness is checked against the honest problem.
+  if (R.Answer == DepAnswer::Dependent && R.Witness &&
+      !verifyWitness(C.P, *R.Witness))
+    return std::string("witness from ") + testKindName(R.DecidedBy) +
+           " violates the problem";
+  return std::nullopt;
+}
+
+std::optional<std::string> checkDirs(const ProblemCase &C, unsigned,
+                                     bool &Conclusive) {
+  const DependenceProblem &P = C.P;
+  DirectionResult Results[16];
+  for (unsigned Mask = 0; Mask < 16; ++Mask) {
+    DirectionOptions DO = C.Ctx.Subject.Direction;
+    DO.Cascade = C.Ctx.Subject.Cascade;
+    DO.EliminateUnusedVars = (Mask & 1) != 0;
+    DO.DistanceVectorPruning = (Mask & 2) != 0;
+    DO.SeparableDimensions = (Mask & 4) != 0;
+    DO.ShareFmResults = (Mask & 8) == 0;
+    Results[Mask] = computeDirectionVectors(C.UnderTest, DO);
+  }
+
+  // The pruning options may trade exactness for work, never flip a
+  // decisive root or move a pinned distance — and FM sub-result
+  // sharing (the +noshare half of the table) may change nothing at
+  // all, which pairwise agreement across the two halves enforces.
+  for (unsigned I = 0; I < 16; ++I)
+    for (unsigned J = I + 1; J < 16; ++J) {
+      const DirectionResult &A = Results[I];
+      const DirectionResult &B = Results[J];
+      if (A.RootAnswer != DepAnswer::Unknown &&
+          B.RootAnswer != DepAnswer::Unknown &&
+          A.RootAnswer != B.RootAnswer)
+        return std::string("dirs: combo ") + dirComboName(I) +
+               " root says " + answerName(A.RootAnswer) + ", combo " +
+               dirComboName(J) + " says " + answerName(B.RootAnswer);
+      for (unsigned K = 0; K < P.NumCommon; ++K)
+        if (K < A.Distances.size() && K < B.Distances.size() &&
+            A.Distances[K] && B.Distances[K] &&
+            *A.Distances[K] != *B.Distances[K])
+          return std::string("dirs: combo ") + dirComboName(I) +
+                 " pins distance[" + std::to_string(K) + "] = " +
+                 std::to_string(*A.Distances[K]) + ", combo " +
+                 dirComboName(J) + " pins " +
+                 std::to_string(*B.Distances[K]);
+    }
+
+  if (P.NumSymbolic == 0) {
+    std::optional<oracle::DirectionOracle> Truth =
+        oracle::oracleDirectionInfo(P, C.Ctx.Oracle);
+    if (!Truth)
+      return std::nullopt;
+    Conclusive = true;
+    for (unsigned Mask = 0; Mask < 16; ++Mask)
+      if (std::optional<std::string> Detail =
+              dirComboVsTruth(Mask, Results[Mask], *Truth,
+                              /*SoundOnly=*/false, ""))
+        return Detail;
+    return std::nullopt;
+  }
+
+  // Symbolic problems: sweep the sample grid and hold every reported
+  // vector/distance/root claim against each conclusive concretization,
+  // in the sound direction only.
+  const oracle::SymbolicOracleOptions &SOpts = C.Ctx.Symbolic;
+  if (SOpts.SampleValues.empty())
+    return std::nullopt;
+  uint64_t Total = 1;
+  for (unsigned K = 0; K < P.NumSymbolic; ++K) {
+    Total *= SOpts.SampleValues.size();
+    if (Total > SOpts.MaxValuations)
+      return std::nullopt;
+  }
+  // Spread the enumeration budget across the whole sweep: a 3-symbolic
+  // problem visits up to 729 valuations, and giving each the full
+  // MaxPoints makes single iterations take minutes. Valuations whose
+  // box exceeds the per-valuation slice just read as inconclusive.
+  oracle::OracleOptions PerValuation = SOpts.Base;
+  PerValuation.MaxPoints =
+      std::max<uint64_t>(1024, SOpts.Base.MaxPoints / Total);
+  std::vector<int64_t> Values(P.NumSymbolic, SOpts.SampleValues.front());
+  std::vector<unsigned> Odometer(P.NumSymbolic, 0);
+  bool AllConclusive = true;
+  for (uint64_t V = 0; V < Total; ++V) {
+    for (unsigned K = 0; K < P.NumSymbolic; ++K)
+      Values[K] = SOpts.SampleValues[Odometer[K]];
+    std::optional<DependenceProblem> Concrete =
+        oracle::concretize(P, Values);
+    std::optional<oracle::DirectionOracle> Truth =
+        Concrete ? oracle::oracleDirectionInfo(*Concrete, PerValuation)
+                 : std::nullopt;
+    if (!Truth) {
+      AllConclusive = false;
+    } else {
+      std::string Where = " at symbolic valuation (";
+      for (unsigned K = 0; K < P.NumSymbolic; ++K)
+        Where += (K ? ", " : "") + std::to_string(Values[K]);
+      Where += ")";
+      for (unsigned Mask = 0; Mask < 16; ++Mask)
+        if (std::optional<std::string> Detail =
+                dirComboVsTruth(Mask, Results[Mask], *Truth,
+                                /*SoundOnly=*/true, Where))
+          return Detail;
+    }
+    for (unsigned K = 0; K < P.NumSymbolic; ++K) {
+      if (++Odometer[K] < SOpts.SampleValues.size())
+        break;
+      Odometer[K] = 0;
+    }
+  }
+  Conclusive = AllConclusive;
+  return std::nullopt;
+}
+
+std::optional<std::string> checkWiden(const ProblemCase &C, unsigned,
+                                      bool &) {
+  if (!C.Ctx.Widen)
+    return std::nullopt; // Nothing to differ against.
+  const CascadeResult &R = C.result();
+  CascadeOptions NoWiden = C.Ctx.Subject.Cascade;
+  NoWiden.Widen = false;
+  CascadeResult RN = testDependence(C.UnderTest, NoWiden);
+  if (!R.Widened) {
+    // The ladder never produced the answer, so --no-widen must agree
+    // on it bit for bit — with one legitimate wiggle: a stage that is
+    // applicable only thanks to wide prep can exhaust the ladder and
+    // still consume the query (Unknown via FM) where the 64-bit run
+    // fell through (Unknown via Unanalyzable), so an Unknown's
+    // provenance may differ.
+    bool BothUnknown =
+        R.Answer == DepAnswer::Unknown && RN.Answer == DepAnswer::Unknown;
+    if (R.Answer != RN.Answer || RN.Widened ||
+        (!BothUnknown &&
+         (R.DecidedBy != RN.DecidedBy || R.Exact != RN.Exact)))
+      return "--no-widen perturbs an unwidened result: " + verdict(R) +
+             " vs " + verdict(RN);
+    return std::nullopt;
+  }
+  if (RN.Answer != DepAnswer::Unknown) {
+    if (R.Answer == DepAnswer::Unknown)
+      return "widening lost a decisive answer: --no-widen says " +
+             verdict(RN);
+    if (R.Answer != RN.Answer)
+      return "widened cascade says " + verdict(R) + ", --no-widen says " +
+             verdict(RN);
+    return std::nullopt;
+  }
+  // Only the widened run decided: nothing to compare against, so check
+  // the answer directly (witness or enumeration oracle).
+  if (R.Answer == DepAnswer::Dependent && R.Witness) {
+    if (!verifyWitness(C.P, *R.Witness))
+      return std::string("widened witness from ") +
+             testKindName(R.DecidedBy) + " violates the problem";
+    return std::nullopt;
+  }
+  bool Conclusive = false;
+  if (std::optional<std::string> Why = oracleRefutes(C, R, Conclusive))
+    return "widened " + verdict(R) + " but " + *Why;
+  return std::nullopt;
+}
+
+/// The permuted stage orders the pipeline axis holds against the
+/// default; each is one variant of its check.
+constexpr const char *PermutedPipelines[] = {
+    "fm,residue,acyclic,svpc,gcd,const",
+    "svpc,acyclic,residue,const,gcd,fm"};
+
+std::optional<std::string> checkPipeline(const ProblemCase &C,
+                                         unsigned Variant, bool &) {
+  static const std::vector<std::shared_ptr<const TestPipeline>> Pipes = [] {
+    std::vector<std::shared_ptr<const TestPipeline>> Out;
+    for (const char *Spec : PermutedPipelines) {
+      Out.push_back(makePipeline(Spec));
+      assert(Out.back() && "permuted pipeline spec failed to parse");
+    }
+    return Out;
+  }();
+  // Decisive answers are permutation-invariant; Unknown is not (a
+  // consuming stage like FM ends whichever pipeline reaches it
+  // first), so only decisive-vs-decisive contradictions count.
+  const CascadeResult &R = C.result();
+  if (R.Answer == DepAnswer::Unknown)
+    return std::nullopt;
+  CascadeOptions CO = C.Ctx.Subject.Cascade;
+  CO.Pipeline = Pipes[Variant];
+  CascadeResult R2 = testDependence(C.UnderTest, CO);
+  if (R2.Answer == DepAnswer::Unknown || R2.Answer == R.Answer)
+    return std::nullopt;
+  return "default pipeline says " + answerName(R.Answer) + ", '" +
+         PermutedPipelines[Variant] + "' says " + answerName(R2.Answer);
+}
+
+/// The memo axis's problem check on a batch: saves the batch's answers
+/// to one cache file, reloads it and returns, per problem, how its
+/// answer changed. A whole-file failure is reported once, on the first
+/// problem.
+std::vector<std::optional<std::string>>
+memoBatch(const std::vector<DependenceProblem> &Batch,
+          const FuzzContext &Ctx) {
+  DependenceCache C1;
+  CascadeOptions CO;
+  CO.Widen = Ctx.Widen;
+  std::vector<DependenceProblem> Problems;
+  std::vector<std::optional<CascadeResult>> Expected;
+  for (const DependenceProblem &Honest : Batch) {
+    const DependenceProblem &P = Problems.emplace_back(underTest(Honest, Ctx));
+    if (!C1.lookupFull(P))
+      C1.insertFull(P, testDependence(P, CO));
+    // The post-insert lookup is the canonical stored value, so the
+    // check below is purely about persistence.
+    Expected.push_back(C1.lookupFull(P));
+  }
+
+  std::string Path = tempCachePath("batch");
+  DependenceCache C2;
+  bool Persisted = C1.saveToFile(Path) && C2.loadFromFile(Path);
+  std::error_code EC;
+  fs::remove(Path, EC);
+
+  std::vector<std::optional<std::string>> Details(Batch.size());
+  if (!Persisted) {
+    Details[0] = "cache save/load failed";
+    return Details;
+  }
+  for (size_t I = 0; I < Problems.size(); ++I) {
+    if (!Expected[I])
+      continue;
+    const CascadeResult &Want = *Expected[I];
+    std::optional<CascadeResult> Got = C2.lookupFull(Problems[I]);
+    if (!Got)
+      Details[I] = "entry missing after cache round-trip";
+    else if (Got->Answer != Want.Answer ||
+             Got->DecidedBy != Want.DecidedBy ||
+             Got->Exact != Want.Exact || Got->Widened != Want.Widened)
+      Details[I] = "cached " + answerName(Want.Answer) + " (" +
+                   testKindName(Want.DecidedBy) +
+                   (Want.Widened ? ", widened" : "") + ") became " +
+                   answerName(Got->Answer) + " (" +
+                   testKindName(Got->DecidedBy) +
+                   (Got->Widened ? ", widened" : "") + ") after round-trip";
+  }
+  return Details;
+}
+
+std::optional<std::string> checkMemo(const ProblemCase &C, unsigned,
+                                     bool &) {
+  return memoBatch({C.P}, C.Ctx)[0];
+}
+
+/// \p AO computing directions, widened as the run is.
+AnalyzerOptions withDirections(AnalyzerOptions AO, const FuzzContext &Ctx) {
+  AO.ComputeDirections = true;
+  setWiden(AO, Ctx.Widen);
+  return AO;
+}
+
+std::optional<std::string> checkThreads(const ProgramCase &C) {
+  AnalyzerOptions Parallel = withDirections({}, C.Ctx);
+  Parallel.NumThreads = C.Ctx.Threads;
+  Program Copy = *C.Prog;
+  AnalysisResult Result = DependenceAnalyzer(Parallel).analyze(Copy);
+  if (std::optional<std::string> Mismatch = comparePairs(
+          C.serial().Result, Result, /*CacheSensitive=*/true))
+    return "serial vs --threads " + std::to_string(C.Ctx.Threads) + ": " +
+           *Mismatch;
+  return std::nullopt;
+}
+
+std::optional<std::string> checkMemoProgram(const ProgramCase &C) {
+  // A reload must reproduce every answer (cache provenance
+  // legitimately flips to hits).
+  ProgramCase::SerialRun &Serial = C.serial();
+  std::string Path = tempCachePath("prog");
+  DependenceAnalyzer Reloaded(withDirections({}, C.Ctx));
+  bool Persisted = Serial.Analyzer->cache().saveToFile(Path) &&
+                   Reloaded.cache().loadFromFile(Path);
+  std::error_code EC;
+  fs::remove(Path, EC);
+  std::optional<std::string> Mismatch = "cache save/load failed";
+  if (Persisted) {
+    Program Copy = *C.Prog;
+    Mismatch = comparePairs(Serial.Result, Reloaded.analyze(Copy),
+                            /*CacheSensitive=*/false);
+  }
+  if (Mismatch)
+    return "whole-program cache round-trip: " + *Mismatch;
+  return std::nullopt;
+}
+
+std::optional<std::string> checkIncr(const ProgramCase &C) {
+  // The from-scratch baseline always analyzes honestly; only the
+  // session runs the subject's options.
+  AnalyzerOptions Fresh = withDirections({}, C.Ctx);
+  IncrementalSession Session(withDirections(C.Ctx.Subject.Analyzer, C.Ctx));
+
+  Program Master = *C.Prog; // Un-prepassed; edits apply here.
+  Session.update(Master);
+
+  // Print -> parse after every edit, as an editor-driven loop would,
+  // which also exercises fingerprint stability across re-parsing.
+  for (size_t E = 0; E < C.Edits.size(); ++E) {
+    SplitRng ERng(C.Edits[E]);
+    std::string EditDesc = applyRandomEdit(Master, ERng);
+    ParseResult EP = parseProgram(Master.print());
+    if (!EP.succeeded())
+      return std::nullopt; // An edit-model bug, not an incr mismatch.
+    Master = std::move(*EP.Prog);
+
+    Session.update(Master);
+    std::string Spliced = Session.graph().str(Session.program());
+
+    Program Scratch = Master;
+    DependenceAnalyzer Analyzer(Fresh);
+    DependenceGraph FreshGraph = DependenceGraph::build(Scratch, Analyzer);
+    if (Spliced != FreshGraph.str(Scratch))
+      return "edit " + std::to_string(E + 1) + "/" +
+             std::to_string(C.Edits.size()) + " (" + EditDesc +
+             "): spliced graph diverges from from-scratch analysis";
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> checkXform(const ProgramCase &C) {
+  const Program &Prog = *C.Prog;
+  SearchOptions SO = C.Ctx.Subject.Search;
   SO.BeamWidth = 2;
   SO.MaxSteps = 2;
   SO.SkewFactors = {1, -1, 2};
-  SO.InjectMisSignedSkew = InjectMisSign;
-  SO.Analyzer.Cascade.Widen = Widen;
-  SO.Analyzer.Direction.Cascade.Widen = Widen;
+  setWiden(SO.Analyzer, C.Ctx.Widen);
 
   // Direct probes: catch application/model mismatches even on
   // programs where the search would never choose a skew.
   std::vector<std::vector<unsigned>> Pairs;
   std::vector<unsigned> Prefix;
-  collectPerfectPairPaths(PR.Prog->body(), Prefix, Pairs);
+  collectPerfectPairPaths(Prog.body(), Prefix, Pairs);
   for (const std::vector<unsigned> &Path : Pairs)
     for (int64_t Factor : SO.SkewFactors) {
-      SkewProbeResult Probe = probeSkew(*PR.Prog, Path, Factor, SO);
+      SkewProbeResult Probe = probeSkew(Prog, Path, Factor, SO);
       if (Probe.Applied && !Probe.Ok)
         return "skew probe (factor " + std::to_string(Factor) +
                ") prediction mismatch: " + Probe.Note;
     }
 
-  SearchResult R = searchTransformations(*PR.Prog, SO);
+  SearchResult R = searchTransformations(Prog, SO);
   if (!R.PredictionsHeld)
     return "search discarded a skew whose prediction audit failed";
 
@@ -405,14 +626,10 @@ std::string xformMismatch(const std::string &Source, bool Widen,
     return "transformed program computes a different memory image";
 
   // ...and its parallel claims must survive a from-scratch analysis.
-  for (const Program *Prog : {&R.Base, &R.Best}) {
-    Program Fresh(*Prog);
-    AnalyzerOptions AO;
-    AO.ComputeDirections = true;
-    AO.Cascade.Widen = Widen;
-    AO.Direction.Cascade.Widen = Widen;
-    DependenceAnalyzer Analyzer(AO);
-    AnalysisResult Result = Analyzer.analyze(Fresh);
+  for (const Program *Claimed : {&R.Base, &R.Best}) {
+    Program Fresh(*Claimed);
+    AnalysisResult Result =
+        DependenceAnalyzer(withDirections({}, C.Ctx)).analyze(Fresh);
     DependenceGraph Graph = DependenceGraph::buildFromResult(Result);
     std::string Bad;
     std::function<void(const std::vector<StmtPtr> &)> Walk =
@@ -441,73 +658,249 @@ std::string xformMismatch(const std::string &Source, bool Widen,
     if (!Bad.empty())
       return Bad;
   }
-  return "";
+  return std::nullopt;
 }
 
-/// The width axis on one program: run the width/coarsening client at a
-/// small cap and cross-check every per-loop claim against the chunked
-/// interpreter oracle (validateWidths mines real carried distances
-/// from the serial trace and re-executes each loop at sampled widths
-/// in both lane orders). Returns the first mismatch description (empty
-/// when clean); doubles as the shrink predicate. Programs the serial
-/// interpreter cannot execute validate vacuously inside
-/// validateWidths.
-std::string widthMismatch(const std::string &Source, bool Widen) {
-  ParseResult PR = parseProgram(Source);
-  if (!PR.succeeded())
-    return "";
+std::optional<std::string> checkWidth(const ProgramCase &C) {
   WidthOptions WO;
   // Small caps keep the probe searches and the re-execution sweep
   // cheap; random programs rarely have carried distances beyond 8.
   WO.MaxWidth = 8;
   WO.MaxCoarsen = 8;
-  WO.Analyzer.Cascade.Widen = Widen;
-  WO.Analyzer.Direction.Cascade.Widen = Widen;
-  WidthAnalysis WA = analyzeWidths(*PR.Prog, WO);
-  return validateWidths(*PR.Prog, WA, /*UnboundedSampleWidth=*/4);
+  setWiden(WO.Analyzer, C.Ctx.Widen);
+  Program Prog = *C.Prog;
+  WidthAnalysis WA = analyzeWidths(Prog, WO);
+  std::string Mismatch = validateWidths(Prog, WA, /*UnboundedSampleWidth=*/4);
+  if (!Mismatch.empty())
+    return Mismatch;
+  return std::nullopt;
 }
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// The axis table.
+//===----------------------------------------------------------------------===//
+
+const std::vector<FuzzAxisSpec> &fuzzAxes() {
+  static const std::vector<FuzzAxisSpec> Axes = {
+      // parse: every generated program parses, and print/parse reaches
+      // a fixed point in one step. Always on: a program that does not
+      // parse has nothing else to check.
+      {.Name = "parse", .Program = checkParse, .AlwaysOn = true},
+
+      // oracle: the cascade verdict vs. brute-force enumeration
+      // (symbolic problems via the sampled-concretization soundness
+      // check), plus witness verification against the honest problem.
+      {.Name = "oracle",
+       .Problem = checkOracle,
+       .Bugs = {// Flips the sign of the first equation's constant: the
+                // classic transcription error in a subscript difference.
+                {"negate-eq-const",
+                 [](FuzzSubject &S) {
+                   S.Perturb = [](DependenceProblem &P) {
+                     if (!P.Equations.empty())
+                       P.Equations[0].Const = -P.Equations[0].Const;
+                   };
+                 }},
+                // Shrinks Fourier-Motzkin's dark-shadow offset
+                // (a-1)(c-1) by one, so FM claims integer points for
+                // systems only the rational relaxation satisfies: the
+                // oracle sees unsound Dependent answers whose witnesses
+                // violate the problem.
+                {"fm-dark-shadow",
+                 [](FuzzSubject &S) {
+                   S.Cascade.Fm.InjectDarkShadowOffByOne = true;
+                 }}},
+       .Conclusive = &FuzzSummary::OracleConclusive},
+
+      // dirs: the Burke-Cytron direction/distance hierarchy vs. the
+      // enumeration oracle. Every concrete direction pattern must be
+      // covered by a reported vector, Exact results must also be
+      // minimal, pinned distances must equal the unique concrete
+      // i'_k - i_k, and every EliminateUnusedVars /
+      // DistanceVectorPruning / SeparableDimensions / ShareFmResults
+      // combination must agree on decisive roots and pinned distances
+      // (symbolic problems via sampled concretization, checked in the
+      // sound direction only).
+      {.Name = "dirs",
+       .Problem = checkDirs,
+       // Flips the sign of every distance the GCD pruning pins; the
+       // plain cascade is untouched.
+       .Bugs = {{"dir-prune-sign",
+                 [](FuzzSubject &S) {
+                   S.Direction.InjectMisSignedPruning = true;
+                 }}},
+       .Conclusive = &FuzzSummary::DirsConclusive},
+
+      // widen: the default cascade vs. --no-widen. When the 128-bit
+      // ladder never fired the results must be bit-identical; when both
+      // decide they must agree; answers only the widened run produces
+      // are witness-verified or checked against the enumeration oracle.
+      {.Name = "widen", .Problem = checkWiden},
+
+      // pipeline: the default cascade vs. permuted stage pipelines.
+      // Decisive answers must agree (Unknown is order-dependent by
+      // design: a consuming stage ends the pipeline). Each permutation
+      // is a variant, so each one that disagrees is reported.
+      {.Name = "pipeline",
+       .Problem = checkPipeline,
+       .Variants = std::size(PermutedPipelines)},
+
+      // incr: incremental re-analysis vs. from-scratch. A random edit
+      // sequence (subscript/rhs modifications, bound tweaks, statement
+      // insert/delete) is applied step by step to one program held in
+      // an IncrementalSession; after every step the spliced dependence
+      // graph must render bit-identically to a fresh analysis of the
+      // edited program.
+      {.Name = "incr",
+       .Program = checkIncr,
+       // Keys re-analysis reuse on the bounds-free reference
+       // fingerprints, so bound edits splice stale results.
+       .Bugs = {{"stale-fingerprint",
+                 [](FuzzSubject &S) {
+                   S.Analyzer.InjectStaleFingerprint = true;
+                 }}},
+       .Edits = true},
+
+      // xform: the transformation search vs. ground truth. Every
+      // perfect loop pair is skew-probed (the fresh direction vectors
+      // must match the skewVector prediction), and a small beam search
+      // must emit schedules whose claimed parallel loops re-validate on
+      // a from-scratch analysis and whose interpreter memory image
+      // matches the base program's.
+      {.Name = "xform",
+       .Program = checkXform,
+       // Applies every skew with the opposite factor while predicting
+       // with the requested one. The mis-signed skew is still a valid
+       // order-preserving reindexing, so the interpreter cannot tell;
+       // only the prediction audit can.
+       .Bugs = {{"skew-sign",
+                 [](FuzzSubject &S) { S.Search.InjectMisSignedSkew = true; }}}},
+
+      // width: the width/coarsening client vs. the interpreter oracle.
+      // Per-loop vector widths and coarsening factors from
+      // analyzeWidths must survive validateWidths: real carried
+      // distances mined from the serial trace must respect every claim,
+      // and chunked re-execution at each width W up to the reported
+      // maximum (both lane orders) must be memory-identical to the
+      // serial run.
+      {.Name = "width", .Program = checkWidth},
+
+      // threads: the serial analyzer vs. --threads N on the same
+      // program; pair results must be bit-identical.
+      {.Name = "threads", .Program = checkThreads},
+
+      // memo: cache save/load round-trips must preserve every cached
+      // answer (including the Widened provenance bit), both for problem
+      // batches and for whole-program analysis re-run from a reloaded
+      // cache. Problems go through one 32-problem batch file, which
+      // also exercises many entries per file; a failing problem shrinks
+      // on its own.
+      {.Name = "memo",
+       .Problem = checkMemo,
+       .Program = checkMemoProgram,
+       .ProblemBatch = memoBatch},
+  };
+  return Axes;
+}
+
+const FuzzAxisSpec *findFuzzAxis(std::string_view Name) {
+  for (const FuzzAxisSpec &A : fuzzAxes())
+    if (Name == A.Name)
+      return &A;
+  return nullptr;
+}
+
+const PlantedBug *findPlantedBug(std::string_view Name) {
+  for (const FuzzAxisSpec &A : fuzzAxes())
+    for (const PlantedBug &B : A.Bugs)
+      if (Name == B.Name)
+        return &B;
+  return nullptr;
+}
+
+FuzzContext::FuzzContext(const FuzzOptions &Opts)
+    : Widen(Opts.Widen), Threads(Opts.Threads) {
+  Subject.Cascade.Widen = Widen;
+  // Small spans keep enumeration cheap; the cap still covers every
+  // problem the generator can emit with room to spare.
+  Oracle.MaxPoints = 1u << 18;
+  Symbolic.Base = Oracle;
+  if (!Opts.Bug.empty()) {
+    const PlantedBug *Bug = findPlantedBug(Opts.Bug);
+    assert(Bug && "unknown planted bug");
+    if (Bug)
+      Bug->Plant(Subject);
+  }
+}
+
+ProblemCase::ProblemCase(const DependenceProblem &P, const FuzzContext &Ctx)
+    : P(P), UnderTest(underTest(P, Ctx)), Ctx(Ctx) {}
+
+const CascadeResult &ProblemCase::result() const {
+  if (!Result)
+    Result = testDependence(UnderTest, Ctx.Subject.Cascade);
+  return *Result;
+}
+
+ProgramCase::ProgramCase(std::string Source, std::vector<uint64_t> Edits,
+                         const FuzzContext &Ctx)
+    : Source(std::move(Source)), Edits(std::move(Edits)), Ctx(Ctx) {
+  ParseResult PR = parseProgram(this->Source);
+  if (PR.succeeded())
+    Prog = std::move(PR.Prog);
+  else
+    ParseError =
+        PR.Diags.empty() ? std::string("no diagnostic") : PR.Diags[0].str();
+}
+
+ProgramCase::SerialRun &ProgramCase::serial() const {
+  if (!Serial) {
+    Serial = std::make_unique<SerialRun>();
+    Serial->Analyzer =
+        std::make_unique<DependenceAnalyzer>(withDirections({}, Ctx));
+    Program Copy = *Prog;
+    Serial->Result = Serial->Analyzer->analyze(Copy);
+  }
+  return *Serial;
+}
+
+//===----------------------------------------------------------------------===//
+// The runner.
+//===----------------------------------------------------------------------===//
+
+namespace {
 
 class FuzzRunner {
 public:
   FuzzRunner(const FuzzOptions &Opts, std::ostream *Log)
-      : Opts(Opts), Log(Log) {
-    // Small spans keep enumeration cheap; the cap below still covers
-    // every problem the generator can emit with room to spare.
-    OOpts.MaxPoints = 1u << 18;
-    SOpts.Base = OOpts;
-    for (const char *Spec : {"fm,residue,acyclic,svpc,gcd,const",
-                             "svpc,acyclic,residue,const,gcd,fm"}) {
-      std::shared_ptr<const TestPipeline> P = makePipeline(Spec);
-      assert(P && "permuted pipeline spec failed to parse");
-      Permuted.emplace_back(Spec, std::move(P));
-    }
-  }
+      : Opts(Opts), Log(Log), Ctx(Opts) {}
 
   FuzzSummary run();
 
 private:
   const FuzzOptions &Opts;
   std::ostream *Log;
+  FuzzContext Ctx;
   FuzzSummary S;
-  oracle::OracleOptions OOpts;
-  oracle::SymbolicOracleOptions SOpts;
-  std::vector<std::pair<std::string, std::shared_ptr<const TestPipeline>>>
-      Permuted;
-  std::vector<DependenceProblem> MemoBatch;
+  std::map<const FuzzAxisSpec *, std::vector<DependenceProblem>> Batches;
 
   bool done() const { return S.Failures.size() >= Opts.MaxFailures; }
+  bool enabled(const FuzzAxisSpec &A) const {
+    return A.AlwaysOn || Opts.Axes.empty() || Opts.Axes.count(A.Name);
+  }
 
   void checkProblem(const DependenceProblem &P, uint64_t Iter);
-  void checkProgram(const std::string &Source, uint64_t Iter);
-  void checkIncremental(const std::string &Source, uint64_t Iter);
-  void checkXform(const std::string &Source, uint64_t Iter);
-  void checkWidth(const std::string &Source, uint64_t Iter);
-  void flushMemoBatch(uint64_t Iter);
+  void checkProgram(std::string Source, uint64_t Iter);
+  void flush(const FuzzAxisSpec &A, uint64_t Iter);
 
-  void reportProblem(FuzzAxis Axis, uint64_t Iter, std::string Detail,
-                     const DependenceProblem &Shrunk);
-  void reportProgram(FuzzAxis Axis, uint64_t Iter, std::string Detail,
-                     const std::string &Source, unsigned Edits = 0);
+  void failProblem(const FuzzAxisSpec &A, unsigned Variant, uint64_t Iter,
+                   const DependenceProblem &P, std::string Detail);
+  void failProgram(const FuzzAxisSpec &A, uint64_t Iter,
+                   const ProgramCase &C, std::string Detail);
+  std::string header(const FuzzAxisSpec &A, uint64_t Iter,
+                     const std::string &Detail) const;
   void emit(FuzzFailure F);
 };
 
@@ -547,547 +940,152 @@ FuzzSummary FuzzRunner::run() {
            << S.Failures.size() << " failure(s)\n";
   }
 
-  flushMemoBatch(S.Iterations);
+  for (auto &Entry : Batches)
+    flush(*Entry.first, S.Iterations);
   return std::move(S);
 }
 
 void FuzzRunner::checkProblem(const DependenceProblem &P, uint64_t Iter) {
-  DependenceProblem Buggy = applyBug(P, Opts.Bug);
-  CascadeOptions Base = applyBug(CascadeOptions(), Opts.Bug);
-  Base.Widen = Opts.Widen;
-  CascadeResult R = testDependence(Buggy, Base);
-
-  if (Opts.CheckOracle) {
-    // The differential core: cascade vs. enumeration, with the witness
-    // checked against the *original* problem so an injected (or real)
-    // perturbation cannot hide behind a self-consistent wrong answer.
-    auto OracleFails = [this, &Base](const DependenceProblem &Q) {
-      CascadeResult RQ = testDependence(applyBug(Q, Opts.Bug), Base);
-      if (RQ.Answer == DepAnswer::Dependent && RQ.Witness &&
-          !verifyWitness(Q, *RQ.Witness))
-        return true;
-      if (Q.NumSymbolic == 0) {
-        std::optional<bool> Truth = oracleDependent(Q, {}, OOpts);
-        return Truth && RQ.Answer != DepAnswer::Unknown &&
-               (RQ.Answer == DepAnswer::Dependent) != *Truth;
-      }
-      std::optional<bool> Sampled = oracleDependentSampled(Q, {}, SOpts);
-      return RQ.Answer == DepAnswer::Independent && Sampled && *Sampled;
-    };
-
-    bool Conclusive = false;
-    std::string Detail;
-    if (P.NumSymbolic == 0) {
-      std::optional<bool> Truth = oracleDependent(P, {}, OOpts);
-      Conclusive = Truth.has_value();
-      if (Truth && R.Answer != DepAnswer::Unknown &&
-          (R.Answer == DepAnswer::Dependent) != *Truth)
-        Detail = "cascade says " + answerName(R.Answer) + " (" +
-                 testKindName(R.DecidedBy) + "), enumeration says " +
-                 (*Truth ? "dependent" : "independent");
-    } else {
-      std::optional<bool> Sampled = oracleDependentSampled(P, {}, SOpts);
-      Conclusive = Sampled.has_value();
-      if (Sampled && R.Answer == DepAnswer::Independent && *Sampled)
-        Detail = std::string("cascade says independent (") +
-                 testKindName(R.DecidedBy) +
-                 ") but a sampled symbolic valuation depends";
+  ProblemCase C(P, Ctx);
+  for (const FuzzAxisSpec &A : fuzzAxes()) {
+    if (!A.Problem || !enabled(A))
+      continue;
+    if (A.ProblemBatch) {
+      std::vector<DependenceProblem> &Batch = Batches[&A];
+      Batch.push_back(P);
+      if (Batch.size() >= 32)
+        flush(A, Iter);
+      continue;
     }
-    if (Conclusive)
-      ++S.OracleConclusive;
-    if (Detail.empty() && R.Answer == DepAnswer::Dependent && R.Witness &&
-        !verifyWitness(P, *R.Witness))
-      Detail = std::string("witness from ") + testKindName(R.DecidedBy) +
-               " violates the problem";
-    if (!Detail.empty()) {
-      reportProblem(FuzzAxis::Oracle, Iter, std::move(Detail),
-                    shrinkProblem(P, OracleFails));
-      if (done())
-        return;
+    for (unsigned V = 0; V < A.Variants && !done(); ++V) {
+      bool Conclusive = false;
+      std::optional<std::string> Detail = A.Problem(C, V, Conclusive);
+      if (Conclusive && A.Conclusive)
+        ++(S.*A.Conclusive);
+      if (Detail)
+        failProblem(A, V, Iter, P, std::move(*Detail));
     }
-  }
-
-  if (Opts.CheckDirs) {
-    // The direction/distance hierarchy vs. the oracle and its own
-    // option combinations; the shrink predicate is the check itself.
-    bool Conclusive = false;
-    std::optional<std::string> Detail = checkDirections(
-        P, Opts.Widen, Opts.Bug, OOpts, SOpts, &Conclusive);
-    if (Conclusive)
-      ++S.DirsConclusive;
-    if (Detail) {
-      auto DirsFails = [this](const DependenceProblem &Q) {
-        return checkDirections(Q, Opts.Widen, Opts.Bug, OOpts, SOpts)
-            .has_value();
-      };
-      reportProblem(FuzzAxis::Dirs, Iter, std::move(*Detail),
-                    shrinkProblem(P, DirsFails));
-      if (done())
-        return;
-    }
-  }
-
-  if (Opts.CheckWiden && Opts.Widen) {
-    // The widening ladder's own differential: the same cascade with
-    // --no-widen. When the ladder never fired the two runs took the
-    // same path and must match bit for bit; when both decide they must
-    // agree; an answer only the widened run produces is cross-checked
-    // independently (witness or enumeration oracle), because the
-    // 64-bit run has nothing to say about it.
-    CascadeOptions NoWiden = Base;
-    NoWiden.Widen = false;
-    CascadeResult RN = testDependence(Buggy, NoWiden);
-    std::string Detail;
-    if (!R.Widened) {
-      // The ladder never produced the answer, so --no-widen must agree
-      // on it bit for bit — with one legitimate wiggle: a stage that is
-      // applicable only thanks to wide prep can exhaust the ladder and
-      // still consume the query (Unknown via FM) where the 64-bit run
-      // fell through (Unknown via Unanalyzable), so an Unknown's
-      // provenance may differ.
-      bool BothUnknown =
-          R.Answer == DepAnswer::Unknown && RN.Answer == DepAnswer::Unknown;
-      if (R.Answer != RN.Answer || RN.Widened ||
-          (!BothUnknown &&
-           (R.DecidedBy != RN.DecidedBy || R.Exact != RN.Exact)))
-        Detail = "--no-widen perturbs an unwidened result: " +
-                 answerName(R.Answer) + " (" + testKindName(R.DecidedBy) +
-                 ") vs " + answerName(RN.Answer) + " (" +
-                 testKindName(RN.DecidedBy) + ")";
-    } else if (RN.Answer != DepAnswer::Unknown) {
-      if (R.Answer == DepAnswer::Unknown)
-        Detail = "widening lost a decisive answer: --no-widen says " +
-                 answerName(RN.Answer) + " (" + testKindName(RN.DecidedBy) +
-                 ")";
-      else if (R.Answer != RN.Answer)
-        Detail = "widened cascade says " + answerName(R.Answer) + " (" +
-                 testKindName(R.DecidedBy) + "), --no-widen says " +
-                 answerName(RN.Answer) + " (" + testKindName(RN.DecidedBy) +
-                 ")";
-    } else if (R.Answer == DepAnswer::Dependent) {
-      if (R.Witness) {
-        if (!verifyWitness(P, *R.Witness))
-          Detail = std::string("widened witness from ") +
-                   testKindName(R.DecidedBy) + " violates the problem";
-      } else if (P.NumSymbolic == 0) {
-        std::optional<bool> Truth = oracleDependent(P, {}, OOpts);
-        if (Truth && !*Truth)
-          Detail = std::string("widened dependent (") +
-                   testKindName(R.DecidedBy) +
-                   ") but enumeration finds no point";
-      }
-    } else if (R.Answer == DepAnswer::Independent) {
-      if (P.NumSymbolic == 0) {
-        std::optional<bool> Truth = oracleDependent(P, {}, OOpts);
-        if (Truth && *Truth)
-          Detail = std::string("widened independent (") +
-                   testKindName(R.DecidedBy) +
-                   ") but enumeration finds a point";
-      } else {
-        std::optional<bool> Sampled = oracleDependentSampled(P, {}, SOpts);
-        if (Sampled && *Sampled)
-          Detail = std::string("widened independent (") +
-                   testKindName(R.DecidedBy) +
-                   ") but a sampled symbolic valuation depends";
-      }
-    }
-    if (!Detail.empty()) {
-      auto WidenFails = [this](const DependenceProblem &Q) {
-        DependenceProblem QB = applyBug(Q, Opts.Bug);
-        CascadeOptions QW = applyBug(CascadeOptions(), Opts.Bug);
-        CascadeResult W = testDependence(QB, QW);
-        CascadeOptions QN = QW;
-        QN.Widen = false;
-        CascadeResult N = testDependence(QB, QN);
-        if (!W.Widened) {
-          bool BothUnknown = W.Answer == DepAnswer::Unknown &&
-                             N.Answer == DepAnswer::Unknown;
-          return W.Answer != N.Answer || N.Widened ||
-                 (!BothUnknown && (W.DecidedBy != N.DecidedBy ||
-                                   W.Exact != N.Exact));
-        }
-        if (N.Answer != DepAnswer::Unknown)
-          return W.Answer != N.Answer;
-        if (W.Answer == DepAnswer::Dependent) {
-          if (W.Witness)
-            return !verifyWitness(Q, *W.Witness);
-          if (Q.NumSymbolic == 0) {
-            std::optional<bool> T = oracleDependent(Q, {}, OOpts);
-            return T.has_value() && !*T;
-          }
-          return false;
-        }
-        if (W.Answer == DepAnswer::Independent) {
-          if (Q.NumSymbolic == 0) {
-            std::optional<bool> T = oracleDependent(Q, {}, OOpts);
-            return T.has_value() && *T;
-          }
-          std::optional<bool> Sm = oracleDependentSampled(Q, {}, SOpts);
-          return Sm.has_value() && *Sm;
-        }
-        return false;
-      };
-      reportProblem(FuzzAxis::Widen, Iter, std::move(Detail),
-                    shrinkProblem(P, WidenFails));
-      if (done())
-        return;
-    }
-  }
-
-  if (Opts.CheckPipeline && R.Answer != DepAnswer::Unknown) {
-    // Decisive answers are permutation-invariant; Unknown is not (a
-    // consuming stage like FM ends whichever pipeline reaches it
-    // first), so only decisive-vs-decisive contradictions count.
-    for (const auto &[Spec, PP] : Permuted) {
-      CascadeOptions CO = Base;
-      CO.Pipeline = PP;
-      CascadeResult R2 = testDependence(Buggy, CO);
-      if (R2.Answer == DepAnswer::Unknown || R2.Answer == R.Answer)
-        continue;
-      auto PipelineFails = [this, &Base, PP = PP](const DependenceProblem &Q) {
-        DependenceProblem QB = applyBug(Q, Opts.Bug);
-        CascadeResult D = testDependence(QB, Base);
-        CascadeOptions QO = Base;
-        QO.Pipeline = PP;
-        CascadeResult M = testDependence(QB, QO);
-        return D.Answer != DepAnswer::Unknown &&
-               M.Answer != DepAnswer::Unknown && D.Answer != M.Answer;
-      };
-      reportProblem(FuzzAxis::Pipeline, Iter,
-                    "default pipeline says " + answerName(R.Answer) +
-                        ", '" + Spec + "' says " + answerName(R2.Answer),
-                    shrinkProblem(P, PipelineFails));
-      if (done())
-        return;
-    }
-  }
-
-  if (Opts.CheckMemo) {
-    MemoBatch.push_back(std::move(Buggy));
-    if (MemoBatch.size() >= 32)
-      flushMemoBatch(Iter);
+    if (done())
+      return;
   }
 }
 
-void FuzzRunner::flushMemoBatch(uint64_t Iter) {
-  if (MemoBatch.empty() || done()) {
-    MemoBatch.clear();
-    return;
-  }
+void FuzzRunner::flush(const FuzzAxisSpec &A, uint64_t Iter) {
   std::vector<DependenceProblem> Batch;
-  Batch.swap(MemoBatch);
-
-  DependenceCache C1;
-  CascadeOptions Base;
-  Base.Widen = Opts.Widen;
-  std::vector<CascadeResult> Expected;
-  for (const DependenceProblem &P : Batch) {
-    if (!C1.lookupFull(P))
-      C1.insertFull(P, testDependence(P, Base));
-    // The post-insert lookup is the canonical stored value, so the
-    // check below is purely about persistence.
-    Expected.push_back(*C1.lookupFull(P));
-  }
-
-  std::string Path = tempCachePath("batch");
-  DependenceCache C2;
-  bool Persisted = C1.saveToFile(Path) && C2.loadFromFile(Path);
-  std::error_code EC;
-  fs::remove(Path, EC);
-
-  for (size_t I = 0; I < Batch.size(); ++I) {
-    std::string Detail;
-    if (!Persisted) {
-      Detail = "cache save/load failed";
-    } else {
-      std::optional<CascadeResult> Got = C2.lookupFull(Batch[I]);
-      if (!Got)
-        Detail = "entry missing after cache round-trip";
-      else if (Got->Answer != Expected[I].Answer ||
-               Got->DecidedBy != Expected[I].DecidedBy ||
-               Got->Exact != Expected[I].Exact ||
-               Got->Widened != Expected[I].Widened)
-        Detail = "cached " + answerName(Expected[I].Answer) + " (" +
-                 testKindName(Expected[I].DecidedBy) +
-                 (Expected[I].Widened ? ", widened" : "") + ") became " +
-                 answerName(Got->Answer) + " (" +
-                 testKindName(Got->DecidedBy) +
-                 (Got->Widened ? ", widened" : "") + ") after round-trip";
-    }
-    if (!Detail.empty()) {
-      reportProblem(FuzzAxis::Memo, Iter, std::move(Detail),
-                    shrinkProblem(Batch[I], [this](const DependenceProblem &Q) {
-                      return memoRoundTripFails(Q, Opts.Widen);
-                    }));
-      if (done())
-        return;
-      if (!Persisted)
-        return; // One report covers a whole-file failure.
-    }
-  }
-}
-
-void FuzzRunner::checkProgram(const std::string &Source, uint64_t Iter) {
-  ParseResult PR = parseProgram(Source);
-  if (!PR.succeeded()) {
-    std::string Diag =
-        PR.Diags.empty() ? std::string("no diagnostic") : PR.Diags[0].str();
-    reportProgram(FuzzAxis::Parse, Iter,
-                  "generated program failed to parse: " + Diag, Source);
+  Batch.swap(Batches[&A]);
+  if (Batch.empty() || done())
     return;
-  }
-
-  // print/parse must reach a fixed point in one step.
-  std::string S1 = PR.Prog->print();
-  ParseResult PR2 = parseProgram(S1);
-  if (!PR2.succeeded() || PR2.Prog->print() != S1) {
-    auto ReprintFails = [](const std::string &Src) {
-      ParseResult A = parseProgram(Src);
-      if (!A.succeeded())
-        return false;
-      std::string Printed = A.Prog->print();
-      ParseResult B = parseProgram(Printed);
-      return !B.succeeded() || B.Prog->print() != Printed;
-    };
-    reportProgram(FuzzAxis::Parse, Iter,
-                  "print/parse round-trip is not stable",
-                  shrinkProgramSource(Source, ReprintFails));
-    if (done())
-      return;
-  }
-
-  if (Opts.CheckIncr) {
-    checkIncremental(Source, Iter);
-    if (done())
-      return;
-  }
-
-  if (Opts.CheckXform) {
-    checkXform(Source, Iter);
-    if (done())
-      return;
-  }
-
-  if (Opts.CheckWidth) {
-    checkWidth(Source, Iter);
-    if (done())
-      return;
-  }
-
-  AnalyzerOptions Serial;
-  Serial.ComputeDirections = true;
-  Serial.NumThreads = 1;
-  Serial.Cascade.Widen = Opts.Widen;
-  Serial.Direction.Cascade.Widen = Opts.Widen;
-
-  if (Opts.CheckThreads) {
-    Program Copy1 = *PR.Prog;
-    DependenceAnalyzer A1(Serial);
-    AnalysisResult Res1 = A1.analyze(Copy1);
-
-    AnalyzerOptions Parallel = Serial;
-    Parallel.NumThreads = Opts.Threads;
-    Program Copy2 = *PR.Prog;
-    DependenceAnalyzer A2(Parallel);
-    AnalysisResult Res2 = A2.analyze(Copy2);
-
-    if (std::optional<std::string> Mismatch =
-            comparePairs(Res1, Res2, /*CacheSensitive=*/true)) {
-      auto ThreadsFail = [this, &Serial](const std::string &Src) {
-        ParseResult R = parseProgram(Src);
-        if (!R.succeeded())
-          return false;
-        Program CA = *R.Prog, CB = *R.Prog;
-        DependenceAnalyzer SA(Serial);
-        AnalyzerOptions PO = Serial;
-        PO.NumThreads = Opts.Threads;
-        DependenceAnalyzer PA(PO);
-        return comparePairs(SA.analyze(CA), PA.analyze(CB), true)
-            .has_value();
-      };
-      reportProgram(FuzzAxis::Threads, Iter,
-                    "serial vs --threads " + std::to_string(Opts.Threads) +
-                        ": " + *Mismatch,
-                    shrinkProgramSource(Source, ThreadsFail));
-      if (done())
-        return;
-    }
-
-    if (Opts.CheckMemo) {
-      // Whole-program cache persistence: a reload must reproduce every
-      // answer (cache provenance legitimately flips to hits).
-      std::string Path = tempCachePath("prog");
-      bool Saved = A1.cache().saveToFile(Path);
-      DependenceAnalyzer A3(Serial);
-      bool Loaded = Saved && A3.cache().loadFromFile(Path);
-      std::error_code EC;
-      fs::remove(Path, EC);
-      std::optional<std::string> Mis;
-      if (!Saved || !Loaded) {
-        Mis = "cache save/load failed";
-      } else {
-        Program Copy3 = *PR.Prog;
-        AnalysisResult Res3 = A3.analyze(Copy3);
-        Mis = comparePairs(Res1, Res3, /*CacheSensitive=*/false);
-      }
-      if (Mis) {
-        auto MemoFail = [this, &Serial](const std::string &Src) {
-          ParseResult R = parseProgram(Src);
-          if (!R.succeeded())
-            return false;
-          Program CA = *R.Prog;
-          DependenceAnalyzer SA(Serial);
-          AnalysisResult RA = SA.analyze(CA);
-          std::string P = tempCachePath("prog-shrink");
-          DependenceAnalyzer SB(Serial);
-          bool OK = SA.cache().saveToFile(P) &&
-                    SB.cache().loadFromFile(P);
-          std::error_code E2;
-          fs::remove(P, E2);
-          if (!OK)
-            return true;
-          Program CB = *R.Prog;
-          return comparePairs(RA, SB.analyze(CB), false).has_value();
-        };
-        reportProgram(FuzzAxis::Memo, Iter,
-                      "whole-program cache round-trip: " + *Mis,
-                      shrinkProgramSource(Source, MemoFail));
-      }
-    }
-  }
+  std::vector<std::optional<std::string>> Details = A.ProblemBatch(Batch, Ctx);
+  for (size_t I = 0; I < Batch.size() && !done(); ++I)
+    if (Details[I])
+      failProblem(A, 0, Iter, Batch[I], std::move(*Details[I]));
 }
 
-void FuzzRunner::checkIncremental(const std::string &Source,
-                                  uint64_t Iter) {
-  // Each edit owns an independent seed, so the sequence can shrink by
-  // dropping edits without perturbing the survivors.
+void FuzzRunner::checkProgram(std::string Source, uint64_t Iter) {
+  // Each edit owns an independent seed, so an edit sequence can shrink
+  // by dropping edits without perturbing the survivors.
   SplitRng SeedRng(Opts.Seed ^ (0xC2B2AE3D27D4EB4FULL * (Iter + 1)));
-  unsigned NumEdits = 1 + static_cast<unsigned>(SeedRng.below(
-                              std::max(1u, Opts.MaxIncrEdits)));
-  std::vector<uint64_t> Seeds;
-  for (unsigned E = 0; E < NumEdits; ++E)
-    Seeds.push_back(SeedRng.next());
+  std::vector<uint64_t> Edits(
+      1 + static_cast<unsigned>(SeedRng.below(std::max(1u, Opts.MaxEdits))));
+  for (uint64_t &E : Edits)
+    E = SeedRng.next();
 
-  bool InjectStale = Opts.Bug == InjectedBug::StaleFingerprint;
-  std::string Detail =
-      incrSequenceMismatch(Source, Seeds, Opts.Widen, InjectStale);
-  if (Detail.empty())
-    return;
-
-  // Shrink the edit sequence first (greedy subset minimization to a
-  // fixed point), then the program source under the surviving edits.
-  auto FailsWith = [this, InjectStale](const std::string &Src,
-                                       const std::vector<uint64_t> &S) {
-    return !incrSequenceMismatch(Src, S, Opts.Widen, InjectStale).empty();
-  };
-  bool Progress = true;
-  while (Progress && Seeds.size() > 1) {
-    Progress = false;
-    for (size_t E = 0; E < Seeds.size(); ++E) {
-      std::vector<uint64_t> Candidate = Seeds;
-      Candidate.erase(Candidate.begin() + static_cast<long>(E));
-      if (FailsWith(Source, Candidate)) {
-        Seeds = std::move(Candidate);
-        Progress = true;
-        break;
-      }
-    }
+  ProgramCase C(std::move(Source), std::move(Edits), Ctx);
+  for (const FuzzAxisSpec &A : fuzzAxes()) {
+    if (!A.Program || !enabled(A) || (!C.Prog && !A.AlwaysOn))
+      continue;
+    if (std::optional<std::string> Detail = A.Program(C))
+      failProgram(A, Iter, C, std::move(*Detail));
+    if (done())
+      return;
   }
-  std::string Shrunk = shrinkProgramSource(
-      Source,
-      [&](const std::string &Src) { return FailsWith(Src, Seeds); });
-  if (std::string D =
-          incrSequenceMismatch(Shrunk, Seeds, Opts.Widen, InjectStale);
-      !D.empty())
-    Detail = std::move(D);
-
-  // The edit seeds ride along in a comment so the reproducer names the
-  // full failing (program, edit sequence) input.
-  std::ostringstream WithEdits;
-  WithEdits << "# edda-fuzz-edits:";
-  for (uint64_t S : Seeds)
-    WithEdits << " " << S;
-  WithEdits << "\n" << Shrunk;
-  reportProgram(FuzzAxis::Incr, Iter, std::move(Detail), WithEdits.str(),
-                static_cast<unsigned>(Seeds.size()));
 }
 
-void FuzzRunner::checkXform(const std::string &Source, uint64_t Iter) {
-  bool InjectMisSign = Opts.Bug == InjectedBug::MisSignSkew;
-  std::string Detail = xformMismatch(Source, Opts.Widen, InjectMisSign);
-  if (Detail.empty())
-    return;
-  std::string Shrunk = shrinkProgramSource(
-      Source, [this, InjectMisSign](const std::string &Src) {
-        return !xformMismatch(Src, Opts.Widen, InjectMisSign).empty();
-      });
-  if (std::string D = xformMismatch(Shrunk, Opts.Widen, InjectMisSign);
-      !D.empty())
-    Detail = std::move(D);
-  reportProgram(FuzzAxis::Xform, Iter, std::move(Detail), Shrunk);
-}
+void FuzzRunner::failProblem(const FuzzAxisSpec &A, unsigned Variant,
+                             uint64_t Iter, const DependenceProblem &P,
+                             std::string Detail) {
+  auto Check = [&](const DependenceProblem &Q) {
+    bool Conclusive = false;
+    return A.Problem(ProblemCase(Q, Ctx), Variant, Conclusive);
+  };
+  DependenceProblem Shrunk = shrinkProblem(
+      P, [&](const DependenceProblem &Q) { return Check(Q).has_value(); });
+  if (std::optional<std::string> D = Check(Shrunk))
+    Detail = std::move(*D);
 
-void FuzzRunner::checkWidth(const std::string &Source, uint64_t Iter) {
-  std::string Detail = widthMismatch(Source, Opts.Widen);
-  if (Detail.empty())
-    return;
-  std::string Shrunk =
-      shrinkProgramSource(Source, [this](const std::string &Src) {
-        return !widthMismatch(Src, Opts.Widen).empty();
-      });
-  if (std::string D = widthMismatch(Shrunk, Opts.Widen); !D.empty())
-    Detail = std::move(D);
-  reportProgram(FuzzAxis::Width, Iter, std::move(Detail), Shrunk);
-}
-
-void FuzzRunner::reportProblem(FuzzAxis Axis, uint64_t Iter,
-                               std::string Detail,
-                               const DependenceProblem &Shrunk) {
   // The expectation header comes from the clean cascade, corrected by
   // enumeration when they disagree (which is the bug being reported):
   // once fixed, the file drops into tests/inputs/corpus/ unchanged.
   CascadeResult Clean = testDependence(Shrunk);
   std::optional<bool> Truth = Shrunk.NumSymbolic == 0
-                                  ? oracleDependent(Shrunk, {}, OOpts)
+                                  ? oracleDependent(Shrunk, {}, Ctx.Oracle)
                                   : std::nullopt;
   std::ostringstream OS;
   bool Dep = Truth ? *Truth : Clean.Answer == DepAnswer::Dependent;
   if (Truth || Clean.Answer != DepAnswer::Unknown)
     OS << "# expect: " << (Dep ? "dependent" : "independent") << " "
        << testKindName(Clean.DecidedBy) << "\n";
-  OS << "# edda-fuzz: axis=" << fuzzAxisName(Axis) << " seed=" << Opts.Seed
-     << " iteration=" << Iter;
-  if (const char *BugName = injectedBugName(Opts.Bug))
-    OS << " inject-bug=" << BugName;
-  OS << "\n# " << Detail << "\n" << printProblemText(Shrunk);
-
-  FuzzFailure F;
-  F.Axis = Axis;
-  F.Iteration = Iter;
-  F.Detail = std::move(Detail);
-  F.Reproducer = OS.str();
-  F.IsProgram = false;
-  emit(std::move(F));
+  OS << header(A, Iter, Detail) << printProblemText(Shrunk);
+  emit({A.Name, Iter, std::move(Detail), OS.str(), /*IsProgram=*/false, "",
+        0});
 }
 
-void FuzzRunner::reportProgram(FuzzAxis Axis, uint64_t Iter,
-                               std::string Detail,
-                               const std::string &Source, unsigned Edits) {
-  std::ostringstream OS;
-  OS << "# edda-fuzz: axis=" << fuzzAxisName(Axis) << " seed=" << Opts.Seed
-     << " iteration=" << Iter;
-  if (const char *BugName = injectedBugName(Opts.Bug))
-    OS << " inject-bug=" << BugName;
-  OS << "\n# " << Detail << "\n" << Source;
+void FuzzRunner::failProgram(const FuzzAxisSpec &A, uint64_t Iter,
+                             const ProgramCase &C, std::string Detail) {
+  auto Check = [&](const std::string &Src,
+                   const std::vector<uint64_t> &Edits)
+      -> std::optional<std::string> {
+    ProgramCase Q(Src, Edits, Ctx);
+    if (!Q.Prog)
+      return std::nullopt;
+    return A.Program(Q);
+  };
+  // Shrink the edit sequence first (greedy subset minimization to a
+  // fixed point), then the program source under the surviving edits.
+  std::vector<uint64_t> Edits = C.Edits;
+  bool Progress = A.Edits;
+  while (Progress && Edits.size() > 1) {
+    Progress = false;
+    for (size_t E = 0; E < Edits.size() && !Progress; ++E) {
+      std::vector<uint64_t> Candidate = Edits;
+      Candidate.erase(Candidate.begin() + static_cast<long>(E));
+      if (Check(C.Source, Candidate)) {
+        Edits = std::move(Candidate);
+        Progress = true;
+      }
+    }
+  }
+  std::string Shrunk =
+      shrinkProgramSource(C.Source, [&](const std::string &Src) {
+        return Check(Src, Edits).has_value();
+      });
+  if (std::optional<std::string> D = Check(Shrunk, Edits))
+    Detail = std::move(*D);
 
-  FuzzFailure F;
-  F.Axis = Axis;
-  F.Iteration = Iter;
-  F.Detail = std::move(Detail);
-  F.Reproducer = OS.str();
-  F.IsProgram = true;
-  F.Edits = Edits;
-  emit(std::move(F));
+  std::ostringstream OS;
+  OS << header(A, Iter, Detail);
+  // The edit seeds ride along in a comment so the reproducer names the
+  // full failing (program, edit sequence) input.
+  if (A.Edits) {
+    OS << "# edda-fuzz-edits:";
+    for (uint64_t E : Edits)
+      OS << " " << E;
+    OS << "\n";
+  }
+  OS << Shrunk;
+  emit({A.Name, Iter, std::move(Detail), OS.str(), /*IsProgram=*/true, "",
+        A.Edits ? static_cast<unsigned>(Edits.size()) : 0u});
+}
+
+std::string FuzzRunner::header(const FuzzAxisSpec &A, uint64_t Iter,
+                               const std::string &Detail) const {
+  std::ostringstream OS;
+  OS << "# edda-fuzz: axis=" << A.Name << " seed=" << Opts.Seed
+     << " iteration=" << Iter;
+  if (!Opts.Bug.empty())
+    OS << " inject-bug=" << Opts.Bug;
+  OS << "\n# " << Detail << "\n";
+  return OS.str();
 }
 
 void FuzzRunner::emit(FuzzFailure F) {
@@ -1095,7 +1093,7 @@ void FuzzRunner::emit(FuzzFailure F) {
     std::error_code EC;
     fs::create_directories(Opts.OutDir, EC);
     std::ostringstream Name;
-    Name << "fuzz-" << fuzzAxisName(F.Axis) << "-seed" << Opts.Seed << "-i"
+    Name << "fuzz-" << F.Axis << "-seed" << Opts.Seed << "-i"
          << F.Iteration << (F.IsProgram ? ".loop" : ".dep");
     fs::path Path = fs::path(Opts.OutDir) / Name.str();
     std::ofstream Out(Path);
@@ -1104,7 +1102,7 @@ void FuzzRunner::emit(FuzzFailure F) {
       F.Path = Path.string();
   }
   if (Log)
-    *Log << "edda-fuzz: FAILURE [" << fuzzAxisName(F.Axis) << "] iteration "
+    *Log << "edda-fuzz: FAILURE [" << F.Axis << "] iteration "
          << F.Iteration << ": " << F.Detail
          << (F.Path.empty() ? "" : "\n  reproducer: " + F.Path) << "\n";
   S.Failures.push_back(std::move(F));
@@ -1114,121 +1112,6 @@ void FuzzRunner::emit(FuzzFailure F) {
 
 FuzzSummary runFuzz(const FuzzOptions &Opts, std::ostream *Log) {
   return FuzzRunner(Opts, Log).run();
-}
-
-std::optional<std::string>
-checkDirections(const DependenceProblem &P, bool Widen, InjectedBug Bug,
-                const oracle::OracleOptions &OOpts,
-                const oracle::SymbolicOracleOptions &SOpts,
-                bool *OracleConclusive) {
-  if (OracleConclusive)
-    *OracleConclusive = false;
-  DependenceProblem Buggy = applyBug(P, Bug);
-
-  DirectionResult Results[16];
-  for (unsigned Mask = 0; Mask < 16; ++Mask) {
-    DirectionOptions DO;
-    DO.Cascade = applyBug(CascadeOptions(), Bug);
-    DO.Cascade.Widen = Widen;
-    DO.EliminateUnusedVars = (Mask & 1) != 0;
-    DO.DistanceVectorPruning = (Mask & 2) != 0;
-    DO.SeparableDimensions = (Mask & 4) != 0;
-    DO.ShareFmResults = (Mask & 8) == 0;
-    DO.InjectMisSignedPruning = Bug == InjectedBug::MisSignDirPrune;
-    Results[Mask] = computeDirectionVectors(Buggy, DO);
-  }
-
-  // The pruning options may trade exactness for work, never flip a
-  // decisive root or move a pinned distance — and FM sub-result
-  // sharing (the +noshare half of the table) may change nothing at
-  // all, which pairwise agreement across the two halves enforces.
-  for (unsigned I = 0; I < 16; ++I)
-    for (unsigned J = I + 1; J < 16; ++J) {
-      const DirectionResult &A = Results[I];
-      const DirectionResult &B = Results[J];
-      if (A.RootAnswer != DepAnswer::Unknown &&
-          B.RootAnswer != DepAnswer::Unknown &&
-          A.RootAnswer != B.RootAnswer)
-        return std::string("dirs: combo ") + DirComboNames[I] +
-               " root says " + answerName(A.RootAnswer) + ", combo " +
-               DirComboNames[J] + " says " + answerName(B.RootAnswer);
-      for (unsigned K = 0; K < P.NumCommon; ++K)
-        if (K < A.Distances.size() && K < B.Distances.size() &&
-            A.Distances[K] && B.Distances[K] &&
-            *A.Distances[K] != *B.Distances[K])
-          return std::string("dirs: combo ") + DirComboNames[I] +
-                 " pins distance[" + std::to_string(K) + "] = " +
-                 std::to_string(*A.Distances[K]) + ", combo " +
-                 DirComboNames[J] + " pins " +
-                 std::to_string(*B.Distances[K]);
-    }
-
-  if (P.NumSymbolic == 0) {
-    std::optional<oracle::DirectionOracle> Truth =
-        oracle::oracleDirectionInfo(P, OOpts);
-    if (!Truth)
-      return std::nullopt;
-    if (OracleConclusive)
-      *OracleConclusive = true;
-    for (unsigned Mask = 0; Mask < 16; ++Mask)
-      if (std::optional<std::string> Detail =
-              dirComboVsTruth(DirComboNames[Mask], Results[Mask], *Truth,
-                              /*SoundOnly=*/false, ""))
-        return Detail;
-    return std::nullopt;
-  }
-
-  // Symbolic problems: sweep the sample grid and hold every reported
-  // vector/distance/root claim against each conclusive concretization,
-  // in the sound direction only.
-  if (SOpts.SampleValues.empty())
-    return std::nullopt;
-  uint64_t Total = 1;
-  for (unsigned K = 0; K < P.NumSymbolic; ++K) {
-    Total *= SOpts.SampleValues.size();
-    if (Total > SOpts.MaxValuations)
-      return std::nullopt;
-  }
-  // Spread the enumeration budget across the whole sweep: a 3-symbolic
-  // problem visits up to 729 valuations, and giving each the full
-  // MaxPoints makes single iterations take minutes. Valuations whose
-  // box exceeds the per-valuation slice just read as inconclusive.
-  oracle::OracleOptions PerValuation = SOpts.Base;
-  PerValuation.MaxPoints =
-      std::max<uint64_t>(1024, SOpts.Base.MaxPoints / Total);
-  std::vector<int64_t> Values(P.NumSymbolic, SOpts.SampleValues.front());
-  std::vector<unsigned> Odometer(P.NumSymbolic, 0);
-  bool AllConclusive = true;
-  for (uint64_t V = 0; V < Total; ++V) {
-    for (unsigned K = 0; K < P.NumSymbolic; ++K)
-      Values[K] = SOpts.SampleValues[Odometer[K]];
-    std::optional<DependenceProblem> Concrete =
-        oracle::concretize(P, Values);
-    std::optional<oracle::DirectionOracle> Truth =
-        Concrete ? oracle::oracleDirectionInfo(*Concrete, PerValuation)
-                 : std::nullopt;
-    if (!Truth) {
-      AllConclusive = false;
-    } else {
-      std::string Where = " at symbolic valuation (";
-      for (unsigned K = 0; K < P.NumSymbolic; ++K)
-        Where += (K ? ", " : "") + std::to_string(Values[K]);
-      Where += ")";
-      for (unsigned Mask = 0; Mask < 16; ++Mask)
-        if (std::optional<std::string> Detail =
-                dirComboVsTruth(DirComboNames[Mask], Results[Mask], *Truth,
-                                /*SoundOnly=*/true, Where))
-          return Detail;
-    }
-    for (unsigned K = 0; K < P.NumSymbolic; ++K) {
-      if (++Odometer[K] < SOpts.SampleValues.size())
-        break;
-      Odometer[K] = 0;
-    }
-  }
-  if (AllConclusive && OracleConclusive)
-    *OracleConclusive = true;
-  return std::nullopt;
 }
 
 } // namespace fuzz

@@ -8,55 +8,16 @@
 /// \file
 /// The edda-fuzz engine: generates random DependenceProblems and whole
 /// LoopLang programs from a seed and cross-checks the analysis stack
-/// along nine differential axes:
+/// along the differential axes registered in fuzzAxes() (Fuzzer.cpp
+/// documents each axis on its entry).
 ///
-///   oracle    cascade verdict vs. brute-force enumeration (symbolic
-///             problems via the sampled-concretization soundness check),
-///             plus witness verification;
-///   dirs      the Burke-Cytron direction/distance hierarchy vs. the
-///             enumeration oracle: every concrete direction pattern
-///             must be covered by a reported vector, Exact results must
-///             also be minimal, pinned distances must equal the unique
-///             concrete i'_k - i_k, and every EliminateUnusedVars /
-///             DistanceVectorPruning / SeparableDimensions combination
-///             must agree on decisive roots and pinned distances
-///             (symbolic problems via sampled concretization, checked
-///             in the sound direction only);
-///   pipeline  default cascade vs. permuted stage pipelines — decisive
-///             answers must agree (Unknown is order-dependent by
-///             design: a consuming stage ends the pipeline);
-///   widen     default cascade vs. --no-widen: when the 128-bit ladder
-///             never fired the results must be bit-identical; when both
-///             decide they must agree; answers only the widened run
-///             produces are witness-verified or checked against the
-///             enumeration oracle;
-///   threads   serial analyzer vs. --threads N on the same program,
-///             bit-identical pair results required;
-///   memo      cache save/load round-trips must preserve every cached
-///             answer (including the Widened provenance bit), both
-///             problem batches and whole-program caches;
-///   incr      incremental re-analysis vs. from-scratch: a random edit
-///             sequence (subscript/rhs modifications, bound tweaks,
-///             statement insert/delete) is applied step by step to one
-///             program held in an IncrementalSession, and after every
-///             step the spliced dependence graph must render
-///             bit-identically to a fresh analysis of the edited
-///             program. Failures shrink both the edit sequence (greedy
-///             subset minimization) and the program source;
-///   xform     the transformation search vs. ground truth: every
-///             perfect loop pair is skew-probed (the fresh direction
-///             vectors must match the skewVector prediction), and a
-///             small beam search must emit schedules whose claimed
-///             parallel loops re-validate on a from-scratch analysis
-///             and whose interpreter memory image matches the base
-///             program's;
-///   width     the width/coarsening client vs. the interpreter oracle:
-///             per-loop vector widths and coarsening factors from
-///             analyzeWidths must survive validateWidths — real carried
-///             distances mined from the serial trace must respect every
-///             claim, and chunked re-execution at each width W up to
-///             the reported maximum (both lane orders) must be
-///             memory-identical to the serial run.
+/// Adding an axis is one table entry: a name, a check on a problem
+/// and/or on a program, and the planted bugs only that axis must catch.
+/// A check returns a mismatch detail, or nullopt when the axis agrees,
+/// and it is also the axis's shrink predicate: the runner checks every
+/// enabled axis on every input, shrinks a failing input while the same
+/// check still fails, re-checks the shrunk input for its detail and
+/// reports it.
 ///
 /// Every run is a pure function of the seed: iteration i derives its
 /// own SplitRng stream, so `--seed S` reproduces exactly and a failure
@@ -69,73 +30,23 @@
 #ifndef EDDA_FUZZ_FUZZER_H
 #define EDDA_FUZZ_FUZZER_H
 
+#include "analysis/Analyzer.h"
+#include "analysis/Search.h"
 #include "fuzz/ProblemGen.h"
 #include "oracle/Oracle.h"
 #include "workload/Generator.h"
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace edda {
 namespace fuzz {
-
-/// The differential axis a check (or failure) belongs to.
-enum class FuzzAxis {
-  Oracle,   ///< Cascade vs. enumeration / sampled concretization.
-  Dirs,     ///< Direction/distance hierarchy vs. the oracle and its
-            ///< own pruning option combinations.
-  Pipeline, ///< Default vs. permuted stage orders.
-  Widen,    ///< Widened cascade vs. the 64-bit-only cascade.
-  Threads,  ///< Serial vs. multi-threaded analyzer.
-  Memo,     ///< Cache persistence round-trip.
-  Incr,     ///< Incremental re-analysis vs. from-scratch graphs.
-  Xform,    ///< Transformation search vs. fresh analysis, interpreter
-            ///< and skew prediction audits.
-  Width,    ///< Width/coarsening client vs. the chunked interpreter
-            ///< oracle (analysis/Widths.h validateWidths).
-  Parse,    ///< Generated program failed to parse or reprint stably.
-};
-
-const char *fuzzAxisName(FuzzAxis Axis);
-
-/// Deliberate bugs injected between generation and the cascade under
-/// test (the oracle always sees the original problem). Used to prove
-/// the fuzzer catches and shrinks real mismatches; hidden behind the
-/// --inject-bug flag.
-enum class InjectedBug {
-  None,
-  NegateEqConst,  ///< Flips the sign of the first equation's constant —
-                  ///< the classic transcription error in a subscript
-                  ///< difference.
-  MisSignDirPrune, ///< Flips the sign of every distance the GCD
-                   ///< pruning pins (DirectionOptions hook; the plain
-                   ///< cascade is untouched, so only the dirs axis can
-                   ///< see it).
-  StaleFingerprint, ///< Keys re-analysis reuse on the bounds-free
-                    ///< reference fingerprints
-                    ///< (AnalyzerOptions::InjectStaleFingerprint), so
-                    ///< bound edits splice stale results — only the
-                    ///< incr axis can see it.
-  FmDarkShadow, ///< Shrinks Fourier-Motzkin's dark-shadow offset
-                ///< (a-1)(c-1) by one
-                ///< (FourierMotzkinOptions::InjectDarkShadowOffByOne),
-                ///< so FM claims an integer point for systems only the
-                ///< rational relaxation satisfies — the oracle axis
-                ///< sees unsound Dependent answers whose witnesses
-                ///< violate the problem.
-  MisSignSkew, ///< Applies every skew with the opposite factor while
-               ///< predicting with the requested one
-               ///< (SearchOptions::InjectMisSignedSkew). The mis-signed
-               ///< skew is still a valid order-preserving reindexing —
-               ///< the interpreter cannot tell — so only the xform
-               ///< axis's prediction audit can see it.
-};
-
-/// CLI spelling of \p Bug ("negate-eq-const"); nullptr for None.
-const char *injectedBugName(InjectedBug Bug);
 
 struct FuzzOptions {
   uint64_t Seed = 1;
@@ -148,19 +59,11 @@ struct FuzzOptions {
   std::string OutDir;
   /// Thread count for the parallel-analyzer axis.
   unsigned Threads = 4;
-  /// Which axes run (all by default; --check narrows).
-  bool CheckOracle = true;
-  bool CheckDirs = true;
-  bool CheckPipeline = true;
-  bool CheckWiden = true;
-  bool CheckThreads = true;
-  bool CheckMemo = true;
-  bool CheckIncr = true;
-  bool CheckXform = true;
-  bool CheckWidth = true;
-  /// Edit-sequence length cap for the incr axis (each program
-  /// iteration applies 1..MaxIncrEdits random edits).
-  unsigned MaxIncrEdits = 4;
+  /// Names of the fuzzAxes() entries to run; empty runs every axis.
+  std::set<std::string> Axes;
+  /// Length cap of the random edit sequence each program iteration
+  /// draws (1..MaxEdits edits) for the axes that replay edits.
+  unsigned MaxEdits = 4;
   /// Run every cascade under test with the 128-bit widening ladder
   /// enabled. False reproduces the historical 64-bit-only behavior on
   /// all axes (and makes the widen axis vacuous — there is nothing to
@@ -168,23 +71,25 @@ struct FuzzOptions {
   bool Widen = true;
   /// Stop after this many failures.
   unsigned MaxFailures = 8;
-  InjectedBug Bug = InjectedBug::None;
+  /// Name of a planted bug (an entry of some axis's Bugs); empty plants
+  /// none.
+  std::string Bug;
   FuzzProblemOptions Problem;
   RandomProgramOptions Program;
   /// Every Nth iteration generates a whole program instead of a bare
-  /// problem (the threads and whole-program memo axes need programs).
+  /// problem (the program axes need programs).
   unsigned ProgramEvery = 8;
 };
 
 /// One confirmed, minimized mismatch.
 struct FuzzFailure {
-  FuzzAxis Axis = FuzzAxis::Oracle;
+  std::string Axis; ///< The failing axis's name.
   uint64_t Iteration = 0;
   std::string Detail;     ///< Human-readable mismatch description.
   std::string Reproducer; ///< Minimized .dep / .loop text.
   bool IsProgram = false;
   std::string Path; ///< File written under OutDir (empty when none).
-  /// Incr-axis failures: edits remaining after shrinking (the edit
+  /// Edit-replaying failures: edits remaining after shrinking (the
   /// seeds are embedded in the reproducer's "# edda-fuzz-edits:" line).
   unsigned Edits = 0;
 };
@@ -203,27 +108,124 @@ struct FuzzSummary {
   bool ok() const { return Failures.empty(); }
 };
 
+/// The options of the computations under test. Each check runs what it
+/// audits under these, and a planted bug perturbs one of them; the
+/// oracle and every from-scratch baseline ignore them, so a planted (or
+/// real) defect cannot hide behind a self-consistent wrong answer.
+struct FuzzSubject {
+  /// Applied to each problem before the cascade under test sees it.
+  void (*Perturb)(DependenceProblem &) = nullptr;
+  CascadeOptions Cascade;
+  DirectionOptions Direction;
+  AnalyzerOptions Analyzer; ///< The incremental session's options.
+  SearchOptions Search;
+};
+
+/// What every check reads besides its input.
+struct FuzzContext {
+  /// Takes Widen, Threads and the planted bug from \p Opts.
+  explicit FuzzContext(const FuzzOptions &Opts = {});
+
+  bool Widen = true;
+  unsigned Threads = 4;
+  FuzzSubject Subject;
+  oracle::OracleOptions Oracle;
+  oracle::SymbolicOracleOptions Symbolic;
+};
+
+/// One problem as the problem checks see it.
+class ProblemCase {
+public:
+  ProblemCase(const DependenceProblem &P, const FuzzContext &Ctx);
+
+  const DependenceProblem &P; ///< Honest: the oracle judges this one.
+  DependenceProblem UnderTest; ///< P as the subject perturbs it.
+  const FuzzContext &Ctx;
+
+  /// The cascade under test on UnderTest. Computed on first use, so one
+  /// problem iteration runs it once for every axis that reads it.
+  const CascadeResult &result() const;
+
+private:
+  mutable std::optional<CascadeResult> Result;
+};
+
+/// One program as the program checks see it.
+class ProgramCase {
+public:
+  ProgramCase(std::string Source, std::vector<uint64_t> Edits,
+              const FuzzContext &Ctx);
+
+  std::string Source;
+  /// Seeds of a random edit sequence (workload/Generator.h
+  /// applyRandomEdit), one per edit, for the axes that replay edits.
+  std::vector<uint64_t> Edits;
+  const FuzzContext &Ctx;
+  std::optional<Program> Prog; ///< Source parsed; empty if it fails.
+  std::string ParseError;      ///< First diagnostic when Prog is empty.
+
+  /// A serial whole-program analysis of Prog with directions, and the
+  /// analyzer whose cache holds its answers. Computed on first use and
+  /// shared by the axes that compare against it.
+  struct SerialRun {
+    std::unique_ptr<DependenceAnalyzer> Analyzer;
+    AnalysisResult Result;
+  };
+  SerialRun &serial() const;
+
+private:
+  mutable std::unique_ptr<SerialRun> Serial;
+};
+
+/// A deliberate defect planted in the computation under test
+/// (edda-fuzz --inject-bug=NAME), proving that the axis owning it
+/// catches and shrinks real mismatches.
+struct PlantedBug {
+  const char *Name;
+  void (*Plant)(FuzzSubject &);
+};
+
+/// One differential axis.
+struct FuzzAxisSpec {
+  const char *Name;
+  /// The check on a problem; \p Variant counts up to Variants, and
+  /// \p Conclusive reports whether the enumeration oracle had
+  /// jurisdiction. Null when the axis takes no problems.
+  std::optional<std::string> (*Problem)(const ProblemCase &,
+                                        unsigned Variant,
+                                        bool &Conclusive) = nullptr;
+  /// The check on a program. Only always-on axes see programs that do
+  /// not parse. Null when the axis takes no programs.
+  std::optional<std::string> (*Program)(const ProgramCase &) = nullptr;
+  /// The planted bugs this axis must catch with no other axis enabled.
+  std::vector<PlantedBug> Bugs = {};
+  /// Independent variants of the problem check, each reported (and
+  /// shrunk) on its own.
+  unsigned Variants = 1;
+  /// When set, the runner checks problems in batches of 32 through this
+  /// instead of one by one (it returns one detail slot per problem);
+  /// Problem is then the single-problem form, used to shrink.
+  std::vector<std::optional<std::string>> (*ProblemBatch)(
+      const std::vector<DependenceProblem> &, const FuzzContext &) = nullptr;
+  /// The summary counter of problems where the oracle was conclusive.
+  uint64_t FuzzSummary::*Conclusive = nullptr;
+  /// The program check replays ProgramCase::Edits: a failure shrinks
+  /// the edit sequence before the source, and the reproducer records
+  /// the surviving seeds.
+  bool Edits = false;
+  /// Runs whatever Axes selects (and is not selectable by name).
+  bool AlwaysOn = false;
+};
+
+/// Every axis, in the order the runner checks them.
+const std::vector<FuzzAxisSpec> &fuzzAxes();
+const FuzzAxisSpec *findFuzzAxis(std::string_view Name);
+const PlantedBug *findPlantedBug(std::string_view Name);
+
 /// Runs the fuzzer. Deterministic in Opts.Seed (iteration counts under
 /// a pure time budget excepted). Progress lines go to \p Log when
 /// non-null.
 FuzzSummary runFuzz(const FuzzOptions &Opts, std::ostream *Log = nullptr);
-
-/// The dirs axis on a single problem: runs computeDirectionVectors
-/// under every EliminateUnusedVars / DistanceVectorPruning /
-/// SeparableDimensions combination (with \p Bug perturbing only the
-/// computation under test) and checks pairwise decisive-root and
-/// pinned-distance agreement plus, when the enumeration oracle (or the
-/// sampled symbolic grid) is conclusive on the honest problem, pattern
-/// coverage, Exact-minimality and distance ground truth. Returns a
-/// mismatch description, or nullopt when everything agrees; also the
-/// shrink predicate for this axis. \p OracleConclusive reports whether
-/// the oracle had jurisdiction.
-std::optional<std::string>
-checkDirections(const DependenceProblem &P, bool Widen = true,
-                InjectedBug Bug = InjectedBug::None,
-                const oracle::OracleOptions &OOpts = {},
-                const oracle::SymbolicOracleOptions &SOpts = {},
-                bool *OracleConclusive = nullptr);
 
 } // namespace fuzz
 } // namespace edda

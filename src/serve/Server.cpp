@@ -394,11 +394,17 @@ bool ServeCore::analyzerOptions(const ServeRequest &R, uint64_t FmBudget,
   }
   uint64_t Budget = FmBudget ? FmBudget : DefaultBudget;
   AO.RunPrepass = R.Prepass;
-  // A per-request budget override bypasses the shared store entirely:
-  // its possibly-degraded answers must never be served to an
-  // unbudgeted request (the server-wide default budget is uniform
-  // across requests, so those results stay mutually consistent).
-  AO.UseMemoization = FmBudget == 0;
+  // A request that overrides the server's budget, pipeline or widening
+  // bypasses the shared store entirely: its answers may be degraded,
+  // undecided by a stage it left out, or unwidened, and must never be
+  // served to a default request (the server-wide settings are uniform
+  // across requests, so stored results stay mutually consistent).
+  auto IsDefault = [](const std::string &S) {
+    return S.empty() || S == "default";
+  };
+  bool SamePipeline = Spec == Opts.PipelineSpec ||
+                      (IsDefault(Spec) && IsDefault(Opts.PipelineSpec));
+  AO.UseMemoization = FmBudget == 0 && R.Widen && SamePipeline;
   AO.NumThreads = 1;
   AO.Cascade.Pipeline = Pipe;
   AO.Cascade.Widen = R.Widen;
@@ -575,6 +581,7 @@ ServeCore::Reply ServeCore::handleEdit(const ServeRequest &R,
   AnalyzerOptions AO;
   if (!Prog || !analyzerOptions(R, /*FmBudget=*/0, AO, Error))
     return Reply::failure(Error);
+  AO.UseMemoization = true; // The session's cache is its own.
 
   const std::string Key = R.Session.empty()
                               ? "conn:" + std::to_string(ConnId)

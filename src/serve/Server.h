@@ -85,7 +85,6 @@ struct ServeOptions {
   unsigned TimeoutMs = 0;
   /// Default dependence-test pipeline spec ("" = the paper's cascade).
   std::string PipelineSpec;
-  bool Widen = true;
   /// Append one JSON line of per-request stats per request ("" = off).
   std::string StatsLogPath;
 };
@@ -214,7 +213,8 @@ private:
   /// Fills \p AO with a request's single-threaded analyzer options:
   /// its pipeline (false + \p Error on a bad spec), prepass and widen
   /// flags, and FM budget. A non-zero \p FmBudget overrides the server
-  /// default and turns memoization off.
+  /// default; any override of the server's settings turns memoization
+  /// off.
   bool analyzerOptions(const ServeRequest &R, uint64_t FmBudget,
                        AnalyzerOptions &AO, std::string &Error);
 

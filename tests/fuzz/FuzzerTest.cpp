@@ -85,7 +85,7 @@ TEST(Fuzzer, CleanTreeHasNoMismatches) {
 
 TEST(Fuzzer, InjectedBugIsCaughtAndShrunk) {
   FuzzOptions Opts = quickOptions(1, 2000);
-  Opts.Bug = InjectedBug::NegateEqConst;
+  Opts.Bug = "negate-eq-const";
   FuzzSummary S = runFuzz(Opts);
   ASSERT_FALSE(S.ok()) << "wrong-sign bug escaped 2000 iterations";
 
@@ -108,19 +108,33 @@ TEST(Fuzzer, InjectedBugIsCaughtAndShrunk) {
   EXPECT_GE(ProblemRepros, 1u);
 }
 
+TEST(Fuzzer, EveryPlantedBugIsCaughtByItsAxisAlone) {
+  // Walks the axis table: each planted bug must be caught by the axis
+  // that lists it, with no other axis enabled. A bug listed under an
+  // axis that cannot see it fails here.
+  unsigned Bugs = 0;
+  for (const FuzzAxisSpec &A : fuzzAxes())
+    for (const PlantedBug &B : A.Bugs) {
+      SCOPED_TRACE(std::string(A.Name) + " / " + B.Name);
+      ++Bugs;
+      FuzzOptions Opts = quickOptions(1, 2000);
+      Opts.Axes = {A.Name};
+      Opts.Bug = B.Name;
+      Opts.MaxFailures = 1;
+      FuzzSummary S = runFuzz(Opts);
+      ASSERT_FALSE(S.ok()) << "escaped 2000 iterations";
+      EXPECT_EQ(S.Failures[0].Axis, A.Name);
+    }
+  EXPECT_GE(Bugs, 5u);
+}
+
 TEST(Fuzzer, MisSignedPruningBugIsCaughtAndShrunk) {
   // The direction-pruning variant: the injected bug is a
   // DirectionOptions hook rather than a problem perturbation, so only
   // the dirs axis can see it — run it alone.
   FuzzOptions Opts = quickOptions(1, 2000);
-  Opts.Bug = InjectedBug::MisSignDirPrune;
-  Opts.CheckOracle = false;
-  Opts.CheckPipeline = false;
-  Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
-  Opts.CheckMemo = false;
-  Opts.CheckXform = false;
-  Opts.CheckWidth = false;
+  Opts.Bug = "dir-prune-sign";
+  Opts.Axes = {"dirs"};
   FuzzSummary S = runFuzz(Opts);
   ASSERT_FALSE(S.ok()) << "mis-signed pruning escaped 2000 iterations";
 
@@ -150,14 +164,8 @@ TEST(Fuzzer, FmDarkShadowBugIsCaughtAndShrunk) {
   // directly against enumeration or through an invalid witness — and
   // the dirs axis sees disagreeing roots. Run those two axes alone.
   FuzzOptions Opts = quickOptions(1, 2000);
-  Opts.Bug = InjectedBug::FmDarkShadow;
-  Opts.CheckPipeline = false;
-  Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
-  Opts.CheckMemo = false;
-  Opts.CheckIncr = false;
-  Opts.CheckXform = false;
-  Opts.CheckWidth = false;
+  Opts.Bug = "fm-dark-shadow";
+  Opts.Axes = {"oracle", "dirs"};
   FuzzSummary S = runFuzz(Opts);
   ASSERT_FALSE(S.ok()) << "dark-shadow off-by-one escaped 2000 iterations";
 
@@ -187,14 +195,7 @@ TEST(Fuzzer, XformAxisCleanOnRandomPrograms) {
   // the prediction audit, the interpreter and a from-scratch
   // re-analysis of the claimed-parallel loops.
   FuzzOptions Opts = quickOptions(6, 400);
-  Opts.CheckOracle = false;
-  Opts.CheckDirs = false;
-  Opts.CheckPipeline = false;
-  Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
-  Opts.CheckMemo = false;
-  Opts.CheckIncr = false;
-  Opts.CheckWidth = false;
+  Opts.Axes = {"xform"};
   FuzzSummary S = runFuzz(Opts);
   EXPECT_TRUE(S.ok()) << S.Failures.size()
                       << " xform mismatches; first: "
@@ -207,15 +208,7 @@ TEST(Fuzzer, WidthAxisCleanOnRandomPrograms) {
   // program, every claim held against validateWidths' trace-mined
   // distances and chunked re-execution in both lane orders.
   FuzzOptions Opts = quickOptions(6, 400);
-  Opts.CheckOracle = false;
-  Opts.CheckDirs = false;
-  Opts.CheckPipeline = false;
-  Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
-  Opts.CheckMemo = false;
-  Opts.CheckIncr = false;
-  Opts.CheckXform = false;
-  Opts.CheckWidth = false;
+  Opts.Axes = {"width"};
   FuzzSummary S = runFuzz(Opts);
   EXPECT_TRUE(S.ok()) << S.Failures.size()
                       << " width mismatches; first: "
@@ -231,21 +224,14 @@ TEST(Fuzzer, MisSignedSkewBugIsCaughtAndShrunk) {
   // axis's skewVector prediction audit can catch it. Run the axis
   // alone and demand minimized whole-program reproducers.
   FuzzOptions Opts = quickOptions(5, 2000);
-  Opts.Bug = InjectedBug::MisSignSkew;
-  Opts.CheckOracle = false;
-  Opts.CheckDirs = false;
-  Opts.CheckPipeline = false;
-  Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
-  Opts.CheckMemo = false;
-  Opts.CheckIncr = false;
-  Opts.CheckWidth = false;
+  Opts.Bug = "skew-sign";
+  Opts.Axes = {"xform"};
   FuzzSummary S = runFuzz(Opts);
   ASSERT_FALSE(S.ok()) << "mis-signed skew escaped 2000 iterations";
 
   for (const FuzzFailure &F : S.Failures) {
     SCOPED_TRACE(F.Reproducer);
-    EXPECT_EQ(F.Axis, FuzzAxis::Xform);
+    EXPECT_EQ(F.Axis, "xform");
     EXPECT_TRUE(F.IsProgram);
     EXPECT_FALSE(F.Detail.empty());
     // The reproducer is a parseable program shrunk to a nest the
@@ -294,14 +280,20 @@ TEST(Fuzzer, SampledConcretizationCoversDistancePruning) {
   }
   ASSERT_TRUE(P.wellFormed());
 
+  const FuzzAxisSpec &Dirs = *findFuzzAxis("dirs");
+  bool Conclusive = false;
+
   // Clean tree: no mismatch.
-  std::optional<std::string> Clean = checkDirections(P);
-  EXPECT_FALSE(Clean.has_value()) << *Clean;
+  FuzzContext Clean;
+  std::optional<std::string> Mismatch =
+      Dirs.Problem(ProblemCase(P, Clean), 0, Conclusive);
+  EXPECT_FALSE(Mismatch.has_value()) << *Mismatch;
 
   // Mis-signed pruning must be caught by the sampled sweep.
-  std::optional<std::string> Buggy =
-      checkDirections(P, /*Widen=*/true, InjectedBug::MisSignDirPrune);
-  EXPECT_TRUE(Buggy.has_value());
+  FuzzOptions Opts;
+  Opts.Bug = "dir-prune-sign";
+  FuzzContext Buggy(Opts);
+  EXPECT_TRUE(Dirs.Problem(ProblemCase(P, Buggy), 0, Conclusive));
 }
 
 TEST(Fuzzer, SymbolicIndependenceIsSound) {
@@ -402,14 +394,7 @@ TEST(Fuzzer, IncrAxisCleanOnRandomEditSequences) {
   // every edit kind several times: the spliced graph must match the
   // from-scratch one after every step of every sequence.
   FuzzOptions Opts = quickOptions(4, 400);
-  Opts.CheckOracle = false;
-  Opts.CheckDirs = false;
-  Opts.CheckPipeline = false;
-  Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
-  Opts.CheckMemo = false;
-  Opts.CheckXform = false;
-  Opts.CheckWidth = false;
+  Opts.Axes = {"incr"};
   FuzzSummary S = runFuzz(Opts);
   EXPECT_TRUE(S.ok()) << S.Failures.size() << " incr mismatches; first: "
                       << (S.Failures.empty() ? ""
@@ -422,21 +407,14 @@ TEST(Fuzzer, StaleFingerprintBugIsCaughtAndShrunk) {
   // axis can see it — run it alone, and demand the failures shrink to
   // the acceptance envelope of at most 2 edits.
   FuzzOptions Opts = quickOptions(1, 2000);
-  Opts.Bug = InjectedBug::StaleFingerprint;
-  Opts.CheckOracle = false;
-  Opts.CheckDirs = false;
-  Opts.CheckPipeline = false;
-  Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
-  Opts.CheckMemo = false;
-  Opts.CheckXform = false;
-  Opts.CheckWidth = false;
+  Opts.Bug = "stale-fingerprint";
+  Opts.Axes = {"incr"};
   FuzzSummary S = runFuzz(Opts);
   ASSERT_FALSE(S.ok()) << "stale-fingerprint bug escaped 2000 iterations";
 
   for (const FuzzFailure &F : S.Failures) {
     SCOPED_TRACE(F.Reproducer);
-    EXPECT_EQ(F.Axis, FuzzAxis::Incr);
+    EXPECT_EQ(F.Axis, "incr");
     EXPECT_TRUE(F.IsProgram);
     EXPECT_GE(F.Edits, 1u);
     EXPECT_LE(F.Edits, 2u);

@@ -16,11 +16,14 @@
 /// cross-checked against the enumeration oracle when applicable, and
 /// its witness verified.
 ///
+/// Every .dep file is also replayed through each of the fuzzer's
+/// problem axes (fuzz::fuzzAxes()).
+///
 /// .loop files in the same directory are whole-program reproducers
-/// (typically minimized by edda-fuzz): each is replayed through the
-/// analyzer along the fuzzer's differential axes — serial vs. threaded,
-/// default vs. permuted pipeline, cache save/load — and each analyzable
-/// pair is cross-checked against the enumeration oracle.
+/// (typically minimized by edda-fuzz): each is replayed through each of
+/// the fuzzer's program axes, plus two checks no axis makes on whole
+/// programs: the default vs. a permuted pipeline, and each analyzable
+/// pair against the enumeration oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,14 +38,12 @@
 #include "parser/Parser.h"
 #include "gtest/gtest.h"
 
-#include <cstdio>
-#include <unistd.h>
-
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #ifndef EDDA_CORPUS_DIR
@@ -157,51 +158,65 @@ TEST(Corpus, FmCliffHierarchyDecidesExactlyInBudget) {
       << "FM cost cliff regressed to wall-clock pain";
 }
 
-TEST(Corpus, DepFilesPassDirectionChecks) {
-  // The fuzzer's dirs axis, replayed over the pinned corpus: direction
-  // vectors on every case must cover the oracle's concrete patterns, be
-  // minimal when Exact, pin distances only when truly constant, and
-  // agree across all elimination/pruning/separability combinations.
-  // The dirs_*.dep reproducers were each minimized from a hierarchy bug
-  // this check caught; they fail here when the fix is reverted.
-  for (const CorpusCase &Case : loadCorpus()) {
-    SCOPED_TRACE(Case.Path);
-    ProblemParseResult Parsed = parseProblemText(Case.Text);
-    ASSERT_TRUE(Parsed.succeeded()) << Parsed.Error;
-    std::optional<std::string> Mismatch =
-        fuzz::checkDirections(*Parsed.Problem);
-    EXPECT_FALSE(Mismatch.has_value()) << *Mismatch;
-  }
-}
+namespace {
 
-TEST(Corpus, DepFilesSurviveCacheRoundTrip) {
-  // The fuzzer's memo axis, replayed over the pinned corpus: a cache
-  // save/load must preserve every answer (witnesses are not persisted).
-  DependenceCache Before;
+/// Replays the pinned corpus through one problem axis of the fuzzer; a
+/// batched axis also takes the whole corpus as one batch.
+void replayCorpusThroughAxis(const fuzz::FuzzAxisSpec &A) {
+  SCOPED_TRACE(A.Name);
   std::vector<CorpusCase> Cases = loadCorpus();
   std::vector<DependenceProblem> Problems;
   for (const CorpusCase &Case : Cases) {
     ProblemParseResult Parsed = parseProblemText(Case.Text);
-    ASSERT_TRUE(Parsed.succeeded()) << Case.Path;
+    ASSERT_TRUE(Parsed.succeeded()) << Case.Path << ": " << Parsed.Error;
     Problems.push_back(*Parsed.Problem);
-    Before.insertFull(Problems.back(), testDependence(Problems.back()));
   }
-  std::string Path = "corpus-memo-" + std::to_string(::getpid()) +
-                     ".cache";
-  ASSERT_TRUE(Before.saveToFile(Path));
-  DependenceCache After;
-  ASSERT_TRUE(After.loadFromFile(Path));
-  std::remove(Path.c_str());
-  for (size_t I = 0; I < Problems.size(); ++I) {
-    SCOPED_TRACE(Cases[I].Path);
-    std::optional<CascadeResult> Want = Before.lookupFull(Problems[I]);
-    std::optional<CascadeResult> Got = After.lookupFull(Problems[I]);
-    ASSERT_TRUE(Want.has_value());
-    ASSERT_TRUE(Got.has_value());
-    EXPECT_EQ(Got->Answer, Want->Answer);
-    EXPECT_EQ(Got->DecidedBy, Want->DecidedBy);
-    EXPECT_EQ(Got->Exact, Want->Exact);
+  fuzz::FuzzContext Ctx;
+  if (A.ProblemBatch) {
+    std::vector<std::optional<std::string>> Details =
+        A.ProblemBatch(Problems, Ctx);
+    for (size_t I = 0; I < Problems.size(); ++I)
+      EXPECT_FALSE(Details[I].has_value())
+          << Cases[I].Path << ": " << *Details[I];
   }
+  for (size_t I = 0; A.Problem && I < Problems.size(); ++I)
+    for (unsigned V = 0; V < A.Variants; ++V) {
+      bool Conclusive = false;
+      std::optional<std::string> Mismatch =
+          A.Problem(fuzz::ProblemCase(Problems[I], Ctx), V, Conclusive);
+      EXPECT_FALSE(Mismatch.has_value())
+          << Cases[I].Path << ": " << *Mismatch;
+    }
+}
+
+void replayCorpusThroughAxis(std::string_view Name) {
+  const fuzz::FuzzAxisSpec *A = fuzz::findFuzzAxis(Name);
+  ASSERT_NE(A, nullptr) << Name;
+  ASSERT_TRUE(A->Problem) << Name << " takes no problems";
+  replayCorpusThroughAxis(*A);
+}
+
+} // namespace
+
+TEST(Corpus, DepFilesPassDirectionChecks) {
+  // The dirs axis. The dirs_*.dep reproducers were each minimized from
+  // a hierarchy bug this check caught; they fail here when the fix is
+  // reverted.
+  replayCorpusThroughAxis("dirs");
+}
+
+TEST(Corpus, DepFilesSurviveCacheRoundTrip) {
+  // The memo axis: the whole corpus saved and reloaded as one cache
+  // file, and each problem round-tripped on its own.
+  replayCorpusThroughAxis("memo");
+}
+
+TEST(Corpus, DepFilesReplayThroughProblemAxes) {
+  // Every other problem axis; dirs and memo have the tests above.
+  for (const fuzz::FuzzAxisSpec &A : fuzz::fuzzAxes())
+    if (A.Problem && std::string_view(A.Name) != "dirs" &&
+        std::string_view(A.Name) != "memo")
+      replayCorpusThroughAxis(A);
 }
 
 namespace {
@@ -229,41 +244,25 @@ std::vector<LoopCase> loadLoopCorpus() {
   return Cases;
 }
 
-/// Pairwise answer comparison; \p Exact also requires identical cache
-/// provenance (the serial-vs-threads bit-identical contract).
-void expectSameAnswers(const AnalysisResult &Want,
-                       const AnalysisResult &Got, bool Exact) {
-  ASSERT_EQ(Want.Pairs.size(), Got.Pairs.size());
-  for (size_t I = 0; I < Want.Pairs.size(); ++I) {
-    SCOPED_TRACE("pair " + std::to_string(I));
-    EXPECT_EQ(Got.Pairs[I].RefA, Want.Pairs[I].RefA);
-    EXPECT_EQ(Got.Pairs[I].RefB, Want.Pairs[I].RefB);
-    EXPECT_EQ(Got.Pairs[I].Answer, Want.Pairs[I].Answer);
-    EXPECT_EQ(Got.Pairs[I].DecidedBy, Want.Pairs[I].DecidedBy);
-    EXPECT_EQ(Got.Pairs[I].Exact, Want.Pairs[I].Exact);
-    if (Exact)
-      EXPECT_EQ(Got.Pairs[I].FromCache, Want.Pairs[I].FromCache);
-    ASSERT_EQ(Got.Pairs[I].Directions.has_value(),
-              Want.Pairs[I].Directions.has_value());
-    if (Want.Pairs[I].Directions) {
-      EXPECT_EQ(Got.Pairs[I].Directions->Vectors,
-                Want.Pairs[I].Directions->Vectors);
-      EXPECT_EQ(Got.Pairs[I].Directions->Distances,
-                Want.Pairs[I].Directions->Distances);
-    }
-  }
-}
-
 } // namespace
 
 TEST(Corpus, LoopFilesReplayDifferentially) {
   std::vector<LoopCase> Cases = loadLoopCorpus();
   ASSERT_GE(Cases.size(), 1u) << ".loop corpus missing?";
+  fuzz::FuzzContext Ctx;
   for (const LoopCase &Case : Cases) {
     SCOPED_TRACE(Case.Path);
     ParseResult Parsed = parseProgram(Case.Source);
     ASSERT_TRUE(Parsed.succeeded())
         << (Parsed.Diags.empty() ? "" : Parsed.Diags[0].str());
+
+    // Every program axis of the fuzzer; edit-replaying axes run a fixed
+    // four-edit sequence.
+    fuzz::ProgramCase Replay(Case.Source, {1, 2, 3, 4}, Ctx);
+    for (const fuzz::FuzzAxisSpec &A : fuzz::fuzzAxes())
+      if (A.Program)
+        if (std::optional<std::string> Mismatch = A.Program(Replay))
+          ADD_FAILURE() << A.Name << ": " << *Mismatch;
 
     AnalyzerOptions Serial;
     Serial.ComputeDirections = true;
@@ -272,16 +271,8 @@ TEST(Corpus, LoopFilesReplayDifferentially) {
     AnalysisResult Want = SerialAnalyzer.analyze(SerialCopy);
     ASSERT_GT(Want.Pairs.size(), 0u);
 
-    // Axis: serial vs. threaded, bit-identical.
-    AnalyzerOptions Threaded = Serial;
-    Threaded.NumThreads = 4;
-    Program ThreadedCopy = *Parsed.Prog;
-    DependenceAnalyzer ThreadedAnalyzer(Threaded);
-    expectSameAnswers(Want, ThreadedAnalyzer.analyze(ThreadedCopy),
-                      /*Exact=*/true);
-
-    // Axis: permuted pipeline; decisive answers must agree (Unknown is
-    // legitimately order-dependent).
+    // The whole program under a permuted pipeline; decisive answers
+    // must agree (Unknown is legitimately order-dependent).
     AnalyzerOptions Permuted = Serial;
     Permuted.ComputeDirections = false;
     Permuted.Cascade.Pipeline =
@@ -297,18 +288,7 @@ TEST(Corpus, LoopFilesReplayDifferentially) {
         EXPECT_EQ(Perm.Pairs[I].Answer, Want.Pairs[I].Answer)
             << "pair " << I;
 
-    // Axis: cache save/load, then re-analysis from the loaded cache.
-    std::string Path = "corpus-loop-" + std::to_string(::getpid()) +
-                       ".cache";
-    ASSERT_TRUE(SerialAnalyzer.cache().saveToFile(Path));
-    DependenceAnalyzer Reloaded(Serial);
-    ASSERT_TRUE(Reloaded.cache().loadFromFile(Path));
-    std::remove(Path.c_str());
-    Program ReloadedCopy = *Parsed.Prog;
-    expectSameAnswers(Want, Reloaded.analyze(ReloadedCopy),
-                      /*Exact=*/false);
-
-    // Axis: per-pair enumeration oracle on the problems the analyzer
+    // The per-pair enumeration oracle on the problems the analyzer
     // actually decided.
     for (const DependencePair &Pair : Want.Pairs) {
       if (Pair.Answer == DepAnswer::Unknown)

@@ -359,6 +359,57 @@ TEST(Serve, BudgetedRequestBypassesSharedStore) {
   EXPECT_GT(Core.cache().uniqueFull(), 0u);
 }
 
+TEST(Serve, PipelineOverrideBypassesSharedStore) {
+  // Stages a request's pipeline leaves out cannot decide, so its
+  // answers must never be served to a default request.
+  std::string Fresh =
+      stripCached(ServeCore(ServeOptions{}).handle(analyzeRequest(1)).Text);
+  ServeCore Core(ServeOptions{});
+  ServeRequest R = analyzeRequest(1);
+  R.PipelineSpec = "gcd";
+  ASSERT_TRUE(Core.handle(R).Ok);
+  EXPECT_EQ(Core.cache().uniqueFull(), 0u);
+  EXPECT_EQ(stripCached(Core.handle(analyzeRequest(2)).Text), Fresh);
+
+  // "default" names the server's own pipeline and shares the store.
+  ServeRequest P;
+  P.Operation = ServeRequest::Op::Problem;
+  P.Payload = coupledProblem();
+  ASSERT_TRUE(Core.handle(P).Ok);
+  P.PipelineSpec = "default";
+  ASSERT_TRUE(Core.handle(P).Ok);
+  EXPECT_EQ(Core.stats().ProblemsCached, 1u);
+}
+
+TEST(Serve, NoWidenRequestBypassesSharedStore) {
+  // 3i - 7i' + 1 = 0 over near-full int64 bounds
+  // (tests/inputs/corpus/widen_svpc_huge_bounds.dep): only the 128-bit
+  // tier decides it, so a --no-widen answer is not the server's.
+  ServeRequest R;
+  R.Id = 1;
+  R.Operation = ServeRequest::Op::Problem;
+  R.Payload = "problem\n"
+              "  loops 1 1 common 1 symbolic 0\n"
+              "  eq 3 -7 = 1\n"
+              "  lo 0 : -9223372036854775806\n"
+              "  hi 0 : 9223372036854775805\n"
+              "  lo 1 : -9223372036854775806\n"
+              "  hi 1 : 9223372036854775805\n"
+              "end\n";
+  R.Widen = false;
+  ServeCore Core(ServeOptions{});
+  ServeResponse Narrow = Core.handle(R);
+  ASSERT_TRUE(Narrow.Ok) << Narrow.Error;
+  EXPECT_EQ(Narrow.Body.getString("answer"), "unknown");
+
+  R.Widen = true;
+  ServeResponse Wide = Core.handle(R);
+  ASSERT_TRUE(Wide.Ok) << Wide.Error;
+  EXPECT_EQ(Wide.Body.getString("answer"), "dependent");
+  EXPECT_EQ(Wide.Body.getString("decided_by"), "SVPC");
+  EXPECT_EQ(Core.stats().ProblemsCached, 0u);
+}
+
 TEST(Serve, SubmitDispatchesConcurrently) {
   ServeOptions Opts;
   Opts.NumThreads = 4;

@@ -15,9 +15,8 @@
 ///   --count N         iterations to run (default 5000 when no time
 ///                     budget is given)
 ///   --time-budget S   wall-clock budget in seconds
-///   --check LIST      comma-separated axes to run: any of
-///                     oracle,dirs,pipeline,widen,threads,memo,incr,
-///                     xform,width (default all)
+///   --check LIST      comma-separated axes to run, named as in the
+///                     fuzzAxes() table (default all)
 ///   --out DIR         write minimized reproducers into DIR
 ///   --threads N       thread count for the parallel-analyzer axis
 ///                     (default 4)
@@ -32,6 +31,7 @@
 
 #include "fuzz/Fuzzer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,52 +44,40 @@ using namespace edda::fuzz;
 
 namespace {
 
+/// The axis names --check accepts (or, with \p Bugs, the planted bugs
+/// --inject-bug accepts), from the axis table, joined by \p Sep.
+std::string tableNames(bool Bugs, const char *Sep) {
+  std::string Out;
+  auto Add = [&](const char *Name) {
+    Out += (Out.empty() ? "" : Sep) + std::string(Name);
+  };
+  for (const FuzzAxisSpec &A : fuzzAxes()) {
+    if (Bugs)
+      for (const PlantedBug &B : A.Bugs)
+        Add(B.Name);
+    else if (!A.AlwaysOn)
+      Add(A.Name);
+  }
+  return Out;
+}
+
 int usage(const char *Prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--seed N] [--count N] [--time-budget SECONDS]\n"
-      "          [--check "
-      "oracle,dirs,pipeline,widen,threads,memo,incr,xform,width]\n"
-      "          [--out DIR] [--threads N] [--no-widen]\n",
-      Prog);
+  std::fprintf(stderr,
+               "usage: %s [--seed N] [--count N] [--time-budget SECONDS]\n"
+               "          [--check %s]\n"
+               "          [--out DIR] [--threads N] [--no-widen]\n",
+               Prog, tableNames(false, ",").c_str());
   return 2;
 }
 
-bool parseChecks(const std::string &List, FuzzOptions &Opts) {
-  Opts.CheckOracle = Opts.CheckDirs = Opts.CheckPipeline =
-      Opts.CheckWiden = Opts.CheckThreads = Opts.CheckMemo =
-          Opts.CheckIncr = Opts.CheckXform = Opts.CheckWidth = false;
-  std::istringstream In(List);
-  std::string Tok;
-  while (std::getline(In, Tok, ',')) {
-    if (Tok == "oracle")
-      Opts.CheckOracle = true;
-    else if (Tok == "dirs")
-      Opts.CheckDirs = true;
-    else if (Tok == "pipeline")
-      Opts.CheckPipeline = true;
-    else if (Tok == "widen")
-      Opts.CheckWiden = true;
-    else if (Tok == "threads")
-      Opts.CheckThreads = true;
-    else if (Tok == "memo")
-      Opts.CheckMemo = true;
-    else if (Tok == "incr")
-      Opts.CheckIncr = true;
-    else if (Tok == "xform")
-      Opts.CheckXform = true;
-    else if (Tok == "width")
-      Opts.CheckWidth = true;
-    else {
-      std::fprintf(stderr,
-                   "edda-fuzz: unknown axis '%s' (valid: oracle, "
-                   "dirs, pipeline, widen, threads, memo, incr, "
-                   "xform, width)\n",
-                   Tok.c_str());
-      return false;
-    }
+/// The value of flag Argv[I], advancing I past it; exits with status 2
+/// when it is missing.
+const char *flagValue(int &I, int Argc, char **Argv) {
+  if (I + 1 >= Argc) {
+    std::fprintf(stderr, "edda-fuzz: %s needs a value\n", Argv[I]);
+    std::exit(2);
   }
-  return true;
+  return Argv[++I];
 }
 
 } // namespace
@@ -98,73 +86,43 @@ int main(int Argc, char **Argv) {
   FuzzOptions Opts;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    auto NextValue = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "edda-fuzz: %s needs a value\n", Flag);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
     if (Arg == "--seed") {
-      const char *V = NextValue("--seed");
-      if (!V)
-        return 2;
-      Opts.Seed = std::strtoull(V, nullptr, 10);
+      Opts.Seed = std::strtoull(flagValue(I, Argc, Argv), nullptr, 10);
     } else if (Arg == "--count") {
-      const char *V = NextValue("--count");
-      if (!V)
-        return 2;
-      Opts.Count = std::strtoull(V, nullptr, 10);
+      Opts.Count = std::strtoull(flagValue(I, Argc, Argv), nullptr, 10);
     } else if (Arg == "--time-budget") {
-      const char *V = NextValue("--time-budget");
-      if (!V)
-        return 2;
-      Opts.TimeBudgetSeconds = std::strtod(V, nullptr);
+      Opts.TimeBudgetSeconds = std::strtod(flagValue(I, Argc, Argv), nullptr);
     } else if (Arg == "--check") {
-      const char *V = NextValue("--check");
-      if (!V || !parseChecks(V, Opts))
-        return 2;
+      std::istringstream In(flagValue(I, Argc, Argv));
+      for (std::string Tok; std::getline(In, Tok, ',');) {
+        const FuzzAxisSpec *A = findFuzzAxis(Tok);
+        if (!A || A->AlwaysOn) {
+          std::fprintf(stderr, "edda-fuzz: unknown axis '%s' (valid: %s)\n",
+                       Tok.c_str(), tableNames(false, ", ").c_str());
+          return 2;
+        }
+        Opts.Axes.insert(Tok);
+      }
+      if (Opts.Axes.empty()) // An empty list would select every axis.
+        return usage(Argv[0]);
     } else if (Arg == "--out") {
-      const char *V = NextValue("--out");
-      if (!V)
-        return 2;
-      Opts.OutDir = V;
+      Opts.OutDir = flagValue(I, Argc, Argv);
     } else if (Arg == "--threads") {
-      const char *V = NextValue("--threads");
-      if (!V)
-        return 2;
-      Opts.Threads = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
-      if (Opts.Threads == 0)
-        Opts.Threads = 1;
+      Opts.Threads = std::max(
+          1u, static_cast<unsigned>(
+                  std::strtoul(flagValue(I, Argc, Argv), nullptr, 10)));
     } else if (Arg == "--no-widen") {
       Opts.Widen = false;
-    } else if (Arg == "--inject-bug" ||
-               Arg.rfind("--inject-bug=", 0) == 0) {
-      // Hidden test hook: deliberately plant a known defect in the
-      // computation under test, proving the fuzzer catches and shrinks
-      // it (used by the test suite; not listed in --help output).
-      // Bare --inject-bug keeps the historical mis-signed equation
-      // constant; --inject-bug=NAME selects a variant.
-      std::string Variant = Arg == "--inject-bug"
-                                ? "negate-eq-const"
-                                : Arg.substr(std::strlen("--inject-bug="));
-      if (Variant == "negate-eq-const")
-        Opts.Bug = InjectedBug::NegateEqConst;
-      else if (Variant == "dir-prune-sign")
-        Opts.Bug = InjectedBug::MisSignDirPrune;
-      else if (Variant == "stale-fingerprint")
-        Opts.Bug = InjectedBug::StaleFingerprint;
-      else if (Variant == "fm-dark-shadow")
-        Opts.Bug = InjectedBug::FmDarkShadow;
-      else if (Variant == "skew-sign")
-        Opts.Bug = InjectedBug::MisSignSkew;
-      else {
+    } else if (Arg.rfind("--inject-bug=", 0) == 0) {
+      // Hidden test hook: plant a known defect in the computation under
+      // test, proving the fuzzer catches and shrinks it (used by the
+      // test suite and CI; not listed in --help output).
+      Opts.Bug = Arg.substr(std::strlen("--inject-bug="));
+      if (!findPlantedBug(Opts.Bug)) {
         std::fprintf(stderr,
                      "edda-fuzz: unknown --inject-bug variant '%s' "
-                     "(valid: negate-eq-const, dir-prune-sign, "
-                     "stale-fingerprint, fm-dark-shadow, "
-                     "skew-sign)\n",
-                     Variant.c_str());
+                     "(valid: %s)\n",
+                     Opts.Bug.c_str(), tableNames(true, ", ").c_str());
         return 2;
       }
     } else {
@@ -185,7 +143,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(S.DirsConclusive),
               S.Failures.size());
   for (const FuzzFailure &F : S.Failures)
-    std::printf("  [%s] iteration %llu: %s%s%s\n", fuzzAxisName(F.Axis),
+    std::printf("  [%s] iteration %llu: %s%s%s\n", F.Axis.c_str(),
                 static_cast<unsigned long long>(F.Iteration),
                 F.Detail.c_str(), F.Path.empty() ? "" : " -> ",
                 F.Path.c_str());

@@ -15,7 +15,7 @@
 ///   edda-serve [--socket PATH] [--threads N] [--batch N]
 ///              [--cache FILE] [--checkpoint-interval SEC]
 ///              [--max-cache-entries N] [--timeout-ms MS]
-///              [--request-budget N] [--pipeline SPEC] [--no-widen]
+///              [--request-budget N] [--pipeline SPEC]
 ///              [--stats-log FILE]
 ///
 /// Client mode (for scripts and the serving smoke; one request per
@@ -104,7 +104,7 @@ int usage(const char *Prog) {
       "usage: %s [--socket PATH] [--threads N] [--batch N]\n"
       "          [--cache FILE] [--checkpoint-interval SEC]\n"
       "          [--max-cache-entries N] [--timeout-ms MS]\n"
-      "          [--request-budget N] [--pipeline SPEC] [--no-widen]\n"
+      "          [--request-budget N] [--pipeline SPEC]\n"
       "          [--stats-log FILE]\n"
       "       %s --client PATH [--problem] [--features] [--directions]\n"
       "          [--explain]\n"
@@ -198,7 +198,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
         return false;
       Opts.Serve.StatsLogPath = V;
     } else if (Arg == "--no-widen") {
-      Opts.Serve.Widen = false;
       Opts.Widen = false;
     } else if (Arg == "--session") {
       const char *V = Next("--session");
@@ -356,6 +355,11 @@ int main(int Argc, char **Argv) {
   if (!Opts.Files.empty()) {
     std::fprintf(stderr,
                  "edda-serve: positional files need --client mode\n");
+    return usage(Argv[0]);
+  }
+  if (!Opts.Widen) {
+    // The server always widens; a request opts out with "widen": false.
+    std::fprintf(stderr, "edda-serve: --no-widen needs --client mode\n");
     return usage(Argv[0]);
   }
 
