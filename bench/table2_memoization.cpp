@@ -90,22 +90,24 @@ int main() {
         if (R.DecidedBy == TestKind::ArrayConstant ||
             R.DecidedBy == TestKind::Unanalyzable)
           continue;
-        bool Swapped;
+        // The keys the analyzer's tables see: one MemoKey per scheme,
+        // whose prefix is the no-bounds key.
+        MemoKey Simple = SimpleKeys.makeKey(Built->Problem);
+        MemoKey Improved = ImprovedKeys.makeKey(Built->Problem);
+        auto NoBounds = [](const MemoKey &K) {
+          std::span<const int64_t> W = K.noBounds().Words;
+          return std::vector<int64_t>(W.begin(), W.end());
+        };
         // The GCD (no-bounds) table sees every tested case.
         ++NbTotal;
-        NbSimple.insert(
-            SimpleKeys.keyFor(Built->Problem, false, Swapped));
-        NbImproved.insert(
-            ImprovedKeys.keyFor(Built->Problem, false, Swapped));
+        NbSimple.insert(NoBounds(Simple));
+        NbImproved.insert(NoBounds(Improved));
         if (R.DecidedBy == TestKind::GcdTest)
           continue; // decided without bounds
         ++FullTotal;
-        std::vector<int64_t> Key =
-            SimpleKeys.keyFor(Built->Problem, true, Swapped);
-        AllKeys.insert(Key);
-        FullSimple.insert(std::move(Key));
-        FullImproved.insert(
-            ImprovedKeys.keyFor(Built->Problem, true, Swapped));
+        AllKeys.insert(Simple.Words);
+        FullSimple.insert(std::move(Simple.Words));
+        FullImproved.insert(std::move(Improved.Words));
       }
     }
 

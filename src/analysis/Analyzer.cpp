@@ -5,14 +5,24 @@
 //
 //===----------------------------------------------------------------------===//
 ///
+/// analyze() runs in five phases (docs/ALGORITHMS.md, "Parallel
+/// analysis"): enumerate candidate pairs; build and key the pairs that
+/// need testing; assemble the pair list, deciding unanalyzable and
+/// all-constant pairs inline; group the tested pairs; decide the groups.
+/// Problems come from the per-reference summaries collectReferences
+/// stores. A pair whose subscript differences are all constant is
+/// decided from those summaries by the const stage's own rule, and is
+/// never built. Each tested pair computes its memo key once; every
+/// lookup and insert for it reuses that key.
+///
 /// The parallel driver's determinism argument, in one place:
 ///
 ///  1. Pair enumeration, problem construction and memo keying are pure
 ///     per pair, so they fan out freely; results land in slots indexed
 ///     by the serial enumeration order.
 ///  2. Two tested pairs can observe each other through the cache only
-///     when their without-bounds memo keys are equal (the with-bounds
-///     key extends the without-bounds key, so equal full keys imply
+///     when their without-bounds memo keys are equal (the without-bounds
+///     key is a prefix of the with-bounds key, so equal full keys imply
 ///     equal no-bounds keys). Pairs are therefore grouped by
 ///     without-bounds key and each group runs sequentially, in serial
 ///     enumeration order, inside one worker task. Across groups the
@@ -26,7 +36,6 @@
 #include "analysis/Analyzer.h"
 
 #include "opt/Pipeline.h"
-#include "support/Hashing.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -80,6 +89,7 @@ void DependenceAnalyzer::runIndexed(
 }
 
 void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
+                                          const MemoKey *Key,
                                           DependencePair &Pair,
                                           DepStats &Stats,
                                           uint64_t PairKey) {
@@ -91,7 +101,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
     // (running the cascade separately would double-count).
     std::optional<DirectionResult> CachedDirs;
     if (Opts.UseMemoization) {
-      CachedDirs = cache().lookupDirections(Problem);
+      CachedDirs = cache().lookupDirections(*Key);
       if (CachedDirs)
         Stats.MemoHitsFull++;
     }
@@ -102,7 +112,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
     } else {
       Dirs = computeDirectionVectors(Problem, Opts.Direction);
       if (Opts.UseMemoization) {
-        cache().insertDirections(Problem, Dirs, PairKey);
+        cache().insertDirections(*Key, Dirs, PairKey);
         // The root answer also serves plain (non-direction) runs
         // sharing this cache.
         CascadeResult Root;
@@ -110,7 +120,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
         Root.DecidedBy = Dirs.RootDecidedBy;
         Root.Exact = Dirs.Exact;
         Root.Widened = Dirs.RootWidened;
-        cache().insertFull(Problem, Root, PairKey);
+        cache().insertFull(*Key, Root, PairKey);
       }
       Stats += Dirs.TestStats;
     }
@@ -124,7 +134,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
   // Plain answer, via the full-key table when enabled.
   std::optional<CascadeResult> Cached;
   if (Opts.UseMemoization) {
-    Cached = cache().lookupFull(Problem);
+    Cached = cache().lookupFull(*Key);
     if (Cached)
       Stats.MemoHitsFull++;
   }
@@ -137,7 +147,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
     // equations alone were already proved unsolvable.
     std::optional<bool> GcdKnown;
     if (Opts.UseMemoization) {
-      GcdKnown = cache().lookupGcdSolvable(Problem);
+      GcdKnown = cache().lookupGcdSolvable(*Key);
       if (GcdKnown)
         Stats.MemoHitsNoBounds++;
     }
@@ -149,17 +159,17 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
     } else {
       Outcome = testDependence(Problem, Opts.Cascade, &Stats);
       if (Opts.UseMemoization) {
-        cache().insertFull(Problem, Outcome, PairKey);
+        cache().insertFull(*Key, Outcome, PairKey);
         // A system-stage decision implies the extended GCD found the
         // equations solvable. The Banerjee stage is excluded: its
         // Independent answers can come from the simple GCD test, i.e.
         // from UNsolvable equations.
         if (Outcome.DecidedBy == TestKind::GcdTest)
-          cache().insertGcdSolvable(Problem, false);
+          cache().insertGcdSolvable(*Key, false);
         else if (Outcome.DecidedBy != TestKind::ArrayConstant &&
                  Outcome.DecidedBy != TestKind::Banerjee &&
                  Outcome.DecidedBy != TestKind::Unanalyzable)
-          cache().insertGcdSolvable(Problem, true);
+          cache().insertGcdSolvable(*Key, true);
       }
     }
   }
@@ -280,15 +290,23 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
     RS->PairsTotal = RS->PairsInvalidated = Candidates.size();
   }
 
-  // Phase 2 (parallel): build each candidate's dependence problem and,
-  // when the cache is in play, its without-bounds memo key — the
-  // determinism grouping key. Pure per candidate. Reused candidates
-  // skip the build entirely; that skip, not edge bookkeeping, is what
-  // makes re-analysis O(edit).
+  // Phase 2 (parallel): per candidate, read off the reference
+  // summaries whether the const stage decides it unbuilt; otherwise
+  // build its problem and, when the cache is in play and the equations
+  // are not all constant, its memo key, whose without-bounds prefix is
+  // the determinism grouping key. Pure per candidate. Reused candidates
+  // skip all of it; that skip, not edge bookkeeping, is what makes
+  // re-analysis O(edit).
+  const TestPipeline &Pipeline = Opts.Cascade.Pipeline
+                                     ? *Opts.Cascade.Pipeline
+                                     : TestPipeline::defaultPipeline();
   struct BuiltCandidate {
+    /// Set when the const stage decides the pair from its summaries;
+    /// such a pair is not built (except for a trace).
+    std::optional<ConstantPair> Constant;
     std::optional<BuiltProblem> Built;
     bool AllConstantEqs = false;
-    std::vector<int64_t> GroupKey;
+    std::optional<MemoKey> Key;
   };
   std::vector<BuiltCandidate> BuiltPairs(Candidates.size());
   runIndexed(Candidates.size(), [&](size_t C) {
@@ -296,18 +314,21 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       return;
     auto [I, J] = Candidates[C];
     BuiltCandidate &BC = BuiltPairs[C];
+    std::optional<ConstantPair> CP = constantPair(Refs[I], Refs[J]);
+    if (CP && Pipeline.runConstant(CP->NonzeroDifference,
+                                   CP->ConstantEmptyLoop, Opts.Cascade,
+                                   /*Stats=*/nullptr)) {
+      BC.Constant = CP;
+      return;
+    }
     BC.Built = buildProblem(Prog, Refs[I], Refs[J]);
     if (!BC.Built)
       return;
     BC.AllConstantEqs = true;
     for (const XAffine &Eq : BC.Built->Problem.Equations)
       BC.AllConstantEqs = BC.AllConstantEqs && Eq.isConstant();
-    if (!BC.AllConstantEqs && Opts.UseMemoization) {
-      bool Swapped;
-      BC.GroupKey =
-          cache().keyFor(BC.Built->Problem, /*IncludeBounds=*/false,
-                       Swapped);
-    }
+    if (!BC.AllConstantEqs && Opts.UseMemoization)
+      BC.Key = cache().makeKey(BC.Built->Problem);
   });
 
   // Phase 3 (serial): assemble the ordered pair list. Unanalyzable and
@@ -345,7 +366,7 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       continue;
     }
 
-    if (!BC.Built) {
+    if (!BC.Constant && !BC.Built) {
       ++Result.UnanalyzablePairs;
       Pair.Answer = DepAnswer::Unknown;
       Pair.DecidedBy = TestKind::Unanalyzable;
@@ -357,14 +378,21 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
 
     // Array constants are handled without dependence testing (paper
     // section 4) — and without memoization overhead, which would
-    // otherwise dominate constant-heavy programs like LG.
-    if (BC.AllConstantEqs) {
-      const DependenceProblem &Problem = BC.Built->Problem;
+    // otherwise dominate constant-heavy programs like LG. When the
+    // const stage's rule decides, not even a problem is built; else the
+    // built problem runs through the pipeline.
+    if (BC.Constant || BC.AllConstantEqs) {
       CascadeResult Outcome =
-          testDependence(Problem, Opts.Cascade, &Result.Stats);
+          BC.Constant
+              ? *Pipeline.runConstant(BC.Constant->NonzeroDifference,
+                                      BC.Constant->ConstantEmptyLoop,
+                                      Opts.Cascade, &Result.Stats)
+              : testDependence(BC.Built->Problem, Opts.Cascade,
+                               &Result.Stats);
       Pair.Answer = Outcome.Answer;
       Pair.DecidedBy = Outcome.DecidedBy;
-      Pair.Exact = Outcome.Exact && BC.Built->Exact;
+      Pair.Exact = Outcome.Exact &&
+                   (BC.Constant ? BC.Constant->Exact : BC.Built->Exact);
       if (Opts.ComputeDirections &&
           Pair.Answer != DepAnswer::Independent) {
         DirectionResult Dirs;
@@ -373,9 +401,9 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
         Dirs.Exact = Outcome.Exact;
         Dirs.Widened = Outcome.Widened;
         Dirs.RootWidened = Outcome.Widened;
-        Dirs.Distances.assign(Problem.NumCommon, std::nullopt);
+        Dirs.Distances.assign(CandCommon[C], std::nullopt);
         // Every direction is possible for a constant overlap.
-        Dirs.Vectors.push_back(DirVector(Problem.NumCommon, Dir::Any));
+        Dirs.Vectors.push_back(DirVector(CandCommon[C], Dir::Any));
         Pair.Directions = std::move(Dirs);
       }
       Result.Pairs.push_back(std::move(Pair));
@@ -392,12 +420,11 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   // ordered by first occurrence; with it off every task is independent.
   std::vector<std::vector<size_t>> Groups;
   if (Opts.UseMemoization) {
-    std::unordered_map<std::vector<int64_t>, size_t, decltype(&hashVector)>
-        GroupIndex(TaskCandidate.size(), &hashVector);
+    std::unordered_map<MemoKeyView, size_t, MemoKeyViewHash> GroupIndex(
+        TaskCandidate.size());
     for (size_t T = 0; T < TaskCandidate.size(); ++T) {
-      const std::vector<int64_t> &Key =
-          BuiltPairs[TaskCandidate[T]].GroupKey;
-      auto [It, Inserted] = GroupIndex.emplace(Key, Groups.size());
+      auto [It, Inserted] = GroupIndex.emplace(
+          BuiltPairs[TaskCandidate[T]].Key->noBounds(), Groups.size());
       if (Inserted)
         Groups.emplace_back();
       Groups[It->second].push_back(T);
@@ -412,28 +439,32 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   // keys, so inter-group scheduling cannot change any outcome.
   std::vector<DepStats> GroupStats(Groups.size());
   runIndexed(Groups.size(), [&](size_t G) {
-    for (size_t T : Groups[G])
-      decideTestedPair(*BuiltPairs[TaskCandidate[T]].Built,
+    for (size_t T : Groups[G]) {
+      const BuiltCandidate &BC = BuiltPairs[TaskCandidate[T]];
+      decideTestedPair(*BC.Built, BC.Key ? &*BC.Key : nullptr,
                        Result.Pairs[TaskSlot[T]], GroupStats[G],
                        CandKey[TaskCandidate[T]]);
+    }
   });
   for (const DepStats &S : GroupStats)
     Result.Stats += S;
 
   // Optional trace pass: re-run the pipeline observationally on every
   // analyzable pair — no stats, no memoization — so the records show
-  // what each stage did without perturbing the results above. Phase 3
-  // pushed exactly one pair per candidate, so candidate C's outcome
-  // lives in Result.Pairs[C].
+  // what each stage did without perturbing the results above. Pairs
+  // the const stage decided unbuilt are built here. Phase 3 pushed
+  // exactly one pair per candidate, so candidate C's outcome lives in
+  // Result.Pairs[C].
   if (Opts.Trace) {
-    const TestPipeline &Pipeline = Opts.Cascade.Pipeline
-                                       ? *Opts.Cascade.Pipeline
-                                       : TestPipeline::defaultPipeline();
     runIndexed(Candidates.size(), [&](size_t C) {
-      if (!BuiltPairs[C].Built)
+      BuiltCandidate &BC = BuiltPairs[C];
+      if (BC.Constant)
+        BC.Built = buildProblem(Prog, Refs[Candidates[C].first],
+                                Refs[Candidates[C].second]);
+      if (!BC.Built)
         return;
       PipelineTrace Trace;
-      Pipeline.run(BuiltPairs[C].Built->Problem, {}, Opts.Cascade,
+      Pipeline.run(BC.Built->Problem, {}, Opts.Cascade,
                    /*Stats=*/nullptr, &Trace);
       Result.Pairs[C].Trace = std::move(Trace);
     });

@@ -178,12 +178,14 @@ private:
                              ReanalyzeStats *RS);
 
   /// Decides one analyzable, non-constant pair: memo lookup, cascade or
-  /// direction computation on a miss, insert. Writes the outcome into
-  /// \p Pair and the decision counters into \p Stats. \p PairKey tags
-  /// the memo entries the pair creates (fingerprint-aware
-  /// invalidation).
-  void decideTestedPair(const BuiltProblem &Built, DependencePair &Pair,
-                        DepStats &Stats, uint64_t PairKey);
+  /// direction computation on a miss, insert. \p Key is the pair's memo
+  /// key (null when memoization is off), made once for every lookup and
+  /// insert. Writes the outcome into \p Pair and the decision counters
+  /// into \p Stats. \p PairKey tags the memo entries the pair creates
+  /// (fingerprint-aware invalidation).
+  void decideTestedPair(const BuiltProblem &Built, const MemoKey *Key,
+                        DependencePair &Pair, DepStats &Stats,
+                        uint64_t PairKey);
 };
 
 } // namespace edda

@@ -15,58 +15,50 @@ using namespace edda;
 
 namespace {
 
-/// Maps program-variable ids to x columns for one reference's side.
-class ColumnMap {
+/// Column allocation for one pair: symbolic variables get x columns in
+/// first-appearance order (A/B subscripts by dimension, then A's
+/// bounds, then B's bounds).
+class Columns {
 public:
-  ColumnMap(const Program &Prog, const ArrayReference &Ref,
-            unsigned LoopColBase, std::vector<unsigned> &SymbolicVars,
-            unsigned NumLoopVarsTotal)
-      : Prog(Prog), Ref(Ref), LoopColBase(LoopColBase),
-        SymbolicVars(SymbolicVars), NumLoopVarsTotal(NumLoopVarsTotal) {}
+  Columns(const Program &Prog, unsigned NumLoopsA, unsigned NumLoopVars,
+          std::vector<unsigned> &SymbolicVars)
+      : Prog(Prog), NumLoopsA(NumLoopsA), NumLoopVars(NumLoopVars),
+        SymbolicVars(SymbolicVars) {}
 
-  /// Column for program variable \p VarId, allocating symbolic columns
-  /// on demand; std::nullopt when the variable is unanalyzable here.
-  std::optional<unsigned> columnOf(unsigned VarId) {
-    for (unsigned L = 0; L < Ref.Loops.size(); ++L)
-      if (Ref.Loops[L]->varId() == VarId)
-        return LoopColBase + L;
-    if (Prog.var(VarId).Kind == VarKind::Symbolic) {
-      for (unsigned S = 0; S < SymbolicVars.size(); ++S)
-        if (SymbolicVars[S] == VarId)
-          return NumLoopVarsTotal + S;
-      SymbolicVars.push_back(VarId);
-      return NumLoopVarsTotal +
-             static_cast<unsigned>(SymbolicVars.size() - 1);
-    }
-    return std::nullopt; // scalar the prepass could not remove
+  /// Column of symbolic variable \p Var, allocating it on first use.
+  unsigned symbolic(unsigned Var) {
+    for (unsigned S = 0; S < SymbolicVars.size(); ++S)
+      if (SymbolicVars[S] == Var)
+        return NumLoopVars + S;
+    SymbolicVars.push_back(Var);
+    return NumLoopVars + static_cast<unsigned>(SymbolicVars.size() - 1);
+  }
+
+  /// Column of term \p T of a form summarized for reference \p Ref (the
+  /// A side when \p SideA). A bound's variable term is looked up among
+  /// Ref's loops deeper than \p Depth, the loop the bound belongs to;
+  /// a subscript's (Depth = Ref.Loops.size()) is symbolic by
+  /// construction. std::nullopt when the variable has no column.
+  std::optional<unsigned> column(const SummaryTerm &T,
+                                 const ArrayReference &Ref, bool SideA,
+                                 size_t Depth) {
+    unsigned Base = SideA ? 0 : NumLoopsA;
+    if (T.Loop != SummaryTerm::NoLoop)
+      return Base + T.Loop;
+    for (size_t L = Depth + 1; L < Ref.Loops.size(); ++L)
+      if (Ref.Loops[L]->varId() == T.Var)
+        return Base + static_cast<unsigned>(L);
+    if (Prog.var(T.Var).Kind == VarKind::Symbolic)
+      return symbolic(T.Var);
+    return std::nullopt;
   }
 
 private:
   const Program &Prog;
-  const ArrayReference &Ref;
-  unsigned LoopColBase;
+  unsigned NumLoopsA;
+  unsigned NumLoopVars;
   std::vector<unsigned> &SymbolicVars;
-  unsigned NumLoopVarsTotal;
 };
-
-/// Converts \p E into an XAffine over the columns of \p Map. The vector
-/// is sized for the final numX later; here columns are collected as
-/// (column, coeff) pairs.
-bool convert(const ExprPtr &E, ColumnMap &Map,
-             std::vector<std::pair<unsigned, int64_t>> &Terms,
-             int64_t &Const) {
-  std::optional<AffineExpr> Affine = toAffine(E);
-  if (!Affine)
-    return false;
-  Const = Affine->constant();
-  for (const AffineExpr::Term &T : Affine->terms()) {
-    std::optional<unsigned> Col = Map.columnOf(T.VarId);
-    if (!Col)
-      return false;
-    Terms.push_back({*Col, T.Coeff});
-  }
-  return true;
-}
 
 } // namespace
 
@@ -74,7 +66,8 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
                                                const ArrayReference &A,
                                                const ArrayReference &B) {
   if (A.ArrayId != B.ArrayId ||
-      A.Subscripts.size() != B.Subscripts.size())
+      A.Subscripts.size() != B.Subscripts.size() || A.Unanalyzable ||
+      B.Unanalyzable)
     return std::nullopt;
 
   BuiltProblem Built;
@@ -89,95 +82,115 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
   Built.CommonLoops.assign(A.Loops.begin(), A.Loops.begin() + Common);
 
   const unsigned NumLoopVars = P.NumLoopsA + P.NumLoopsB;
-  ColumnMap MapA(Prog, A, 0, Built.SymbolicVars, NumLoopVars);
-  ColumnMap MapB(Prog, B, P.NumLoopsA, Built.SymbolicVars, NumLoopVars);
+  const unsigned NumDims = static_cast<unsigned>(A.Subs.size());
+  Columns Cols(Prog, P.NumLoopsA, NumLoopVars, Built.SymbolicVars);
 
-  // First pass: convert everything into (column, coeff) term lists so
-  // the number of symbolic columns is known before sizing the forms.
-  struct PendingForm {
-    std::vector<std::pair<unsigned, int64_t>> Terms;
-    int64_t Const = 0;
-    bool Present = false;
-  };
-  const unsigned NumDims = static_cast<unsigned>(A.Subscripts.size());
-  std::vector<PendingForm> SubsA(NumDims), SubsB(NumDims);
+  // Pass 1 allocates the symbolic columns in first-appearance order and
+  // settles which bounds convert: a bound with a variable that has no
+  // column is dropped, but the columns its earlier terms allocated stay.
   for (unsigned D = 0; D < NumDims; ++D) {
-    SubsA[D].Present = true;
-    SubsB[D].Present = true;
-    if (!convert(A.Subscripts[D], MapA, SubsA[D].Terms, SubsA[D].Const))
-      return std::nullopt;
-    if (!convert(B.Subscripts[D], MapB, SubsB[D].Terms, SubsB[D].Const))
-      return std::nullopt;
+    for (const SummaryTerm &T : A.Subs[D].Terms)
+      if (T.Loop == SummaryTerm::NoLoop)
+        Cols.symbolic(T.Var);
+    for (const SummaryTerm &T : B.Subs[D].Terms)
+      if (T.Loop == SummaryTerm::NoLoop)
+        Cols.symbolic(T.Var);
   }
-
-  std::vector<PendingForm> Los(NumLoopVars), His(NumLoopVars);
-  auto ConvertBounds = [&](const ArrayReference &Ref, ColumnMap &Map,
-                           unsigned ColBase) {
-    for (unsigned L = 0; L < Ref.Loops.size(); ++L) {
-      const LoopStmt &Loop = *Ref.Loops[L];
-      unsigned Col = ColBase + L;
-      // A surviving non-unit step relaxes the range to its interval.
-      if (Loop.step() != 1)
-        Built.Exact = false;
-      const ExprPtr &LoExpr = Loop.step() > 0 ? Loop.lo() : Loop.hi();
-      const ExprPtr &HiExpr = Loop.step() > 0 ? Loop.hi() : Loop.lo();
-      PendingForm Lo;
-      if (convert(LoExpr, Map, Lo.Terms, Lo.Const)) {
-        Lo.Present = true;
-        Los[Col] = std::move(Lo);
-      }
-      PendingForm Hi;
-      if (convert(HiExpr, Map, Hi.Terms, Hi.Const)) {
-        Hi.Present = true;
-        His[Col] = std::move(Hi);
-      }
-    }
-  };
-  ConvertBounds(A, MapA, 0);
-  ConvertBounds(B, MapB, P.NumLoopsA);
-
-  P.NumSymbolic = static_cast<unsigned>(Built.SymbolicVars.size());
-  const unsigned NumX = P.numX();
-  auto Materialize = [NumX](const PendingForm &Form) {
-    XAffine Out(NumX);
-    Out.Const = Form.Const;
-    for (const auto &[Col, Coeff] : Form.Terms)
-      Out.Coeffs[Col] = Coeff;
-    return Out;
-  };
-
-  // Equations: subA_d(x) - subB_d(x) == 0.
-  for (unsigned D = 0; D < NumDims; ++D) {
-    XAffine FA = Materialize(SubsA[D]);
-    XAffine FB = Materialize(SubsB[D]);
-    XAffine Eq(NumX);
-    bool Ok = true;
-    {
-      CheckedInt C = CheckedInt(FA.Const) - CheckedInt(FB.Const);
-      Ok = C.valid();
-      if (Ok)
-        Eq.Const = C.get();
-    }
-    for (unsigned J = 0; J < NumX && Ok; ++J) {
-      CheckedInt C = CheckedInt(FA.Coeffs[J]) - CheckedInt(FB.Coeffs[J]);
-      Ok = C.valid();
-      if (Ok)
-        Eq.Coeffs[J] = C.get();
-    }
-    if (!Ok)
-      return std::nullopt;
-    P.Equations.push_back(std::move(Eq));
-  }
-
   P.Lo.resize(NumLoopVars);
   P.Hi.resize(NumLoopVars);
-  for (unsigned L = 0; L < NumLoopVars; ++L) {
-    if (Los[L].Present)
-      P.Lo[L] = Materialize(Los[L]);
-    if (His[L].Present)
-      P.Hi[L] = Materialize(His[L]);
+  auto Settle = [&](const AffineSummary &Form, const ArrayReference &Ref,
+                    bool SideA, size_t Depth,
+                    std::optional<XAffine> &Slot) {
+    if (!Form.Affine)
+      return;
+    for (const SummaryTerm &T : Form.Terms)
+      if (!Cols.column(T, Ref, SideA, Depth))
+        return;
+    Slot.emplace();
+  };
+  for (const bool SideA : {true, false}) {
+    const ArrayReference *Ref = SideA ? &A : &B;
+    const unsigned Base = SideA ? 0 : P.NumLoopsA;
+    for (size_t L = 0; L < Ref->Loops.size(); ++L) {
+      const LoopSummary &Info = Ref->loopInfo(L);
+      if (!Info.UnitStep)
+        Built.Exact = false;
+      Settle(Info.Lo, *Ref, SideA, L, P.Lo[Base + L]);
+      Settle(Info.Hi, *Ref, SideA, L, P.Hi[Base + L]);
+    }
+  }
+
+  // Pass 2 writes the forms at their final width.
+  P.NumSymbolic = static_cast<unsigned>(Built.SymbolicVars.size());
+  const unsigned NumX = P.numX();
+
+  // Equations: subA_d(x) - subB_d(x) == 0.
+  P.Equations.reserve(NumDims);
+  for (unsigned D = 0; D < NumDims; ++D) {
+    const AffineSummary &SA = A.Subs[D], &SB = B.Subs[D];
+    XAffine &Eq = P.Equations.emplace_back(NumX);
+    CheckedInt C = CheckedInt(SA.Const) - CheckedInt(SB.Const);
+    if (!C.valid())
+      return std::nullopt;
+    Eq.Const = C.get();
+    for (const SummaryTerm &T : SA.Terms)
+      Eq.Coeffs[*Cols.column(T, A, true, A.Loops.size())] = T.Coeff;
+    for (const SummaryTerm &T : SB.Terms) {
+      int64_t &Coeff = Eq.Coeffs[*Cols.column(T, B, false, B.Loops.size())];
+      CheckedInt Diff = CheckedInt(Coeff) - CheckedInt(T.Coeff);
+      if (!Diff.valid())
+        return std::nullopt;
+      Coeff = Diff.get();
+    }
+  }
+
+  auto Fill = [&](const AffineSummary &Form, const ArrayReference &Ref,
+                  bool SideA, size_t Depth, std::optional<XAffine> &Slot) {
+    if (!Slot)
+      return;
+    Slot->Coeffs.assign(NumX, 0);
+    Slot->Const = Form.Const;
+    for (const SummaryTerm &T : Form.Terms)
+      Slot->Coeffs[*Cols.column(T, Ref, SideA, Depth)] = T.Coeff;
+  };
+  for (const bool SideA : {true, false}) {
+    const ArrayReference *Ref = SideA ? &A : &B;
+    const unsigned Base = SideA ? 0 : P.NumLoopsA;
+    for (size_t L = 0; L < Ref->Loops.size(); ++L) {
+      const LoopSummary &Info = Ref->loopInfo(L);
+      Fill(Info.Lo, *Ref, SideA, L, P.Lo[Base + L]);
+      Fill(Info.Hi, *Ref, SideA, L, P.Hi[Base + L]);
+    }
   }
 
   assert(P.wellFormed() && "builder produced a malformed problem");
   return Built;
+}
+
+std::optional<ConstantPair> edda::constantPair(const ArrayReference &A,
+                                               const ArrayReference &B) {
+  if (A.ArrayId != B.ArrayId ||
+      A.Subscripts.size() != B.Subscripts.size() || A.Unanalyzable ||
+      B.Unanalyzable)
+    return std::nullopt;
+  ConstantPair CP;
+  for (size_t D = 0; D < A.Subs.size(); ++D) {
+    const AffineSummary &SA = A.Subs[D], &SB = B.Subs[D];
+    // Loop columns of A and B are disjoint, so the difference is
+    // constant exactly when neither side has a loop term and the
+    // symbolic parts cancel.
+    if (SA.hasLoopTerms() || SB.hasLoopTerms() || SA.Terms != SB.Terms)
+      return std::nullopt;
+    CheckedInt C = CheckedInt(SA.Const) - CheckedInt(SB.Const);
+    if (!C.valid())
+      return std::nullopt; // The builder rejects the pair.
+    CP.NonzeroDifference = CP.NonzeroDifference || C.get() != 0;
+  }
+  for (const ArrayReference *Ref : {&A, &B})
+    for (size_t L = 0; L < Ref->Loops.size(); ++L) {
+      CP.ConstantEmptyLoop =
+          CP.ConstantEmptyLoop || Ref->loopInfo(L).ConstantEmpty;
+      CP.Exact = CP.Exact && Ref->loopInfo(L).UnitStep;
+    }
+  return CP;
 }

@@ -15,6 +15,11 @@
 /// their bounding interval (sound: independence over the relaxation
 /// implies independence, but the problem is flagged inexact).
 ///
+/// The builder reads the affine summaries collectReferences stores on
+/// each reference and concatenates them into the final forms; it never
+/// converts an expression itself. The same summaries let the analyzer
+/// recognize an all-constant pair without building it (constantPair).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EDDA_ANALYSIS_BUILDER_H
@@ -48,6 +53,26 @@ struct BuiltProblem {
 /// ranks, or arithmetic overflow).
 std::optional<BuiltProblem> buildProblem(const Program &Prog,
                                          const ArrayReference &A,
+                                         const ArrayReference &B);
+
+/// What the const stage needs of a pair whose built problem would have
+/// only constant equations (paper section 4).
+struct ConstantPair {
+  /// Some subscript difference is nonzero.
+  bool NonzeroDifference = false;
+  /// Some enclosing loop of either reference has constant bounds with
+  /// lo > hi.
+  bool ConstantEmptyLoop = false;
+  /// BuiltProblem::Exact: every enclosing loop has unit step.
+  bool Exact = true;
+};
+
+/// Reads \p A against \p B off the reference summaries: a value exactly
+/// when buildProblem would succeed with only constant equations. That
+/// holds when, in every dimension, neither side has a loop term and
+/// both sides have the same symbolic part (so a[N+1] against a[N]
+/// qualifies), and no constant difference overflows.
+std::optional<ConstantPair> constantPair(const ArrayReference &A,
                                          const ArrayReference &B);
 
 } // namespace edda

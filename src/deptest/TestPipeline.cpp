@@ -261,17 +261,16 @@ public:
     }
     if (!AllConstant || !Ctx.extraLe0().empty())
       return StageResult::notApplicable();
-    // Detect constant-bound empty loops exactly; otherwise follow the
-    // paper and assume enclosing loops execute. When that assumption is
-    // disabled the later stages decide bounds feasibility.
-    for (unsigned L = 0; L < P.numLoopVars(); ++L) {
-      if (P.Lo[L] && P.Hi[L] && P.Lo[L]->isConstant() &&
-          P.Hi[L]->isConstant() && P.Lo[L]->Const > P.Hi[L]->Const)
-        return StageResult::independent();
-    }
-    if (Ctx.options().AssumeNonEmptyLoops)
-      return StageResult::dependent();
-    return StageResult::notApplicable();
+    // Constant-bound empty loops are detected exactly.
+    bool EmptyLoop = false;
+    for (unsigned L = 0; L < P.numLoopVars(); ++L)
+      EmptyLoop = EmptyLoop ||
+                  (P.Lo[L] && P.Hi[L] && P.Lo[L]->isConstant() &&
+                   P.Hi[L]->isConstant() && P.Lo[L]->Const > P.Hi[L]->Const);
+    StageResult R;
+    R.St = arrayConstantRule(/*NonzeroDifference=*/false, EmptyLoop,
+                             Ctx.options());
+    return R;
   }
 };
 
@@ -679,6 +678,17 @@ public:
 
 } // namespace
 
+StageResult::Status edda::arrayConstantRule(bool NonzeroDifference,
+                                            bool ConstantEmptyLoop,
+                                            const CascadeOptions &Opts) {
+  if (NonzeroDifference || ConstantEmptyLoop)
+    return StageResult::Status::Independent;
+  // Follow the paper and assume enclosing loops execute; when that
+  // assumption is disabled the later stages decide bounds feasibility.
+  return Opts.AssumeNonEmptyLoops ? StageResult::Status::Dependent
+                                  : StageResult::Status::NotApplicable;
+}
+
 //===----------------------------------------------------------------------===//
 // The registry
 //===----------------------------------------------------------------------===//
@@ -802,6 +812,41 @@ edda::makePipeline(std::string_view Spec, std::string *Error) {
   return std::make_shared<const TestPipeline>(std::move(*P));
 }
 
+namespace {
+
+void recordStageDecision(DepStats &Stats, const DependenceTest &Stage,
+                         DepAnswer Answer) {
+  Stats.recordDecision(Stage.kind(), Answer == DepAnswer::Independent);
+  Stats.recordStageDecision(Stage.id(), Answer == DepAnswer::Independent);
+}
+
+} // namespace
+
+std::optional<CascadeResult>
+TestPipeline::runConstant(bool NonzeroDifference, bool ConstantEmptyLoop,
+                          const CascadeOptions &Opts,
+                          DepStats *Stats) const {
+  // run() on an all-constant problem: the const stage is applicable,
+  // and its verdict is the rule's.
+  if (Stages.empty() || Stages.front()->kind() != TestKind::ArrayConstant)
+    return std::nullopt;
+  StageResult::Status St =
+      arrayConstantRule(NonzeroDifference, ConstantEmptyLoop, Opts);
+  if (St == StageResult::Status::NotApplicable)
+    return std::nullopt;
+  CascadeResult Result;
+  Result.Answer = St == StageResult::Status::Independent
+                      ? DepAnswer::Independent
+                      : DepAnswer::Dependent;
+  Result.DecidedBy = TestKind::ArrayConstant;
+  Result.Exact = true;
+  if (Stats) {
+    ++Stats->Queries;
+    recordStageDecision(*Stats, *Stages.front(), Result.Answer);
+  }
+  return Result;
+}
+
 CascadeResult TestPipeline::run(const DependenceProblem &Problem,
                                 const std::vector<XAffine> &ExtraLe0,
                                 const CascadeOptions &Opts,
@@ -820,10 +865,7 @@ CascadeResult TestPipeline::run(const DependenceProblem &Problem,
                     std::optional<std::vector<int64_t>> Witness,
                     bool Widened) {
     if (Stats) {
-      Stats->recordDecision(Stage->kind(),
-                            Answer == DepAnswer::Independent);
-      Stats->recordStageDecision(Stage->id(),
-                                 Answer == DepAnswer::Independent);
+      recordStageDecision(*Stats, *Stage, Answer);
       if (Widened) {
         ++Stats->WidenedQueries;
         // A widening forced by shared-preprocessing overflow is the GCD

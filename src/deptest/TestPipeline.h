@@ -280,6 +280,16 @@ const DependenceTest *stageForKind(TestKind Kind);
 /// range); used for overflow-provenance reporting.
 const char *stageName(unsigned StageId);
 
+/// The const stage's rule (paper section 4) for a question whose
+/// subscript equations are all constant: Independent when some
+/// difference is nonzero or some loop has a constant empty range;
+/// otherwise Dependent when the loops are assumed to execute
+/// (CascadeOptions::AssumeNonEmptyLoops), else NotApplicable, and the
+/// later stages decide bounds feasibility.
+StageResult::Status arrayConstantRule(bool NonzeroDifference,
+                                      bool ConstantEmptyLoop,
+                                      const CascadeOptions &Opts);
+
 /// Trace record for one stage of one query.
 struct StageTrace {
   const DependenceTest *Stage = nullptr;
@@ -335,6 +345,15 @@ public:
                     const CascadeOptions &Opts = {},
                     DepStats *Stats = nullptr,
                     PipelineTrace *Trace = nullptr) const;
+
+  /// Decides an all-constant question without a built problem, exactly
+  /// as run() would on it, recording the same counters in \p Stats.
+  /// std::nullopt when run() would go past its first stage: the
+  /// pipeline does not start with const, or the rule is not applicable.
+  std::optional<CascadeResult> runConstant(bool NonzeroDifference,
+                                           bool ConstantEmptyLoop,
+                                           const CascadeOptions &Opts,
+                                           DepStats *Stats) const;
 
 private:
   std::vector<const DependenceTest *> Stages;

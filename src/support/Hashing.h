@@ -19,6 +19,8 @@
 #define EDDA_SUPPORT_HASHING_H
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace edda {
@@ -32,6 +34,18 @@ uint64_t hashVector(const std::vector<int64_t> &Values);
 /// The paper's hash: size(x) + sum_i 2^i * x_i, with 2^i wrapping mod
 /// 2^64. Kept for the Table 2 reproduction.
 uint64_t paperHash(const std::vector<int64_t> &Values);
+
+/// The same two hashes over a word span.
+uint64_t hashWords(std::span<const int64_t> Values);
+uint64_t paperHashWords(std::span<const int64_t> Values);
+
+/// Both hashes of \p Values and of its first \p PrefixLen words, in one
+/// pass: {hash of Values, hash of the prefix}. A memo key hashes its
+/// without-bounds prefix this way.
+std::pair<uint64_t, uint64_t>
+hashWordsAndPrefix(std::span<const int64_t> Values, size_t PrefixLen);
+std::pair<uint64_t, uint64_t>
+paperHashWordsAndPrefix(std::span<const int64_t> Values, size_t PrefixLen);
 
 } // namespace edda
 

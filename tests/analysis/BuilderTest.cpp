@@ -9,7 +9,13 @@
 
 #include "deptest/Cascade.h"
 #include "testutil/Helpers.h"
+#include "testutil/ReferenceBuilder.h"
+#include "workload/Generator.h"
 #include "gtest/gtest.h"
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace edda;
 using namespace edda::testutil;
@@ -218,4 +224,167 @@ end
   EXPECT_EQ(R.Answer, DepAnswer::Dependent);
   ASSERT_TRUE(R.Witness.has_value());
   EXPECT_TRUE(verifyWitness(B->Problem, *R.Witness));
+}
+
+//===----------------------------------------------------------------------===//
+// Differential: buildProblem against the direct reference builder
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Holds buildProblem to the reference builder on every candidate pair
+/// of \p Prog (same array, at least one write), field for field, and
+/// constantPair to the built problem it stands in for.
+void expectBuildsMatchReference(const Program &Prog,
+                                const std::string &What) {
+  std::vector<ArrayReference> Refs = collectReferences(Prog);
+  for (unsigned I = 0; I < Refs.size(); ++I)
+    for (unsigned J = I; J < Refs.size(); ++J) {
+      if (Refs[I].ArrayId != Refs[J].ArrayId ||
+          (!Refs[I].IsWrite && !Refs[J].IsWrite))
+        continue;
+      std::string Where = What + ": pair (" + std::to_string(I) + ", " +
+                          std::to_string(J) + ")";
+      std::optional<BuiltProblem> Got = buildProblem(Prog, Refs[I], Refs[J]);
+      std::optional<BuiltProblem> Want =
+          referenceBuildProblem(Prog, Refs[I], Refs[J]);
+      ASSERT_EQ(Got.has_value(), Want.has_value()) << Where;
+      std::optional<ConstantPair> CP = constantPair(Refs[I], Refs[J]);
+      if (!Got) {
+        EXPECT_FALSE(CP.has_value()) << Where;
+        continue;
+      }
+      const DependenceProblem &G = Got->Problem, &W = Want->Problem;
+      EXPECT_EQ(G.NumLoopsA, W.NumLoopsA) << Where;
+      EXPECT_EQ(G.NumLoopsB, W.NumLoopsB) << Where;
+      EXPECT_EQ(G.NumCommon, W.NumCommon) << Where;
+      EXPECT_EQ(G.NumSymbolic, W.NumSymbolic) << Where;
+      EXPECT_EQ(G.Equations, W.Equations) << Where;
+      EXPECT_EQ(G.Lo, W.Lo) << Where;
+      EXPECT_EQ(G.Hi, W.Hi) << Where;
+      EXPECT_EQ(Got->Exact, Want->Exact) << Where;
+      EXPECT_EQ(Got->CommonLoops, Want->CommonLoops) << Where;
+      EXPECT_EQ(Got->SymbolicVars, Want->SymbolicVars) << Where;
+
+      bool AllConstant = true, Nonzero = false, EmptyLoop = false;
+      for (const XAffine &Eq : G.Equations) {
+        AllConstant = AllConstant && Eq.isConstant();
+        Nonzero = Nonzero || Eq.Const != 0;
+      }
+      for (unsigned L = 0; L < G.numLoopVars(); ++L)
+        EmptyLoop = EmptyLoop ||
+                    (G.Lo[L] && G.Hi[L] && G.Lo[L]->isConstant() &&
+                     G.Hi[L]->isConstant() && G.Lo[L]->Const > G.Hi[L]->Const);
+      ASSERT_EQ(CP.has_value(), AllConstant) << Where;
+      if (CP) {
+        EXPECT_EQ(CP->NonzeroDifference, Nonzero) << Where;
+        EXPECT_EQ(CP->ConstantEmptyLoop, EmptyLoop) << Where;
+        EXPECT_EQ(CP->Exact, Got->Exact) << Where;
+      }
+    }
+}
+
+std::string readFile(const std::filesystem::path &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+} // namespace
+
+TEST(Builder, MatchesReferenceOnSuite) {
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions()))
+    expectBuildsMatchReference(mustParse(Source), Name);
+}
+
+TEST(Builder, MatchesReferenceOnCorpus) {
+  std::vector<std::filesystem::path> Files = {
+      std::filesystem::path(EDDA_INPUTS_DIR) / "demo.loop"};
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::filesystem::path(EDDA_INPUTS_DIR) / "corpus"))
+    if (Entry.path().extension() == ".loop")
+      Files.push_back(Entry.path());
+  ASSERT_GE(Files.size(), 5u) << "corpus missing?";
+  for (const std::filesystem::path &File : Files) {
+    std::string Source = readFile(File);
+    // Without the prepass, scalars survive into subscripts and bounds.
+    expectBuildsMatchReference(mustParse(Source), File.string());
+    expectBuildsMatchReference(mustParse(Source, /*Prepass=*/false),
+                               File.string() + " (no prepass)");
+  }
+}
+
+TEST(Builder, MatchesReferenceOnRandomPrograms) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SplitRng Rng(Seed);
+    std::string Source = generateRandomProgram(Rng);
+    expectBuildsMatchReference(mustParse(Source),
+                               "seed " + std::to_string(Seed));
+    expectBuildsMatchReference(mustParse(Source, /*Prepass=*/false),
+                               "seed " + std::to_string(Seed) +
+                                   " (no prepass)");
+  }
+}
+
+// A bound whose conversion fails partway still allocates the symbolic
+// columns of the terms before the failing one: here n's column survives
+// although the bound n + k (k an unremoved scalar) is dropped.
+TEST(Builder, FailedBoundKeepsItsOrphanSymbolicColumn) {
+  Program P = mustParse(R"(program s
+  array a[100]
+  read n
+  k = 3
+  for i = 1 to n + k do
+    a[i + 1] = a[i]
+  end
+end
+)",
+                        /*Prepass=*/false);
+  std::vector<ArrayReference> Refs = collectReferences(P);
+  ASSERT_EQ(Refs.size(), 2u);
+  std::optional<BuiltProblem> B = buildProblem(P, Refs[0], Refs[1]);
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(B->Problem.NumSymbolic, 1u);
+  ASSERT_EQ(B->SymbolicVars.size(), 1u);
+  EXPECT_EQ(P.var(B->SymbolicVars[0]).Name, "n");
+  EXPECT_TRUE(B->Problem.Lo[0].has_value());
+  EXPECT_FALSE(B->Problem.Hi[0].has_value());
+  EXPECT_FALSE(B->Problem.Hi[1].has_value());
+  expectBuildsMatchReference(P, "orphan column");
+}
+
+// A bound may name the variable of a loop nested deeper than its own
+// (LoopLang reuses a loop variable's id across sibling nests); the
+// variable then resolves against the reference's own deeper loops.
+TEST(Builder, BoundNamingADeeperLoopVariable) {
+  Program P = mustParse(R"(program s
+  array a[100]
+  for j = 1 to 5 do
+    a[j] = 0
+  end
+  for i = 1 to j do
+    for j = 1 to 5 do
+      a[i + j] = a[i]
+    end
+    a[i] = 1
+  end
+end
+)",
+                        /*Prepass=*/false);
+  std::vector<ArrayReference> Refs = collectReferences(P);
+  ASSERT_EQ(Refs.size(), 4u);
+  // a[i + j] (inside both loops) against itself: i's upper bound is the
+  // inner j's column on each side; a[i] = 1 has no j loop to name.
+  std::optional<BuiltProblem> Inner = buildProblem(P, Refs[1], Refs[1]);
+  ASSERT_TRUE(Inner.has_value());
+  ASSERT_TRUE(Inner->Problem.Hi[0].has_value());
+  EXPECT_EQ(Inner->Problem.Hi[0]->Coeffs[1], 1);
+  ASSERT_TRUE(Inner->Problem.Hi[2].has_value());
+  EXPECT_EQ(Inner->Problem.Hi[2]->Coeffs[3], 1);
+  std::optional<BuiltProblem> Outer = buildProblem(P, Refs[3], Refs[3]);
+  ASSERT_TRUE(Outer.has_value());
+  EXPECT_FALSE(Outer->Problem.Hi[0].has_value());
+  expectBuildsMatchReference(P, "deeper loop variable");
 }

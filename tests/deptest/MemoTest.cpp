@@ -7,7 +7,14 @@
 
 #include "deptest/Memo.h"
 
+#include "analysis/Builder.h"
+#include "fuzz/ProblemGen.h"
+#include "opt/Pipeline.h"
+#include "parser/Parser.h"
+#include "support/Hashing.h"
 #include "testutil/Helpers.h"
+#include "testutil/ReferenceKey.h"
+#include "workload/Generator.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -585,4 +592,201 @@ TEST(Memo, V6RoundTripReportsLoadStats) {
   EXPECT_EQ(LS.RejectedEntries, 0u);
   EXPECT_GE(LS.LoadedEntries, 2u);
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The one-pass key against the copy-based reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Problems covering the key's corners: random fuzz draws (symbolics,
+/// missing bounds, unused loops), random small problems, the suite's
+/// built pairs, and hand-written ties and extreme words.
+std::vector<DependenceProblem> keyCorpus() {
+  std::vector<DependenceProblem> Out;
+  SplitRng Rng(17);
+  for (int I = 0; I < 300; ++I)
+    Out.push_back(fuzz::randomFuzzProblem(Rng));
+  for (int I = 0; I < 300; ++I)
+    Out.push_back(randomProblem(Rng));
+  unsigned Stride = 0;
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions())) {
+    Program Prog = mustParse(Source);
+    std::vector<ArrayReference> Refs = collectReferences(Prog);
+    for (unsigned I = 0; I < Refs.size(); ++I)
+      for (unsigned J = I; J < Refs.size(); ++J)
+        if (Refs[I].ArrayId == Refs[J].ArrayId &&
+            (Refs[I].IsWrite || Refs[J].IsWrite) && ++Stride % 7 == 0)
+          if (std::optional<BuiltProblem> B =
+                  buildProblem(Prog, Refs[I], Refs[J]))
+            Out.push_back(std::move(B->Problem));
+  }
+  // Symmetric ties: the no-bounds words of (A,B) and (B,A) agree while
+  // the bounds decide, and equations that sort differently once negated.
+  Out.push_back(ProblemBuilder(1, 1, 1)
+                    .eq({1, -1}, 0)
+                    .bounds(0, 1, 10)
+                    .bounds(1, 2, 10)
+                    .build());
+  Out.push_back(ProblemBuilder(1, 1, 1)
+                    .eq({1, -1}, 0)
+                    .bounds(0, 2, 10)
+                    .bounds(1, 1, 10)
+                    .build());
+  Out.push_back(ProblemBuilder(2, 1, 1, 1)
+                    .eq({1, 0, -1, 2}, 3)
+                    .eq({0, 1, 0, -1}, -3)
+                    .eq({0, 1, 0, -1}, -3)
+                    .bounds(0, 1, 10)
+                    .build());
+  Out.push_back(ProblemBuilder(1, 1, 1)
+                    .eq({INT64_MIN, 1}, INT64_MIN)
+                    .eq({-1, INT64_MIN}, 0)
+                    .build());
+  Out.push_back(ProblemBuilder(0, 0, 0).eq({}, 4).build());
+  return Out;
+}
+
+} // namespace
+
+// Every ImprovedKey x SymmetricKey x CanonicalizeEquations scheme under
+// both hash kinds: makeKey's words equal the copy-based serialization
+// word for word, with the same swap flags; the no-bounds key is a
+// prefix of the full key (the analyzer's determinism grouping relies on
+// it); the hashes are the table hash of those words; and the improved
+// scheme's common-loop map is withUnusedLoopsRemoved's.
+TEST(MemoKey, OnePassKeyMatchesReferenceKey) {
+  const std::vector<DependenceProblem> Corpus = keyCorpus();
+  ASSERT_GT(Corpus.size(), 1000u);
+  for (unsigned Scheme = 0; Scheme < 8; ++Scheme)
+    for (MemoHashKind Hash :
+         {MemoHashKind::Mixing, MemoHashKind::PaperLiteral}) {
+      MemoOptions Opts;
+      Opts.ImprovedKey = Scheme & 1;
+      Opts.SymmetricKey = Scheme & 2;
+      Opts.CanonicalizeEquations = Scheme & 4;
+      Opts.Hash = Hash;
+      DependenceCache Cache(Opts);
+      auto HashOf = [Hash](std::span<const int64_t> W) {
+        return Hash == MemoHashKind::PaperLiteral ? paperHashWords(W)
+                                                  : hashWords(W);
+      };
+      for (size_t I = 0; I < Corpus.size(); ++I) {
+        const DependenceProblem &P = Corpus[I];
+        std::string Where = "scheme " + std::to_string(Scheme) +
+                            " hash " + std::to_string(int(Hash)) +
+                            " problem " + std::to_string(I) + "\n" +
+                            P.str();
+        bool WantSwapped, WantNbSwapped;
+        std::vector<int64_t> Full =
+            referenceKey(Opts, P, /*IncludeBounds=*/true, WantSwapped);
+        std::vector<int64_t> NoBounds =
+            referenceKey(Opts, P, /*IncludeBounds=*/false, WantNbSwapped);
+        MemoKey K = Cache.makeKey(P);
+        ASSERT_EQ(K.Words, Full) << Where;
+        EXPECT_EQ(K.Swapped, WantSwapped) << Where;
+        EXPECT_EQ(K.NoBoundsSwapped, WantNbSwapped) << Where;
+        ASSERT_EQ(K.NoBoundsLen, NoBounds.size()) << Where;
+        EXPECT_TRUE(std::equal(NoBounds.begin(), NoBounds.end(),
+                               K.Words.begin()))
+            << "no-bounds key is not a prefix of the full key: " << Where;
+        EXPECT_EQ(K.Hash, HashOf(Full)) << Where;
+        EXPECT_EQ(K.NoBoundsHash, HashOf(NoBounds)) << Where;
+        EXPECT_EQ(K.NumLoopsA, P.NumLoopsA) << Where;
+        EXPECT_EQ(K.NumLoopsB, P.NumLoopsB) << Where;
+        EXPECT_EQ(K.NumCommon, P.NumCommon) << Where;
+        if (Opts.ImprovedKey) {
+          std::vector<std::optional<unsigned>> CommonMap;
+          (void)P.withUnusedLoopsRemoved(CommonMap);
+          EXPECT_EQ(K.CommonMap, CommonMap) << Where;
+        }
+        bool Swapped;
+        EXPECT_EQ(Cache.keyFor(P, /*IncludeBounds=*/true, Swapped), Full);
+        EXPECT_EQ(Swapped, WantSwapped) << Where;
+        EXPECT_EQ(Cache.keyFor(P, /*IncludeBounds=*/false, Swapped),
+                  NoBounds);
+        EXPECT_EQ(Swapped, WantNbSwapped) << Where;
+      }
+    }
+}
+
+// A v6 cache file whose keys come from the copy-based reference loads
+// into the one-pass cache and answers exactly as a file the cache saved
+// itself: cache files need no version bump.
+TEST(MemoKey, ReferenceKeyedFileAnswersLikeSavedFile) {
+  const std::vector<DependenceProblem> Corpus = keyCorpus();
+  for (unsigned Scheme = 0; Scheme < 8; ++Scheme) {
+    MemoOptions Opts;
+    Opts.ImprovedKey = Scheme & 1;
+    Opts.SymmetricKey = Scheme & 2;
+    Opts.CanonicalizeEquations = Scheme & 4;
+
+    // Every other problem is stored; the rest must miss.
+    DependenceCache Saved(Opts);
+    std::string Full, Gcd;
+    size_t NumFull = 0, NumGcd = 0;
+    std::vector<std::vector<int64_t>> SeenFull, SeenGcd;
+    for (size_t I = 0; I < Corpus.size(); I += 2) {
+      const DependenceProblem &P = Corpus[I];
+      CascadeResult R = testDependence(P);
+      Saved.insertFull(P, R);
+      Saved.insertGcdSolvable(P, R.Answer != DepAnswer::Independent);
+      bool Swapped;
+      std::vector<int64_t> K = referenceKey(Opts, P, true, Swapped);
+      if (std::find(SeenFull.begin(), SeenFull.end(), K) == SeenFull.end()) {
+        SeenFull.push_back(K);
+        Full += std::to_string(K.size());
+        for (int64_t W : K)
+          Full += " " + std::to_string(W);
+        Full += "\n" + std::to_string(int(R.Answer)) + " " +
+                std::to_string(int(R.DecidedBy)) + " " +
+                std::to_string(R.Exact) + " " + std::to_string(R.Widened) +
+                " 0\n";
+        ++NumFull;
+      }
+      K = referenceKey(Opts, P, false, Swapped);
+      if (std::find(SeenGcd.begin(), SeenGcd.end(), K) == SeenGcd.end()) {
+        SeenGcd.push_back(K);
+        Gcd += std::to_string(K.size());
+        for (int64_t W : K)
+          Gcd += " " + std::to_string(W);
+        Gcd += "\n" +
+               std::to_string(R.Answer != DepAnswer::Independent) + "\n";
+        ++NumGcd;
+      }
+    }
+    std::string RefPath = ::testing::TempDir() + "/edda_cache_refkeys.txt";
+    {
+      std::FILE *F = std::fopen(RefPath.c_str(), "w");
+      ASSERT_NE(F, nullptr);
+      std::fprintf(F, "edda-depcache 6\n%zu\n%s0\n%zu\n%s", NumFull,
+                   Full.c_str(), NumGcd, Gcd.c_str());
+      std::fclose(F);
+    }
+    std::string SavedPath = ::testing::TempDir() + "/edda_cache_saved.txt";
+    ASSERT_TRUE(Saved.saveToFile(SavedPath));
+
+    DependenceCache FromRef(Opts), FromSaved(Opts);
+    ASSERT_TRUE(FromRef.loadFromFile(RefPath)) << "scheme " << Scheme;
+    ASSERT_TRUE(FromSaved.loadFromFile(SavedPath)) << "scheme " << Scheme;
+    EXPECT_EQ(FromRef.uniqueFull(), FromSaved.uniqueFull());
+    EXPECT_EQ(FromRef.uniqueNoBounds(), FromSaved.uniqueNoBounds());
+    for (const DependenceProblem &P : Corpus) {
+      std::optional<CascadeResult> A = FromRef.lookupFull(P);
+      std::optional<CascadeResult> B = FromSaved.lookupFull(P);
+      ASSERT_EQ(A.has_value(), B.has_value()) << "scheme " << Scheme;
+      if (A) {
+        EXPECT_EQ(A->Answer, B->Answer);
+        EXPECT_EQ(A->DecidedBy, B->DecidedBy);
+      }
+      EXPECT_EQ(FromRef.lookupGcdSolvable(P), FromSaved.lookupGcdSolvable(P));
+    }
+    EXPECT_EQ(FromRef.fullHits(), FromSaved.fullHits());
+    EXPECT_EQ(FromRef.gcdHits(), FromSaved.gcdHits());
+    EXPECT_GT(FromRef.fullHits(), Corpus.size() / 2 - 1);
+    std::remove(RefPath.c_str());
+    std::remove(SavedPath.c_str());
+  }
 }

@@ -60,3 +60,22 @@ TEST(HashCombine, OrderSensitive) {
   EXPECT_NE(hashCombine(hashCombine(0, 1), 2),
             hashCombine(hashCombine(0, 2), 1));
 }
+
+// The one-pass pair equals the two hashes taken separately, for every
+// prefix length from empty to the whole span.
+TEST(HashWords, PrefixPairMatchesSeparateHashes) {
+  std::vector<int64_t> Words;
+  for (int64_t I = 0; I < 70; ++I)
+    Words.push_back(I * I * 7919 - 31 * I);
+  for (size_t Len = 0; Len <= Words.size(); Len += 3) {
+    std::span<const int64_t> All(Words.data(), Len);
+    for (size_t Prefix = 0; Prefix <= Len; ++Prefix) {
+      std::vector<int64_t> Head(Words.begin(), Words.begin() + Prefix);
+      std::vector<int64_t> Whole(Words.begin(), Words.begin() + Len);
+      EXPECT_EQ(hashWordsAndPrefix(All, Prefix),
+                std::make_pair(hashVector(Whole), hashVector(Head)));
+      EXPECT_EQ(paperHashWordsAndPrefix(All, Prefix),
+                std::make_pair(paperHash(Whole), paperHash(Head)));
+    }
+  }
+}
