@@ -71,6 +71,12 @@ std::optional<int64_t> checkedMul(int64_t A, int64_t B);
 /// Checked negation; std::nullopt for INT64_MIN.
 std::optional<int64_t> checkedNeg(int64_t A);
 
+/// Two's-complement negation, for words that are data, not quantities:
+/// INT64_MIN maps to itself instead of overflowing.
+inline int64_t wrappingNeg(int64_t A) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
+}
+
 /// An accumulator for chains of checked operations. Once any step
 /// overflows the accumulator becomes poisoned and stays poisoned, so a
 /// whole dot product can be computed with a single validity check at the

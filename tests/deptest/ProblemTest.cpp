@@ -122,6 +122,36 @@ TEST(Problem, WithUnusedLoopsRemoved) {
   EXPECT_EQ(MapB[1], std::optional<unsigned>(0));
 }
 
+// More than 64 columns: the used set spans several bitset words. A
+// loop variable reached only through a used loop's bound, and the
+// symbolics past column 64 that an equation or a used bound mentions,
+// are kept; the rest are not.
+TEST(Problem, UsedColumnsBeyondOneWord) {
+  const unsigned NumSym = 70, NumX = 4 + NumSym;
+  std::vector<int64_t> Eq(NumX, 0), Hi(NumX, 0);
+  Eq[1] = 1;          // j (A side, common loop 1)
+  Eq[3] = -1;         // j'
+  Eq[4 + 66] = 2;     // symbolic 66, column 70
+  Hi[0] = 1;          // j <= i: i becomes used through j's bound
+  Hi[4 + 69] = 1;     //        + symbolic 69, column 73
+  DependenceProblem P = ProblemBuilder(2, 2, 2, NumSym)
+                            .eq(Eq, 0)
+                            .hiBound(1, Hi, 0)
+                            .build();
+  std::vector<uint64_t> Bits;
+  P.usedColumns(Bits);
+  ASSERT_GE(Bits.size(), 2u);
+  auto Used = [&](unsigned J) { return (Bits[J / 64] >> (J % 64)) & 1; };
+  for (unsigned J = 0; J < NumX; ++J) {
+    bool Want = J < 4 || J == 4 + 66 || J == 4 + 69;
+    EXPECT_EQ(Used(J), Want) << "column " << J;
+  }
+  std::vector<std::optional<unsigned>> Map;
+  DependenceProblem R = P.withUnusedLoopsRemoved(Map);
+  EXPECT_EQ(R.NumSymbolic, 2u);
+  EXPECT_EQ(R.NumCommon, 2u);
+}
+
 TEST(Problem, RemovalKeepsAnswer) {
   SplitRng Rng(5);
   for (unsigned Iter = 0; Iter < 100; ++Iter) {
