@@ -12,10 +12,29 @@
 
 #include <climits>
 #include <random>
+#include <type_traits>
 
 using namespace edda;
 
+// Widening is implicit; narrowing must never become silent.
+static_assert(std::is_convertible_v<int64_t, Int128>);
+static_assert(!std::is_convertible_v<Int128, int64_t>);
+static_assert(!std::is_convertible_v<Int128, __int128>);
+
 namespace {
+
+using U128 = unsigned __int128;
+
+/// The value with two's-complement words \p Hi and \p Lo.
+Int128 fromWords(uint64_t Hi, uint64_t Lo) {
+  return Int128(static_cast<__int128>((U128(Hi) << 64) | Lo));
+}
+
+/// |V| as an unsigned 128-bit value; |min()| is 2^127, which fits.
+U128 magnitude(Int128 V) {
+  U128 W = static_cast<U128>(static_cast<__int128>(V));
+  return V.isNegative() ? -W : W;
+}
 
 /// Deterministic stream of interesting 128-bit values: random words
 /// mixed with boundary shapes (all-ones, sign-bit edges, small values).
@@ -34,11 +53,11 @@ public:
     case 3:
       return Int128::max();
     case 4:
-      return Int128::fromWords(Rng(), ~0ull);
+      return fromWords(Rng(), ~0ull);
     case 5:
-      return Int128::fromWords(0, Rng());
+      return fromWords(0, Rng());
     default:
-      return Int128::fromWords(Rng(), Rng());
+      return fromWords(Rng(), Rng());
     }
   }
 
@@ -62,12 +81,17 @@ TEST(Int128, ConstructionAndNarrowing) {
   EXPECT_FALSE((Int128(INT64_MIN) - Int128(1)).fitsInt64());
   EXPECT_EQ(Int128(INT64_MIN).tryInt64(), std::optional<int64_t>(INT64_MIN));
   EXPECT_FALSE(Int128::max().tryInt64().has_value());
+  // The one conversion to and from the native type round-trips.
+  EXPECT_EQ(Int128(static_cast<__int128>(Int128::min())), Int128::min());
+  EXPECT_EQ(static_cast<__int128>(Int128(-5)), static_cast<__int128>(-5));
 }
 
 TEST(Int128, MinNegationWrapsLikeHardware) {
   // -min() is unrepresentable and wraps back to min(), exactly like
   // int64; checkedNeg is the loud variant.
   EXPECT_EQ(-Int128::min(), Int128::min());
+  EXPECT_EQ(Int128::min() / Int128(-1), Int128::min());
+  EXPECT_EQ(Int128::min() % Int128(-1), Int128(0));
   EXPECT_FALSE(checkedNeg(Int128::min()).has_value());
   EXPECT_EQ(checkedNeg(Int128::max()),
             std::optional<Int128>(Int128::min() + Int128(1)));
@@ -108,7 +132,7 @@ TEST(Int128, CheckedFloorCeilDivMinEdge) {
   EXPECT_EQ(checkedFloorDiv(Int128::min(), Int128(1)),
             std::optional<Int128>(Int128::min()));
   EXPECT_EQ(checkedFloorDiv(Int128::min(), Int128(2)),
-            std::optional<Int128>(Int128::fromWords(3ull << 62, 0)));
+            std::optional<Int128>(fromWords(3ull << 62, 0)));
 }
 
 TEST(Int128, GcdEdges) {
@@ -116,8 +140,12 @@ TEST(Int128, GcdEdges) {
   EXPECT_EQ(gcdOf(Int128(0), Int128(-42)), Int128(42));
   EXPECT_EQ(gcdOf(Int128(12), Int128(18)), Int128(6));
   // Huge operands: gcd(3 * 2^80, 7 * 2^80) = 2^80.
-  Int128 P80 = Int128::fromWords(1ull << 16, 0);
+  Int128 P80 = fromWords(1ull << 16, 0);
   EXPECT_EQ(gcdOf(P80 * Int128(3), P80 * Int128(7)), P80);
+  // |min| is unrepresentable and wraps to min(), like gcd64; a -1
+  // operand never reaches the overflowing min % -1.
+  EXPECT_EQ(gcdOf(Int128::min(), Int128::min()), Int128::min());
+  EXPECT_EQ(gcdOf(Int128::min(), Int128(-1)), Int128(1));
 }
 
 TEST(Int128, DecimalRendering) {
@@ -155,58 +183,43 @@ TEST(CheckedInt128, PoisonOnlyPast128Bits) {
   EXPECT_FALSE(Top.getOpt().has_value());
 }
 
-#if defined(__SIZEOF_INT128__)
-
-TEST(Int128Property, PortableMatchesNativeArithmetic) {
+TEST(Int128Property, DivModMatchesDefinition) {
+  // Truncating division: Q*B + R == A with |R| < |B|, and R is zero or
+  // takes A's sign.
   ValueStream VS(0xEDDA1281);
   for (int I = 0; I < 20000; ++I) {
     Int128 A = VS.next(), B = VS.next();
-    __int128 NA = A.toNative(), NB = B.toNative();
-    // Wrapping reference arithmetic goes through unsigned: signed
-    // __int128 overflow is undefined (and UBSan reports it).
-    EXPECT_EQ((A + B), Int128::fromNative(static_cast<__int128>(
-                           static_cast<unsigned __int128>(NA) +
-                           static_cast<unsigned __int128>(NB))));
-    EXPECT_EQ((A - B), Int128::fromNative(static_cast<__int128>(
-                           static_cast<unsigned __int128>(NA) -
-                           static_cast<unsigned __int128>(NB))));
-    EXPECT_EQ((A * B),
-              Int128::fromNative(static_cast<__int128>(
-                  static_cast<unsigned __int128>(NA) *
-                  static_cast<unsigned __int128>(NB))));
-    EXPECT_EQ(A == B, NA == NB);
-    EXPECT_EQ(A < B, NA < NB);
-    if (!B.isZero() && !(A == Int128::min() && B == Int128(-1))) {
-      EXPECT_EQ(A / B, Int128::fromNative(NA / NB));
-      EXPECT_EQ(A % B, Int128::fromNative(NA % NB));
-    }
+    if (B.isZero() || (A == Int128::min() && B == Int128(-1)))
+      continue;
+    Int128 Q = A / B, R = A % B;
+    EXPECT_EQ(Q * B + R, A);
+    EXPECT_LT(magnitude(R), magnitude(B));
+    EXPECT_TRUE(R.isZero() || R.isNegative() == A.isNegative());
   }
 }
 
 TEST(Int128Property, CheckedOpsAgreeWithWideNative) {
-  // checkedAdd/Mul must report overflow exactly when the true result
-  // leaves [min, max]; verified against native arithmetic one bit
-  // wider in the failing direction via unsigned wraparound analysis.
+  // Add and subtract overflow exactly when the operands' signs make the
+  // wrapped result's sign impossible; otherwise they return it. A
+  // product that does not overflow divides back to its operand.
   ValueStream VS(0xEDDA1282);
   for (int I = 0; I < 20000; ++I) {
     Int128 A = VS.next(), B = VS.next();
-    __int128 NA = A.toNative(), NB = B.toNative();
-    unsigned __int128 Wrapped = static_cast<unsigned __int128>(NA) +
-                                static_cast<unsigned __int128>(NB);
-    __int128 SignedWrapped = static_cast<__int128>(Wrapped);
-    bool AddOverflows = (NB > 0 && SignedWrapped < NA) ||
-                        (NB < 0 && SignedWrapped > NA);
-    std::optional<Int128> Sum = checkedAdd(A, B);
-    EXPECT_EQ(Sum.has_value(), !AddOverflows);
-    if (Sum)
-      EXPECT_EQ(*Sum, Int128::fromNative(SignedWrapped));
+    Int128 Sum = A + B, Diff = A - B;
+    bool AddOverflows = A.isNegative() == B.isNegative() &&
+                        Sum.isNegative() != A.isNegative();
+    bool SubOverflows = A.isNegative() != B.isNegative() &&
+                        Diff.isNegative() != A.isNegative();
+    EXPECT_EQ(checkedAdd(A, B),
+              AddOverflows ? std::nullopt : std::optional<Int128>(Sum));
+    EXPECT_EQ(checkedSub(A, B),
+              SubOverflows ? std::nullopt : std::optional<Int128>(Diff));
 
     std::optional<Int128> Prod = checkedMul(A, B);
     if (Prod) {
-      // A reported product must divide back exactly.
       if (!B.isZero()) {
-        EXPECT_EQ(Prod->toNative() / NB, NA);
-        EXPECT_EQ(Prod->toNative() % NB, static_cast<__int128>(0));
+        EXPECT_EQ(*Prod / B, A);
+        EXPECT_TRUE((*Prod % B).isZero());
       }
     } else {
       EXPECT_FALSE(A.isZero());
@@ -216,22 +229,20 @@ TEST(Int128Property, CheckedOpsAgreeWithWideNative) {
 }
 
 TEST(Int128Property, FloorCeilDivMatchDefinition) {
+  // A - F*B is zero or takes B's sign, A - C*B is zero or takes the
+  // opposite sign, and both are smaller than |B|. The true remainders
+  // fit, so wrapping arithmetic computes them exactly.
   ValueStream VS(0xEDDA1283);
   for (int I = 0; I < 20000; ++I) {
     Int128 A = VS.next(), B = VS.next();
     if (B.isZero() || (A == Int128::min() && B == Int128(-1)))
       continue;
     Int128 F = floorDiv(A, B), C = ceilDiv(A, B);
-    // floor <= true quotient <= ceil, within one unit, and F*B stays on
-    // the correct side of A.
     EXPECT_TRUE(C == F || C == F + Int128(1));
-    __int128 NA = A.toNative(), NB = B.toNative();
-    __int128 Q = NA / NB, R = NA % NB;
-    __int128 NF = (R != 0 && ((R < 0) != (NB < 0))) ? Q - 1 : Q;
-    EXPECT_EQ(F, Int128::fromNative(NF));
-    EXPECT_EQ(C, Int128::fromNative(
-                     (R != 0 && ((R < 0) == (NB < 0))) ? Q + 1 : Q));
+    Int128 RF = A - F * B, RC = A - C * B;
+    EXPECT_LT(magnitude(RF), magnitude(B));
+    EXPECT_LT(magnitude(RC), magnitude(B));
+    EXPECT_TRUE(RF.isZero() || RF.isNegative() == B.isNegative());
+    EXPECT_TRUE(RC.isZero() || RC.isNegative() != B.isNegative());
   }
 }
-
-#endif // __SIZEOF_INT128__
