@@ -126,7 +126,7 @@ echo "===== micro_test_cost ====="
 # fast path end to end, and the committed corpus case is the
 # seed-Unanalyzable problem that must now decide (only) at 128 bits.
 DEMO_STATS=$("$BUILD/tools/edda-cli" --stats \
-             "$REPO_ROOT/tests/inputs/demo.loop" | tail -1)
+             "$REPO_ROOT/tests/inputs/demo.loop" | sed -n '/^queries:/p')
 DEMO_QUERIES=$(printf '%s\n' "$DEMO_STATS" |
                sed -n 's/^queries: \([0-9]*\),.*/\1/p')
 DEMO_WIDENED=$(printf '%s\n' "$DEMO_STATS" |

@@ -61,7 +61,7 @@ private:
 
   /// Evaluates \p E; array reads are recorded with slots numbered by
   /// \p SlotCounter in the same depth-first order analysis/Refs.h uses.
-  std::optional<int64_t> eval(const ExprPtr &E, const AssignStmt *Stmt,
+  std::optional<int64_t> eval(const Expr *E, const AssignStmt *Stmt,
                               int &SlotCounter) {
     switch (E->kind()) {
     case ExprKind::Const:
@@ -99,7 +99,7 @@ private:
       int Slot = SlotCounter++;
       std::vector<int64_t> Indices;
       Indices.reserve(E->subscripts().size());
-      for (const ExprPtr &Sub : E->subscripts()) {
+      for (const Expr *Sub : E->subscripts()) {
         std::optional<int64_t> V = eval(Sub, Stmt, SlotCounter);
         if (!V)
           return std::nullopt;
@@ -129,7 +129,7 @@ private:
       if (A.isArrayLhs()) {
         std::vector<int64_t> Indices;
         Indices.reserve(A.lhsSubscripts().size());
-        for (const ExprPtr &Sub : A.lhsSubscripts()) {
+        for (const Expr *Sub : A.lhsSubscripts()) {
           std::optional<int64_t> V = eval(Sub, &A, SlotCounter);
           if (!V)
             return fail("arithmetic overflow in subscript");

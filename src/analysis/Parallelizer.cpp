@@ -56,7 +56,7 @@ bool readsVar(const Stmt &S, unsigned Var) {
   if (S.kind() == StmtKind::Assign) {
     const AssignStmt &A = asAssign(S);
     if (A.isArrayLhs())
-      for (const ExprPtr &Sub : A.lhsSubscripts())
+      for (const Expr *Sub : A.lhsSubscripts())
         if (Sub->references(Var))
           return true;
     return A.rhs()->references(Var);
@@ -87,14 +87,14 @@ unsigned countAssignments(const Stmt &S, unsigned Var) {
 /// so the operator group is reported through \p Additive.
 bool isReductionUpdate(const AssignStmt &A, unsigned Var,
                        bool &Additive) {
-  const ExprPtr &Rhs = A.rhs();
+  const Expr *Rhs = A.rhs();
   ExprKind K = Rhs->kind();
   if (K != ExprKind::Add && K != ExprKind::Sub && K != ExprKind::Mul)
     return false;
   Additive = K != ExprKind::Mul;
-  const ExprPtr &L = Rhs->lhs();
-  const ExprPtr &R = Rhs->rhs();
-  auto IsVar = [Var](const ExprPtr &E) {
+  const Expr *L = Rhs->lhs();
+  const Expr *R = Rhs->rhs();
+  auto IsVar = [Var](const Expr *E) {
     return E->kind() == ExprKind::Var && E->varId() == Var;
   };
   if (IsVar(L) && !R->references(Var))

@@ -17,7 +17,7 @@ using namespace edda;
 std::vector<const Expr *> edda::collectStmtReads(const AssignStmt &A) {
   std::vector<const Expr *> Reads;
   if (A.isArrayLhs())
-    for (const ExprPtr &Sub : A.lhsSubscripts())
+    for (const Expr *Sub : A.lhsSubscripts())
       Sub->collectArrayReads(Reads);
   A.rhs()->collectArrayReads(Reads);
   return Reads;
@@ -25,20 +25,20 @@ std::vector<const Expr *> edda::collectStmtReads(const AssignStmt &A) {
 
 namespace {
 
-/// Converts \p E once and resolves each variable against the first
-/// \p NumLoops of \p Loops (the outermost loop with that variable);
-/// unmatched variables stay variable terms.
-AffineSummary summarize(const ExprPtr &E,
+/// Takes the affine form of \p E and resolves each variable against the
+/// first \p NumLoops of \p Loops (the outermost loop with that
+/// variable); unmatched variables stay variable terms.
+AffineSummary summarize(const Expr *E,
                         const std::vector<const LoopStmt *> &Loops,
                         size_t NumLoops) {
   AffineSummary S;
-  std::optional<AffineExpr> Affine = toAffine(E);
+  const AffineForm *Affine = E->affine();
   if (!Affine)
     return S;
   S.Affine = true;
-  S.Const = Affine->constant();
-  S.Terms.reserve(Affine->terms().size());
-  for (const AffineExpr::Term &T : Affine->terms()) {
+  S.Const = Affine->Constant;
+  S.Terms.reserve(Affine->Terms.size());
+  for (const AffineExpr::Term &T : Affine->Terms) {
     SummaryTerm &Out = S.Terms.emplace_back();
     Out.Var = T.VarId;
     Out.Coeff = T.Coeff;
@@ -56,8 +56,8 @@ AffineSummary summarize(const ExprPtr &E,
 LoopSummary summarizeLoop(const std::vector<const LoopStmt *> &LoopStack) {
   const LoopStmt &Loop = *LoopStack.back();
   LoopSummary S;
-  const ExprPtr &LoExpr = Loop.step() > 0 ? Loop.lo() : Loop.hi();
-  const ExprPtr &HiExpr = Loop.step() > 0 ? Loop.hi() : Loop.lo();
+  const Expr *LoExpr = Loop.step() > 0 ? Loop.lo() : Loop.hi();
+  const Expr *HiExpr = Loop.step() > 0 ? Loop.hi() : Loop.lo();
   S.Lo = summarize(LoExpr, LoopStack, LoopStack.size());
   S.Hi = summarize(HiExpr, LoopStack, LoopStack.size());
   S.ConstantEmpty = S.Lo.Affine && S.Hi.Affine && S.Lo.Terms.empty() &&
@@ -69,7 +69,7 @@ LoopSummary summarizeLoop(const std::vector<const LoopStmt *> &LoopStack) {
 /// Fills Ref.Subs and Ref.Unanalyzable from Ref.Subscripts.
 void summarizeSubscripts(const Program &P, ArrayReference &Ref) {
   Ref.Subs.reserve(Ref.Subscripts.size());
-  for (const ExprPtr &Sub : Ref.Subscripts) {
+  for (const Expr *Sub : Ref.Subscripts) {
     AffineSummary &S = Ref.Subs.emplace_back(
         summarize(Sub, Ref.Loops, Ref.Loops.size()));
     if (!S.Affine)
@@ -81,19 +81,22 @@ void summarizeSubscripts(const Program &P, ArrayReference &Ref) {
   }
 }
 
-void fingerprintRef(const Program &P, ArrayReference &Ref) {
-  uint64_t H = hashCombine(0x5EFu, Ref.IsWrite ? 1u : 0u);
-  H = hashCombine(H, fingerprintArrayAccess(P, Ref.ArrayId,
-                                            Ref.Subscripts));
-  Ref.FingerprintNoBounds = H;
-  Ref.Fingerprint = hashCombine(H, fingerprintLoopChain(P, Ref.Loops));
-}
-
 struct LoopContext {
   std::vector<const LoopStmt *> Loops;
   /// Summaries of Loops; one vector per loop, made on entry.
   std::shared_ptr<const std::vector<LoopSummary>> Info;
+  /// The loop-chain fingerprint of Loops, extended on entry to each loop.
+  uint64_t Chain = emptyLoopChain();
 };
+
+void fingerprintRef(const Program &P, const LoopContext &Ctx,
+                    ArrayReference &Ref) {
+  uint64_t H = hashCombine(0x5EFu, Ref.IsWrite ? 1u : 0u);
+  H = hashCombine(H, fingerprintArrayAccess(P, Ref.ArrayId,
+                                            Ref.Subscripts));
+  Ref.FingerprintNoBounds = H;
+  Ref.Fingerprint = hashCombine(H, Ctx.Chain);
+}
 
 void collectFrom(const Program &P, const std::vector<StmtPtr> &Body,
                  LoopContext &Ctx, std::vector<ArrayReference> &Out) {
@@ -107,7 +110,10 @@ void collectFrom(const Program &P, const std::vector<StmtPtr> &Body,
       Info->push_back(summarizeLoop(Ctx.Loops));
       std::shared_ptr<const std::vector<LoopSummary>> Outer =
           std::exchange(Ctx.Info, std::move(Info));
+      uint64_t OuterChain =
+          std::exchange(Ctx.Chain, extendLoopChain(P, Ctx.Chain, L));
       collectFrom(P, L.body(), Ctx, Out);
+      Ctx.Chain = OuterChain;
       Ctx.Info = std::move(Outer);
       Ctx.Loops.pop_back();
       continue;
@@ -122,7 +128,7 @@ void collectFrom(const Program &P, const std::vector<StmtPtr> &Body,
       Write.Subscripts = A.lhsSubscripts();
       Write.Loops = Ctx.Loops;
       Write.LoopInfo = Ctx.Info;
-      fingerprintRef(P, Write);
+      fingerprintRef(P, Ctx, Write);
       summarizeSubscripts(P, Write);
       Out.push_back(std::move(Write));
     }
@@ -133,10 +139,11 @@ void collectFrom(const Program &P, const std::vector<StmtPtr> &Body,
       Read.Stmt = &A;
       Read.Slot = static_cast<int>(I);
       Read.IsWrite = false;
-      Read.Subscripts = Reads[I]->subscripts();
+      Read.Subscripts.assign(Reads[I]->subscripts().begin(),
+                             Reads[I]->subscripts().end());
       Read.Loops = Ctx.Loops;
       Read.LoopInfo = Ctx.Info;
-      fingerprintRef(P, Read);
+      fingerprintRef(P, Ctx, Read);
       summarizeSubscripts(P, Read);
       Out.push_back(std::move(Read));
     }
@@ -159,7 +166,7 @@ uint64_t edda::pairFingerprint(uint64_t FpA, uint64_t FpB,
 
 std::string edda::refStr(const Program &P, const ArrayReference &Ref) {
   std::string Out = P.array(Ref.ArrayId).Name;
-  for (const ExprPtr &Sub : Ref.Subscripts)
+  for (const Expr *Sub : Ref.Subscripts)
     Out += "[" +
            Sub->str([&P](unsigned V) { return P.var(V).Name; }) + "]";
   Out += Ref.IsWrite ? " (write" : " (read";

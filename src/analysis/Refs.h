@@ -87,7 +87,7 @@ struct ArrayReference {
   /// -1 for the write on the left-hand side, otherwise the read index.
   int Slot = -1;
   bool IsWrite = false;
-  std::vector<ExprPtr> Subscripts;
+  std::vector<const Expr *> Subscripts;
   /// Enclosing loops, outermost first.
   std::vector<const LoopStmt *> Loops;
   /// Stable content fingerprint: array name, read/write, subscript

@@ -501,7 +501,7 @@ SearchResult edda::searchTransformations(const Program &Prog,
           AppliedOk = CL && interchangeLoops(*CL);
           break;
         case TransformKind::Reverse:
-          AppliedOk = CL && reverseLoop(*CL);
+          AppliedOk = CL && reverseLoop(Cand, *CL);
           break;
         case TransformKind::Skew: {
           int64_t Applied = Opts.InjectMisSignedSkew ? -Step.Amount

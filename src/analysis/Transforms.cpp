@@ -57,10 +57,10 @@ bool bindsVar(const std::vector<StmtPtr> &Body, unsigned VarId) {
 /// Rewrites every use of variable \p VarId in \p Body (subscripts,
 /// right-hand sides, nested loop bounds) to \p Replacement.
 /// \pre no loop in Body binds VarId (see bindsVar).
-void rewriteVarUses(std::vector<StmtPtr> &Body, unsigned VarId,
-                    const ExprPtr &Replacement) {
-  auto Rewrite = [VarId, &Replacement](const ExprPtr &E) {
-    return substitute(E, [VarId, &Replacement](unsigned Var) -> ExprPtr {
+void rewriteVarUses(ExprArena &Exprs, std::vector<StmtPtr> &Body,
+                    unsigned VarId, const Expr *Replacement) {
+  auto Rewrite = [&Exprs, VarId, Replacement](const Expr *E) {
+    return substitute(Exprs, E, [VarId, Replacement](unsigned Var) {
       return Var == VarId ? Replacement : nullptr;
     });
   };
@@ -260,8 +260,8 @@ bool edda::fuseLoops(Program &Prog, std::vector<StmtPtr> &Body,
     // semantics — bail instead.
     if (bindsVar(Second.body(), To) || bindsVar(Second.body(), From))
       return false;
-    rewriteVarUses(Second.body(), From, Expr::makeVar(To));
-    (void)Prog;
+    rewriteVarUses(Prog.exprs(), Second.body(), From,
+                   Prog.exprs().makeVar(To));
   }
 
   for (StmtPtr &Child : Second.body())
@@ -363,7 +363,7 @@ DistributionPlan edda::planDistribution(const DependenceGraph &Graph,
             const AssignStmt &A = asAssign(S);
             std::vector<unsigned> Vars;
             if (A.isArrayLhs())
-              for (const ExprPtr &Sub : A.lhsSubscripts())
+              for (const Expr *Sub : A.lhsSubscripts())
                 Sub->collectVars(Vars);
             else
               Assigned[Top].insert(A.lhsScalar());
@@ -536,8 +536,8 @@ bool edda::interchangeLoops(LoopStmt &Outer) {
     return false;
 
   unsigned OuterVar = Outer.varId();
-  ExprPtr OuterLo = Outer.lo();
-  ExprPtr OuterHi = Outer.hi();
+  const Expr *OuterLo = Outer.lo();
+  const Expr *OuterHi = Outer.hi();
   int64_t OuterStep = Outer.step();
 
   Outer.setVarId(Inner.varId());
@@ -546,8 +546,8 @@ bool edda::interchangeLoops(LoopStmt &Outer) {
   Outer.setStep(Inner.step());
 
   Inner.setVarId(OuterVar);
-  Inner.setLo(std::move(OuterLo));
-  Inner.setHi(std::move(OuterHi));
+  Inner.setLo(OuterLo);
+  Inner.setHi(OuterHi);
   Inner.setStep(OuterStep);
   return true;
 }
@@ -776,7 +776,6 @@ LegalityResult edda::canSkew(const DependenceGraph &Graph,
 }
 
 bool edda::skewLoops(Program &Prog, LoopStmt &Outer, int64_t Factor) {
-  (void)Prog;
   if (Outer.body().size() != 1 ||
       Outer.body()[0]->kind() != StmtKind::Loop)
     return false;
@@ -790,16 +789,13 @@ bool edda::skewLoops(Program &Prog, LoopStmt &Outer, int64_t Factor) {
   if (Factor == 0)
     return true;
 
-  ExprPtr Offset =
-      Expr::makeMul(Expr::makeConst(Factor), Expr::makeVar(I));
+  ExprArena &A = Prog.exprs();
+  const Expr *Offset = A.makeMul(A.makeConst(Factor), A.makeVar(I));
   // Old iteration (i, j) runs as (i, j + f*i): shift the bounds up by
   // f*i and undo the shift at every use of j inside the body.
-  ExprPtr NewLo = Expr::makeAdd(Inner.lo(), Offset);
-  ExprPtr NewHi = Expr::makeAdd(Inner.hi(), Offset);
-  rewriteVarUses(Inner.body(), J,
-                 Expr::makeSub(Expr::makeVar(J), Offset));
-  Inner.setLo(std::move(NewLo));
-  Inner.setHi(std::move(NewHi));
+  rewriteVarUses(A, Inner.body(), J, A.makeSub(A.makeVar(J), Offset));
+  Inner.setLo(A.makeAdd(Inner.lo(), Offset));
+  Inner.setHi(A.makeAdd(Inner.hi(), Offset));
   return true;
 }
 
@@ -876,39 +872,39 @@ bool edda::tileLoops(Program &Prog, LoopStmt &Outer, int64_t TileSize) {
   unsigned ItVar = freshVar(Prog.var(Outer.varId()).Name + "_t");
   unsigned JtVar = freshVar(Prog.var(Inner.varId()).Name + "_t");
 
-  auto tileLo = [TileSize](int64_t Lo, unsigned TileVar) {
-    return Expr::makeAdd(
-        Expr::makeConst(Lo),
-        Expr::makeMul(Expr::makeConst(TileSize), Expr::makeVar(TileVar)));
+  ExprArena &A = Prog.exprs();
+  auto tileLo = [&A, TileSize](int64_t Lo, unsigned TileVar) {
+    return A.makeAdd(A.makeConst(Lo),
+                     A.makeMul(A.makeConst(TileSize), A.makeVar(TileVar)));
   };
 
   // Point loops: i in [lo1 + it*T, lo1 + it*T + T-1], j likewise.
   auto ILoop = std::make_unique<LoopStmt>(
       Outer.varId(), tileLo(Lo1, ItVar),
-      Expr::makeAdd(tileLo(Lo1, ItVar), Expr::makeConst(TileSize - 1)),
+      A.makeAdd(tileLo(Lo1, ItVar), A.makeConst(TileSize - 1)),
       1);
   Inner.setLo(tileLo(Lo2, JtVar));
   Inner.setHi(
-      Expr::makeAdd(tileLo(Lo2, JtVar), Expr::makeConst(TileSize - 1)));
+      A.makeAdd(tileLo(Lo2, JtVar), A.makeConst(TileSize - 1)));
   Inner.setParallel(false);
   ILoop->body().push_back(std::move(Outer.body()[0]));
 
   // Tile loops: it in [0, trip1/T - 1], jt likewise.
   auto JtLoop = std::make_unique<LoopStmt>(
-      JtVar, Expr::makeConst(0), Expr::makeConst(Trip2 / TileSize - 1),
+      JtVar, A.makeConst(0), A.makeConst(Trip2 / TileSize - 1),
       1);
   JtLoop->body().push_back(std::move(ILoop));
 
   Outer.body().clear();
   Outer.body().push_back(std::move(JtLoop));
   Outer.setVarId(ItVar);
-  Outer.setLo(Expr::makeConst(0));
-  Outer.setHi(Expr::makeConst(Trip1 / TileSize - 1));
+  Outer.setLo(A.makeConst(0));
+  Outer.setHi(A.makeConst(Trip1 / TileSize - 1));
   Outer.setParallel(false);
   return true;
 }
 
-bool edda::reverseLoop(LoopStmt &Loop) {
+bool edda::reverseLoop(Program &Prog, LoopStmt &Loop) {
   unsigned V = Loop.varId();
   if (Loop.lo()->references(V) || Loop.hi()->references(V))
     return false;
@@ -916,8 +912,9 @@ bool edda::reverseLoop(LoopStmt &Loop) {
     return false;
   // v' = lo + hi - v enumerates the same values in the opposite order;
   // the header keeps counting upward.
-  ExprPtr Mapped = Expr::makeSub(
-      Expr::makeAdd(Loop.lo(), Loop.hi()), Expr::makeVar(V));
-  rewriteVarUses(Loop.body(), V, Mapped);
+  ExprArena &A = Prog.exprs();
+  const Expr *Mapped =
+      A.makeSub(A.makeAdd(Loop.lo(), Loop.hi()), A.makeVar(V));
+  rewriteVarUses(A, Loop.body(), V, Mapped);
   return true;
 }

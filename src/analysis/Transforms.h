@@ -184,7 +184,8 @@ bool tileLoops(Program &Prog, LoopStmt &Outer, int64_t TileSize);
 /// variable v in the body to lo+hi-v, which runs the old iterations in
 /// reverse order while the header keeps counting upward. Returns false
 /// (no change) when the loop's bounds reference its own variable.
-bool reverseLoop(LoopStmt &Loop);
+/// \p Prog is the program \p Loop belongs to.
+bool reverseLoop(Program &Prog, LoopStmt &Loop);
 
 /// Applies a legal interchange to the program structure: swaps the
 /// loop headers of \p Outer and its immediate only child \p Inner.

@@ -12,125 +12,31 @@
 /// loop variables and symbolic constants, the form the paper's dependence
 /// tests require (section 2). AffineExpr is that canonical linear form.
 ///
+/// Expr nodes are immutable and hash-consed: an ExprArena makes at most
+/// one node per structure, addressed by a plain `const Expr *`, and frees
+/// all of them at once when it dies. What every pass asks of a node — its
+/// structural hash, whether it reads an array, which variables it may
+/// mention and its affine form — is computed once, when the node is made.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EDDA_IR_EXPR_H
 #define EDDA_IR_EXPR_H
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace edda {
 
 class Expr;
-
-/// Expressions are immutable and shared; rewriting builds new nodes.
-using ExprPtr = std::shared_ptr<const Expr>;
-
-/// Discriminator for Expr nodes.
-enum class ExprKind {
-  Const,     ///< Integer literal.
-  Var,       ///< Reference to a variable by program-wide id.
-  Add,       ///< Lhs + Rhs.
-  Sub,       ///< Lhs - Rhs.
-  Mul,       ///< Lhs * Rhs.
-  Neg,       ///< -Lhs.
-  ArrayRead, ///< a[e1][e2]... — a read reference to an array element.
-};
-
-/// An integer expression tree node.
-class Expr {
-public:
-  ExprKind kind() const { return Kind; }
-
-  /// \pre kind() == ExprKind::Const.
-  int64_t constValue() const {
-    assert(Kind == ExprKind::Const && "not a constant");
-    return Value;
-  }
-
-  /// \pre kind() == ExprKind::Var.
-  unsigned varId() const {
-    assert(Kind == ExprKind::Var && "not a variable reference");
-    return static_cast<unsigned>(Value);
-  }
-
-  /// Left operand (sole operand for Neg). \pre an operator node.
-  const ExprPtr &lhs() const {
-    assert(Kind != ExprKind::Const && Kind != ExprKind::Var && "leaf node");
-    return Lhs;
-  }
-
-  /// Right operand. \pre a binary operator node.
-  const ExprPtr &rhs() const {
-    assert((Kind == ExprKind::Add || Kind == ExprKind::Sub ||
-            Kind == ExprKind::Mul) &&
-           "not a binary node");
-    return Rhs;
-  }
-
-  /// Array id of an ArrayRead node. \pre kind() == ExprKind::ArrayRead.
-  unsigned arrayId() const {
-    assert(Kind == ExprKind::ArrayRead && "not an array read");
-    return static_cast<unsigned>(Value);
-  }
-
-  /// Subscript expressions of an ArrayRead node.
-  /// \pre kind() == ExprKind::ArrayRead.
-  const std::vector<ExprPtr> &subscripts() const {
-    assert(Kind == ExprKind::ArrayRead && "not an array read");
-    return Subs;
-  }
-
-  static ExprPtr makeConst(int64_t Value);
-  static ExprPtr makeVar(unsigned VarId);
-  static ExprPtr makeAdd(ExprPtr Lhs, ExprPtr Rhs);
-  static ExprPtr makeSub(ExprPtr Lhs, ExprPtr Rhs);
-  static ExprPtr makeMul(ExprPtr Lhs, ExprPtr Rhs);
-  static ExprPtr makeNeg(ExprPtr Operand);
-  static ExprPtr makeArrayRead(unsigned ArrayId,
-                               std::vector<ExprPtr> Subscripts);
-
-  /// Collects the ids of all variables referenced, in first-seen order.
-  void collectVars(std::vector<unsigned> &Out) const;
-
-  /// True if variable \p VarId occurs anywhere in the tree.
-  bool references(unsigned VarId) const;
-
-  /// Collects pointers to every ArrayRead node in the tree, in
-  /// left-to-right order (including reads nested inside subscripts).
-  void collectArrayReads(std::vector<const Expr *> &Out) const;
-
-  /// True if any ArrayRead node occurs in the tree.
-  bool containsArrayRead() const;
-
-  /// Renders with a name resolver (id -> name) for diagnostics.
-  std::string str(const std::function<std::string(unsigned)> &Name) const;
-
-  /// True once opt/Fold has returned this node as a fold result. Folding
-  /// is idempotent, so a marked node folds to itself and the folder can
-  /// return it without another walk.
-  bool isFolded() const { return Folded.load(std::memory_order_relaxed); }
-  void markFolded() const { Folded.store(true, std::memory_order_relaxed); }
-
-private:
-  explicit Expr(ExprKind K) : Kind(K), Value(0) {}
-
-  ExprKind Kind;
-  /// Fold marker. Nodes are shared across programs and threads, so the
-  /// bit is atomic; it sits in the padding after Kind and costs no space.
-  mutable std::atomic<bool> Folded{false};
-  int64_t Value; ///< Constant value, or variable/array id for leaves.
-  ExprPtr Lhs;
-  ExprPtr Rhs;
-  std::vector<ExprPtr> Subs; ///< Subscripts for ArrayRead nodes.
-};
+class ExprArena;
 
 /// An affine (integral linear) expression: Constant + sum Coeff_i * Var_i.
 /// Terms are kept sorted by variable id with no zero coefficients, so
@@ -186,6 +92,8 @@ public:
   std::string str(const std::function<std::string(unsigned)> &Name) const;
 
 private:
+  friend std::optional<AffineExpr> toAffine(const Expr *E);
+
   int64_t Constant;
   std::vector<Term> Terms;
   bool Overflowed;
@@ -194,23 +102,206 @@ private:
   static AffineExpr overflowedExpr();
 };
 
-/// Rebuilds \p E with every Var node mapped through \p Subst; a null
-/// result from \p Subst keeps the variable reference unchanged. Subtrees
-/// in which no variable is replaced are shared with \p E, not copied, so
-/// a substitution that replaces nothing returns \p E itself.
-ExprPtr substitute(const ExprPtr &E,
-                   const std::function<ExprPtr(unsigned)> &Subst);
+/// The affine form of an expression node, stored in its arena: Constant
+/// plus Terms, sorted by variable id with no zero coefficient. It is
+/// exactly what toAffine() returns for the node.
+struct AffineForm {
+  int64_t Constant = 0;
+  std::span<const AffineExpr::Term> Terms;
 
-/// Converts an expression tree to affine form. Returns std::nullopt when
-/// the tree is not affine (for example a product of two variables) or when
-/// coefficient arithmetic overflows. Variables of any kind are accepted;
-/// the caller decides which ids are legal (loop variables, symbolic
-/// constants).
-std::optional<AffineExpr> toAffine(const ExprPtr &E);
+  bool isConstant() const { return Terms.empty(); }
+};
+
+/// Discriminator for Expr nodes.
+enum class ExprKind : uint8_t {
+  Const,     ///< Integer literal.
+  Var,       ///< Reference to a variable by program-wide id.
+  Add,       ///< Lhs + Rhs.
+  Sub,       ///< Lhs - Rhs.
+  Mul,       ///< Lhs * Rhs.
+  Neg,       ///< -Lhs.
+  ArrayRead, ///< a[e1][e2]... — a read reference to an array element.
+};
+
+/// An immutable integer expression tree node, owned by an ExprArena.
+class Expr {
+public:
+  ExprKind kind() const { return Kind; }
+
+  /// \pre kind() == ExprKind::Const.
+  int64_t constValue() const {
+    assert(Kind == ExprKind::Const && "not a constant");
+    return Value;
+  }
+
+  /// \pre kind() == ExprKind::Var.
+  unsigned varId() const {
+    assert(Kind == ExprKind::Var && "not a variable reference");
+    return static_cast<unsigned>(Value);
+  }
+
+  /// Left operand (sole operand for Neg). \pre an operator node.
+  const Expr *lhs() const {
+    assert(Kind != ExprKind::Const && Kind != ExprKind::Var && "leaf node");
+    return Lhs;
+  }
+
+  /// Right operand. \pre a binary operator node.
+  const Expr *rhs() const {
+    assert((Kind == ExprKind::Add || Kind == ExprKind::Sub ||
+            Kind == ExprKind::Mul) &&
+           "not a binary node");
+    return Rhs;
+  }
+
+  /// Array id of an ArrayRead node. \pre kind() == ExprKind::ArrayRead.
+  unsigned arrayId() const {
+    assert(Kind == ExprKind::ArrayRead && "not an array read");
+    return static_cast<unsigned>(Value);
+  }
+
+  /// Subscript expressions of an ArrayRead node.
+  /// \pre kind() == ExprKind::ArrayRead.
+  std::span<const Expr *const> subscripts() const {
+    assert(Kind == ExprKind::ArrayRead && "not an array read");
+    return {Subs, NumSubs};
+  }
+
+  /// Variable summary: bit (id % 64) is set for every variable id in the
+  /// tree, so a clear bit proves the variable absent.
+  uint64_t varMask() const { return VarMask; }
+
+  /// The affine form, or null when the tree is not affine (for example a
+  /// product of two variables, or an array read) or when coefficient
+  /// arithmetic overflows.
+  const AffineForm *affine() const { return Affine; }
+
+  /// True if any ArrayRead node occurs in the tree.
+  bool containsArrayRead() const { return HasArrayRead; }
+
+  /// Collects the ids of all variables referenced, in first-seen order.
+  void collectVars(std::vector<unsigned> &Out) const;
+
+  /// True if variable \p VarId occurs anywhere in the tree.
+  bool references(unsigned VarId) const;
+
+  /// Collects pointers to every ArrayRead node in the tree, in
+  /// left-to-right order (including reads nested inside subscripts).
+  void collectArrayReads(std::vector<const Expr *> &Out) const;
+
+  /// Renders with a name resolver (id -> name) for diagnostics.
+  std::string str(const std::function<std::string(unsigned)> &Name) const;
+
+private:
+  friend class ExprArena;
+  friend bool exprEquals(const Expr *A, const Expr *B);
+
+  Expr() = default;
+
+  ExprKind Kind = ExprKind::Const;
+  bool HasArrayRead = false;
+  uint32_t NumSubs = 0;
+  int64_t Value = 0; ///< Constant value, or variable/array id for leaves.
+  /// Structural hash: equal structures hash equal in every arena.
+  uint64_t Hash = 0;
+  uint64_t VarMask = 0;
+  const Expr *Lhs = nullptr;
+  const Expr *Rhs = nullptr;
+  const Expr *const *Subs = nullptr; ///< ArrayRead subscripts.
+  const AffineForm *Affine = nullptr;
+  const ExprArena *Owner = nullptr;
+  /// foldExpr's memo, read and written only through Owner.
+  mutable const Expr *Folded = nullptr;
+};
+
+/// Owner of hash-consed Expr nodes. Every make* call returns the arena's
+/// one node of that structure, making it if need be; nodes are bump-
+/// allocated in chunks and never freed individually.
+///
+/// An arena may be made over a parent arena: its nodes may then point at
+/// the parent's nodes (which the child keeps alive), but it interns new
+/// nodes only into itself and never reads or writes the parent's uniquing
+/// table or memo. That is what lets a copied Program mutate on one thread
+/// while its source mutates on another. An arena itself is not
+/// thread-safe: one thread at a time makes nodes in it.
+class ExprArena {
+public:
+  ExprArena() = default;
+  explicit ExprArena(std::shared_ptr<const ExprArena> Parent)
+      : Parent(std::move(Parent)) {}
+  ~ExprArena();
+  ExprArena(const ExprArena &) = delete;
+  ExprArena &operator=(const ExprArena &) = delete;
+
+  const Expr *makeConst(int64_t Value);
+  const Expr *makeVar(unsigned VarId);
+  const Expr *makeAdd(const Expr *Lhs, const Expr *Rhs);
+  const Expr *makeSub(const Expr *Lhs, const Expr *Rhs);
+  const Expr *makeMul(const Expr *Lhs, const Expr *Rhs);
+  const Expr *makeNeg(const Expr *Operand);
+  const Expr *makeArrayRead(unsigned ArrayId,
+                            std::span<const Expr *const> Subscripts);
+
+  /// Makes room for about \p Bytes of nodes in one chunk, so that making
+  /// them allocates nothing more.
+  void reserve(size_t Bytes);
+
+  /// True when \p E was made by this arena (not inherited from a parent).
+  bool owns(const Expr *E) const { return E->Owner == this; }
+
+  /// Number of nodes this arena has made.
+  size_t size() const { return NumNodes; }
+
+  /// The memoized fold of \p E, or null when none was recorded here.
+  const Expr *folded(const Expr *E) const;
+  /// Records \p Result as the fold of \p E.
+  void setFolded(const Expr *E, const Expr *Result);
+
+private:
+  struct Chunk;
+
+  std::shared_ptr<const ExprArena> Parent;
+  Chunk *Chunks = nullptr;
+  char *Cur = nullptr;
+  char *End = nullptr;
+  size_t NumNodes = 0;
+  /// Open-addressed uniquing table of this arena's nodes, by Hash.
+  std::vector<const Expr *> Table;
+  /// Fold memo for nodes inherited from a parent, open-addressed by
+  /// pointer (owned nodes keep theirs in Expr::Folded).
+  std::vector<std::pair<const Expr *, const Expr *>> ForeignFolds;
+  size_t NumForeignFolds = 0;
+  /// Scratch for building affine forms.
+  std::vector<AffineExpr::Term> TermScratch;
+
+  void *allocate(size_t Bytes);
+  void addChunk(size_t Size);
+  const Expr *intern(ExprKind Kind, int64_t Value, const Expr *Lhs,
+                     const Expr *Rhs, std::span<const Expr *const> Subs);
+  const AffineForm *affineOf(ExprKind Kind, int64_t Value, const Expr *Lhs,
+                             const Expr *Rhs);
+  const AffineForm *storeForm(int64_t Constant);
+  void growTable();
+};
+
+/// Rebuilds \p E in \p A with every Var node mapped through \p Subst; a
+/// null result from \p Subst keeps the variable reference unchanged.
+/// Subtrees in which no variable is replaced are shared with \p E, not
+/// copied, so a substitution that replaces nothing returns \p E itself.
+const Expr *substitute(ExprArena &A, const Expr *E,
+                       const std::function<const Expr *(unsigned)> &Subst);
+
+/// Converts an expression tree to affine form (the node's AffineForm as
+/// an AffineExpr). Returns std::nullopt when the tree is not affine (for
+/// example a product of two variables) or when coefficient arithmetic
+/// overflows. Variables of any kind are accepted; the caller decides
+/// which ids are legal (loop variables, symbolic constants).
+std::optional<AffineExpr> toAffine(const Expr *E);
 
 /// Structural equality of two expression trees (same shape, same
-/// constants, same variable/array ids).
-bool exprEquals(const ExprPtr &A, const ExprPtr &B);
+/// constants, same variable/array ids). Two nodes of one arena are
+/// equal exactly when they are the same pointer.
+bool exprEquals(const Expr *A, const Expr *B);
 
 } // namespace edda
 

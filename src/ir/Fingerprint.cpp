@@ -42,7 +42,7 @@ enum : uint64_t {
 
 } // namespace
 
-uint64_t edda::fingerprintExpr(const Program &P, const ExprPtr &E) {
+uint64_t edda::fingerprintExpr(const Program &P, const Expr *E) {
   assert(E && "fingerprint of a null expression");
   switch (E->kind()) {
   case ExprKind::Const:
@@ -74,23 +74,21 @@ uint64_t edda::fingerprintExpr(const Program &P, const ExprPtr &E) {
 
 uint64_t edda::fingerprintArrayAccess(
     const Program &P, unsigned ArrayId,
-    const std::vector<ExprPtr> &Subscripts) {
+    std::span<const Expr *const> Subscripts) {
   uint64_t H = hashCombine(SeedArrayRead, hashName(P.array(ArrayId).Name));
-  for (const ExprPtr &Sub : Subscripts)
+  for (const Expr *Sub : Subscripts)
     H = hashCombine(H, fingerprintExpr(P, Sub));
   return H;
 }
 
-uint64_t edda::fingerprintLoopChain(
-    const Program &P, const std::vector<const LoopStmt *> &Loops) {
-  uint64_t H = SeedLoopChain;
-  for (const LoopStmt *L : Loops) {
-    H = hashCombine(H, hashName(P.var(L->varId()).Name));
-    H = hashCombine(H, fingerprintExpr(P, L->lo()));
-    H = hashCombine(H, fingerprintExpr(P, L->hi()));
-    H = hashCombine(H, static_cast<uint64_t>(L->step()));
-  }
-  return H;
+uint64_t edda::emptyLoopChain() { return SeedLoopChain; }
+
+uint64_t edda::extendLoopChain(const Program &P, uint64_t Chain,
+                               const LoopStmt &L) {
+  uint64_t H = hashCombine(Chain, hashName(P.var(L.varId()).Name));
+  H = hashCombine(H, fingerprintExpr(P, L.lo()));
+  H = hashCombine(H, fingerprintExpr(P, L.hi()));
+  return hashCombine(H, static_cast<uint64_t>(L.step()));
 }
 
 uint64_t edda::fingerprintStmt(const Program &P, const Stmt &S) {
@@ -99,7 +97,7 @@ uint64_t edda::fingerprintStmt(const Program &P, const Stmt &S) {
     uint64_t H = SeedAssign;
     if (A.isArrayLhs()) {
       H = hashCombine(H, hashName(P.array(A.lhsArray()).Name));
-      for (const ExprPtr &Sub : A.lhsSubscripts())
+      for (const Expr *Sub : A.lhsSubscripts())
         H = hashCombine(H, fingerprintExpr(P, Sub));
     } else {
       H = hashCombine(H, hashName(P.var(A.lhsScalar()).Name));

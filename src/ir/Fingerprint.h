@@ -31,27 +31,31 @@
 #include "ir/Program.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace edda {
 
 /// Fingerprint of one expression tree. Variable leaves hash as
 /// (kind, name); array reads hash the array name plus each subscript.
-uint64_t fingerprintExpr(const Program &P, const ExprPtr &E);
+uint64_t fingerprintExpr(const Program &P, const Expr *E);
 
 /// Fingerprint of one array access: the array *name* plus each
 /// subscript expression, exactly as an ArrayRead expression node over
 /// the same subscripts would hash.
 uint64_t fingerprintArrayAccess(const Program &P, unsigned ArrayId,
-                                const std::vector<ExprPtr> &Subscripts);
+                                std::span<const Expr *const> Subscripts);
 
 /// Fingerprint of an enclosing loop chain (outermost first): for each
 /// loop, the induction-variable name, the lo/hi bound expressions and
-/// the step, chained in nesting order. Building on the PR 5 memo-key
-/// fix, the *pair* of bounds is hashed per level — two chains that
-/// swap lo/hi between levels do not collide.
-uint64_t fingerprintLoopChain(const Program &P,
-                              const std::vector<const LoopStmt *> &Loops);
+/// the step, chained in nesting order. The *pair* of bounds is hashed
+/// per level, so two chains that swap lo/hi between levels do not
+/// collide. emptyLoopChain() is the
+/// fingerprint of no loops, and extendLoopChain(P, Chain, L) that of the
+/// chain \p Chain with loop \p L nested inside it, so a walk carries the
+/// fingerprint of its enclosing loops as a running prefix.
+uint64_t emptyLoopChain();
+uint64_t extendLoopChain(const Program &P, uint64_t Chain, const LoopStmt &L);
 
 /// Fingerprint of one statement: an assignment hashes its left-hand
 /// side (scalar name, or array name + subscripts) and right-hand side;

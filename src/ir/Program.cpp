@@ -15,12 +15,10 @@ using namespace edda;
 Stmt::~Stmt() = default;
 
 StmtPtr AssignStmt::clone() const {
-  // Expression trees are immutable, so sharing the ExprPtrs is a correct
-  // deep-copy of the semantics.
-  if (IsArrayLhs) {
-    std::vector<ExprPtr> Subs(LhsSubscripts);
-    return std::make_unique<AssignStmt>(LhsId, std::move(Subs), Rhs);
-  }
+  // Expression nodes are immutable, so sharing them is a correct deep
+  // copy of the semantics.
+  if (IsArrayLhs)
+    return std::make_unique<AssignStmt>(LhsId, LhsSubscripts, Rhs);
   return std::make_unique<AssignStmt>(LhsId, Rhs);
 }
 
@@ -34,8 +32,10 @@ StmtPtr LoopStmt::clone() const {
 }
 
 Program::Program(const Program &RHS)
-    : Name(RHS.Name), Vars(RHS.Vars), Arrays(RHS.Arrays),
-      VarIndex(RHS.VarIndex), ArrayIndex(RHS.ArrayIndex) {
+    : Name(RHS.Name),
+      Exprs(RHS.Exprs ? std::make_shared<ExprArena>(RHS.Exprs) : nullptr),
+      Vars(RHS.Vars), Arrays(RHS.Arrays), VarIndex(RHS.VarIndex),
+      ArrayIndex(RHS.ArrayIndex) {
   Body.reserve(RHS.Body.size());
   for (const StmtPtr &S : RHS.Body)
     Body.push_back(S->clone());
@@ -85,7 +85,7 @@ namespace {
 
 /// Renders expressions with array reads resolved through the program's
 /// array table (Expr::str alone cannot resolve array names).
-std::string printExpr(const Program &P, const ExprPtr &E) {
+std::string printExpr(const Program &P, const Expr *E) {
   switch (E->kind()) {
   case ExprKind::Const:
     return std::to_string(E->constValue());
@@ -104,7 +104,7 @@ std::string printExpr(const Program &P, const ExprPtr &E) {
     return "(-" + printExpr(P, E->lhs()) + ")";
   case ExprKind::ArrayRead: {
     std::string Out = P.array(E->arrayId()).Name;
-    for (const ExprPtr &S : E->subscripts())
+    for (const Expr *S : E->subscripts())
       Out += "[" + printExpr(P, S) + "]";
     return Out;
   }
@@ -120,7 +120,7 @@ void printStmt(const Program &P, const Stmt &S, unsigned Indent,
     const AssignStmt &A = asAssign(S);
     if (A.isArrayLhs()) {
       Out += P.array(A.lhsArray()).Name;
-      for (const ExprPtr &Sub : A.lhsSubscripts())
+      for (const Expr *Sub : A.lhsSubscripts())
         Out += "[" + printExpr(P, Sub) + "]";
     } else {
       Out += P.var(A.lhsScalar()).Name;

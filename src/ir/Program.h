@@ -85,16 +85,17 @@ private:
 class AssignStmt : public Stmt {
 public:
   /// Scalar assignment: var = rhs.
-  AssignStmt(unsigned ScalarVarId, ExprPtr Rhs)
+  AssignStmt(unsigned ScalarVarId, const Expr *Rhs)
       : Stmt(StmtKind::Assign), IsArrayLhs(false), LhsId(ScalarVarId),
-        Rhs(std::move(Rhs)) {
+        Rhs(Rhs) {
     assert(this->Rhs && "null rhs");
   }
 
   /// Array assignment: a[subs...] = rhs.
-  AssignStmt(unsigned ArrayId, std::vector<ExprPtr> Subscripts, ExprPtr Rhs)
+  AssignStmt(unsigned ArrayId, std::vector<const Expr *> Subscripts,
+             const Expr *Rhs)
       : Stmt(StmtKind::Assign), IsArrayLhs(true), LhsId(ArrayId),
-        LhsSubscripts(std::move(Subscripts)), Rhs(std::move(Rhs)) {
+        LhsSubscripts(std::move(Subscripts)), Rhs(Rhs) {
     assert(!LhsSubscripts.empty() && "array lhs with no subscripts");
     assert(this->Rhs && "null rhs");
   }
@@ -114,21 +115,21 @@ public:
   }
 
   /// \pre isArrayLhs().
-  const std::vector<ExprPtr> &lhsSubscripts() const {
+  const std::vector<const Expr *> &lhsSubscripts() const {
     assert(IsArrayLhs && "lhs is a scalar");
     return LhsSubscripts;
   }
 
   /// Replaces subscript \p Dim of an array left-hand side.
-  void setLhsSubscript(unsigned Dim, ExprPtr E) {
+  void setLhsSubscript(unsigned Dim, const Expr *E) {
     assert(IsArrayLhs && Dim < LhsSubscripts.size() && "bad subscript");
-    LhsSubscripts[Dim] = std::move(E);
+    LhsSubscripts[Dim] = E;
   }
 
-  const ExprPtr &rhs() const { return Rhs; }
-  void setRhs(ExprPtr E) {
+  const Expr *rhs() const { return Rhs; }
+  void setRhs(const Expr *E) {
     assert(E && "null rhs");
-    Rhs = std::move(E);
+    Rhs = E;
   }
 
   StmtPtr clone() const override;
@@ -136,36 +137,35 @@ public:
 private:
   bool IsArrayLhs;
   unsigned LhsId;
-  std::vector<ExprPtr> LhsSubscripts;
-  ExprPtr Rhs;
+  std::vector<const Expr *> LhsSubscripts;
+  const Expr *Rhs;
 };
 
 /// A counted loop: for var = lo to hi step s do body end. After
 /// normalization Step == 1.
 class LoopStmt : public Stmt {
 public:
-  LoopStmt(unsigned VarId, ExprPtr Lo, ExprPtr Hi, int64_t Step)
-      : Stmt(StmtKind::Loop), VarId(VarId), Lo(std::move(Lo)),
-        Hi(std::move(Hi)), Step(Step) {
+  LoopStmt(unsigned VarId, const Expr *Lo, const Expr *Hi, int64_t Step)
+      : Stmt(StmtKind::Loop), VarId(VarId), Lo(Lo), Hi(Hi), Step(Step) {
     assert(this->Lo && this->Hi && "null loop bound");
     assert(Step != 0 && "zero loop step");
   }
 
   unsigned varId() const { return VarId; }
-  const ExprPtr &lo() const { return Lo; }
-  const ExprPtr &hi() const { return Hi; }
+  const Expr *lo() const { return Lo; }
+  const Expr *hi() const { return Hi; }
   int64_t step() const { return Step; }
 
   /// Rebinds the induction variable (used by loop interchange).
   void setVarId(unsigned NewVar) { VarId = NewVar; }
 
-  void setLo(ExprPtr E) {
+  void setLo(const Expr *E) {
     assert(E && "null bound");
-    Lo = std::move(E);
+    Lo = E;
   }
-  void setHi(ExprPtr E) {
+  void setHi(const Expr *E) {
     assert(E && "null bound");
-    Hi = std::move(E);
+    Hi = E;
   }
   void setStep(int64_t S) {
     assert(S != 0 && "zero loop step");
@@ -184,8 +184,8 @@ public:
 
 private:
   unsigned VarId;
-  ExprPtr Lo;
-  ExprPtr Hi;
+  const Expr *Lo;
+  const Expr *Hi;
   int64_t Step;
   std::vector<StmtPtr> Body;
   bool Parallel = false;
@@ -209,7 +209,13 @@ inline const LoopStmt &asLoop(const Stmt &S) {
   return static_cast<const LoopStmt &>(S);
 }
 
-/// A whole LoopLang program: symbol tables plus a statement list.
+/// A whole LoopLang program: symbol tables plus a statement list, and the
+/// arena that owns its expressions.
+///
+/// Every expression a program's statements hold comes from its exprs()
+/// arena. A copy shares its source's nodes, keeping them alive, and makes
+/// new nodes only in an arena of its own, so a copy and its source may be
+/// mutated on two threads at once. Moving a program moves no node.
 class Program {
 public:
   explicit Program(std::string Name = "main") : Name(std::move(Name)) {}
@@ -256,11 +262,20 @@ public:
   std::vector<StmtPtr> &body() { return Body; }
   const std::vector<StmtPtr> &body() const { return Body; }
 
+  /// The arena new expressions for this program are made in.
+  ExprArena &exprs() {
+    if (!Exprs)
+      Exprs = std::make_shared<ExprArena>();
+    return *Exprs;
+  }
+
   /// Renders the program as parseable LoopLang source.
   std::string print() const;
 
 private:
   std::string Name;
+  /// Owner of the nodes made for this program (made on first use).
+  std::shared_ptr<ExprArena> Exprs;
   std::vector<VarInfo> Vars;
   std::vector<ArrayInfo> Arrays;
   std::vector<StmtPtr> Body;

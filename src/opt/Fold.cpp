@@ -15,33 +15,31 @@ namespace {
 
 /// Rebuilds an affine form as a canonical expression tree: terms in
 /// variable-id order, constant last, negative parts via subtraction.
-ExprPtr affineToExpr(const AffineExpr &A) {
-  ExprPtr Out;
-  for (const AffineExpr::Term &T : A.terms()) {
+const Expr *affineToExpr(ExprArena &A, const AffineForm &F) {
+  const Expr *Out = nullptr;
+  for (const AffineExpr::Term &T : F.Terms) {
     int64_t Coeff = T.Coeff;
     bool Negative = Coeff < 0;
     // INT64_MIN magnitude is not negatable; bail to the caller.
     if (Coeff == INT64_MIN)
       return nullptr;
     int64_t Mag = Negative ? -Coeff : Coeff;
-    ExprPtr Term = Mag == 1 ? Expr::makeVar(T.VarId)
-                            : Expr::makeMul(Expr::makeConst(Mag),
-                                            Expr::makeVar(T.VarId));
+    const Expr *Term =
+        Mag == 1 ? A.makeVar(T.VarId)
+                 : A.makeMul(A.makeConst(Mag), A.makeVar(T.VarId));
     if (!Out)
-      Out = Negative ? Expr::makeNeg(std::move(Term)) : std::move(Term);
+      Out = Negative ? A.makeNeg(Term) : Term;
     else
-      Out = Negative ? Expr::makeSub(std::move(Out), std::move(Term))
-                     : Expr::makeAdd(std::move(Out), std::move(Term));
+      Out = Negative ? A.makeSub(Out, Term) : A.makeAdd(Out, Term);
   }
   if (!Out)
-    return Expr::makeConst(A.constant());
-  if (A.constant() > 0)
-    Out = Expr::makeAdd(std::move(Out), Expr::makeConst(A.constant()));
-  else if (A.constant() < 0) {
-    if (A.constant() == INT64_MIN)
+    return A.makeConst(F.Constant);
+  if (F.Constant > 0)
+    Out = A.makeAdd(Out, A.makeConst(F.Constant));
+  else if (F.Constant < 0) {
+    if (F.Constant == INT64_MIN)
       return nullptr;
-    Out = Expr::makeSub(std::move(Out),
-                        Expr::makeConst(-A.constant()));
+    Out = A.makeSub(Out, A.makeConst(-F.Constant));
   }
   return Out;
 }
@@ -49,7 +47,7 @@ ExprPtr affineToExpr(const AffineExpr &A) {
 /// Canonicalizes arithmetic trees through the affine form when possible
 /// (combining like terms and constants across parentheses), otherwise
 /// returns the input unchanged.
-ExprPtr canonicalize(ExprPtr E) {
+const Expr *canonicalize(ExprArena &A, const Expr *E) {
   switch (E->kind()) {
   case ExprKind::Add:
   case ExprKind::Sub:
@@ -59,58 +57,57 @@ ExprPtr canonicalize(ExprPtr E) {
   default:
     return E;
   }
-  std::optional<AffineExpr> A = toAffine(E);
-  if (!A || A->overflowed())
+  if (!E->affine())
     return E;
-  if (ExprPtr Canonical = affineToExpr(*A))
+  if (const Expr *Canonical = affineToExpr(A, *E->affine()))
     return Canonical;
   return E;
 }
 
 /// Structural folding (constants, identities); canonicalization runs on
 /// top of this in foldExpr.
-ExprPtr foldStructural(const ExprPtr &E) {
+const Expr *foldStructural(ExprArena &A, const Expr *E) {
   switch (E->kind()) {
   case ExprKind::Const:
   case ExprKind::Var:
     return E;
   case ExprKind::ArrayRead: {
     // Subs stays empty until the first subscript changes.
-    const std::vector<ExprPtr> &Old = E->subscripts();
-    std::vector<ExprPtr> Subs;
+    std::span<const Expr *const> Old = E->subscripts();
+    std::vector<const Expr *> Subs;
     for (size_t I = 0; I < Old.size(); ++I) {
-      ExprPtr S = foldExpr(Old[I]);
+      const Expr *S = foldExpr(A, Old[I]);
       if (Subs.empty()) {
         if (S == Old[I])
           continue;
         Subs.reserve(Old.size());
         Subs.assign(Old.begin(), Old.begin() + I);
       }
-      Subs.push_back(std::move(S));
+      Subs.push_back(S);
     }
     if (Subs.empty())
       return E;
-    return Expr::makeArrayRead(E->arrayId(), std::move(Subs));
+    return A.makeArrayRead(E->arrayId(), Subs);
   }
   case ExprKind::Neg: {
-    ExprPtr L = foldExpr(E->lhs());
+    const Expr *L = foldExpr(A, E->lhs());
     if (L->kind() == ExprKind::Const) {
       if (std::optional<int64_t> V = checkedNeg(L->constValue()))
-        return Expr::makeConst(*V);
+        return A.makeConst(*V);
     }
     if (L->kind() == ExprKind::Neg)
       return L->lhs(); // --x == x
     if (L == E->lhs())
       return E;
-    return Expr::makeNeg(std::move(L));
+    return A.makeNeg(L);
   }
   case ExprKind::Add: {
-    ExprPtr L = foldExpr(E->lhs());
-    ExprPtr R = foldExpr(E->rhs());
+    const Expr *L = foldExpr(A, E->lhs());
+    const Expr *R = foldExpr(A, E->rhs());
     if (L->kind() == ExprKind::Const && R->kind() == ExprKind::Const) {
       if (std::optional<int64_t> V =
               checkedAdd(L->constValue(), R->constValue()))
-        return Expr::makeConst(*V);
+        return A.makeConst(*V);
     }
     if (L->kind() == ExprKind::Const && L->constValue() == 0)
       return R;
@@ -118,47 +115,47 @@ ExprPtr foldStructural(const ExprPtr &E) {
       return L;
     if (L == E->lhs() && R == E->rhs())
       return E;
-    return Expr::makeAdd(std::move(L), std::move(R));
+    return A.makeAdd(L, R);
   }
   case ExprKind::Sub: {
-    ExprPtr L = foldExpr(E->lhs());
-    ExprPtr R = foldExpr(E->rhs());
+    const Expr *L = foldExpr(A, E->lhs());
+    const Expr *R = foldExpr(A, E->rhs());
     if (L->kind() == ExprKind::Const && R->kind() == ExprKind::Const) {
       if (std::optional<int64_t> V =
               checkedSub(L->constValue(), R->constValue()))
-        return Expr::makeConst(*V);
+        return A.makeConst(*V);
     }
     if (R->kind() == ExprKind::Const && R->constValue() == 0)
       return L;
     if (L->kind() == ExprKind::Const && L->constValue() == 0)
-      return foldExpr(Expr::makeNeg(std::move(R)));
+      return foldExpr(A, A.makeNeg(R));
     if (L == E->lhs() && R == E->rhs())
       return E;
-    return Expr::makeSub(std::move(L), std::move(R));
+    return A.makeSub(L, R);
   }
   case ExprKind::Mul: {
-    ExprPtr L = foldExpr(E->lhs());
-    ExprPtr R = foldExpr(E->rhs());
+    const Expr *L = foldExpr(A, E->lhs());
+    const Expr *R = foldExpr(A, E->rhs());
     if (L->kind() == ExprKind::Const && R->kind() == ExprKind::Const) {
       if (std::optional<int64_t> V =
               checkedMul(L->constValue(), R->constValue()))
-        return Expr::makeConst(*V);
+        return A.makeConst(*V);
     }
     for (int Side = 0; Side < 2; ++Side) {
-      const ExprPtr &C = Side == 0 ? L : R;
-      const ExprPtr &Other = Side == 0 ? R : L;
+      const Expr *C = Side == 0 ? L : R;
+      const Expr *Other = Side == 0 ? R : L;
       if (C->kind() != ExprKind::Const)
         continue;
       if (C->constValue() == 0)
-        return Expr::makeConst(0);
+        return A.makeConst(0);
       if (C->constValue() == 1)
         return Other;
       if (C->constValue() == -1)
-        return foldExpr(Expr::makeNeg(Other));
+        return foldExpr(A, A.makeNeg(Other));
     }
     if (L == E->lhs() && R == E->rhs())
       return E;
-    return Expr::makeMul(std::move(L), std::move(R));
+    return A.makeMul(L, R);
   }
   }
   assert(false && "unknown expression kind");
@@ -167,38 +164,37 @@ ExprPtr foldStructural(const ExprPtr &E) {
 
 } // namespace
 
-ExprPtr edda::foldExpr(const ExprPtr &E) {
-  // Folding is idempotent, so a node this function returned before is
-  // its own fold; the marker spares the prepass's repeated passes from
-  // rebuilding subtrees nothing has touched since.
-  if (E->isFolded())
-    return E;
-  ExprPtr Out = canonicalize(foldStructural(E));
-  Out->markFolded();
+const Expr *edda::foldExpr(ExprArena &A, const Expr *E) {
+  if (const Expr *Memo = A.folded(E))
+    return Memo;
+  const Expr *Out = canonicalize(A, foldStructural(A, E));
+  // Folding is idempotent, so the result is its own fold too.
+  A.setFolded(E, Out);
+  A.setFolded(Out, Out);
   return Out;
 }
 
 namespace {
 
-void foldStmt(Stmt &S) {
+void foldStmt(ExprArena &A, Stmt &S) {
   if (S.kind() == StmtKind::Assign) {
-    AssignStmt &A = asAssign(S);
-    if (A.isArrayLhs())
-      for (unsigned D = 0; D < A.lhsSubscripts().size(); ++D)
-        A.setLhsSubscript(D, foldExpr(A.lhsSubscripts()[D]));
-    A.setRhs(foldExpr(A.rhs()));
+    AssignStmt &As = asAssign(S);
+    if (As.isArrayLhs())
+      for (unsigned D = 0; D < As.lhsSubscripts().size(); ++D)
+        As.setLhsSubscript(D, foldExpr(A, As.lhsSubscripts()[D]));
+    As.setRhs(foldExpr(A, As.rhs()));
     return;
   }
   LoopStmt &L = asLoop(S);
-  L.setLo(foldExpr(L.lo()));
-  L.setHi(foldExpr(L.hi()));
+  L.setLo(foldExpr(A, L.lo()));
+  L.setHi(foldExpr(A, L.hi()));
   for (StmtPtr &Child : L.body())
-    foldStmt(*Child);
+    foldStmt(A, *Child);
 }
 
 } // namespace
 
 void edda::foldConstants(Program &P) {
   for (StmtPtr &S : P.body())
-    foldStmt(*S);
+    foldStmt(P.exprs(), *S);
 }

@@ -20,11 +20,12 @@
 
 namespace edda {
 
-/// Returns a simplified equivalent of \p E: constants folded, identity
-/// elements dropped, double negation removed, subtraction of a constant
-/// canonicalized. Idempotent: a result folds to itself, and folding it
-/// again returns the same node without rebuilding it.
-ExprPtr foldExpr(const ExprPtr &E);
+/// Returns a simplified equivalent of \p E, made in \p A: constants
+/// folded, identity elements dropped, double negation removed,
+/// subtraction of a constant canonicalized. Idempotent: a result folds to
+/// itself. \p A memoizes the fold of every node it has folded, so folding
+/// a node again costs one lookup.
+const Expr *foldExpr(ExprArena &A, const Expr *E);
 
 /// Folds every expression in \p P (subscripts, right-hand sides, loop
 /// bounds).

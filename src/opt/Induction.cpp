@@ -8,9 +8,9 @@
 #include "opt/Induction.h"
 
 #include "opt/Fold.h"
+#include "opt/ScalarBindings.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace edda;
 
@@ -22,10 +22,10 @@ std::optional<int64_t> matchIncrement(const AssignStmt &A) {
   if (A.isArrayLhs())
     return std::nullopt;
   unsigned K = A.lhsScalar();
-  const ExprPtr &Rhs = A.rhs();
+  const Expr *Rhs = A.rhs();
   if (Rhs->kind() == ExprKind::Add) {
-    const ExprPtr &L = Rhs->lhs();
-    const ExprPtr &R = Rhs->rhs();
+    const Expr *L = Rhs->lhs();
+    const Expr *R = Rhs->rhs();
     if (L->kind() == ExprKind::Var && L->varId() == K &&
         R->kind() == ExprKind::Const)
       return R->constValue();
@@ -34,8 +34,8 @@ std::optional<int64_t> matchIncrement(const AssignStmt &A) {
       return L->constValue();
   }
   if (Rhs->kind() == ExprKind::Sub) {
-    const ExprPtr &L = Rhs->lhs();
-    const ExprPtr &R = Rhs->rhs();
+    const Expr *L = Rhs->lhs();
+    const Expr *R = Rhs->rhs();
     if (L->kind() == ExprKind::Var && L->varId() == K &&
         R->kind() == ExprKind::Const) {
       // k - INT64_MIN would overflow on negation; just skip it.
@@ -47,181 +47,106 @@ std::optional<int64_t> matchIncrement(const AssignStmt &A) {
   return std::nullopt;
 }
 
-void countScalarAssignments(const std::vector<StmtPtr> &Body,
-                            std::map<unsigned, unsigned> &Counts) {
-  for (const StmtPtr &S : Body) {
-    if (S->kind() == StmtKind::Assign) {
-      const AssignStmt &A = asAssign(*S);
-      if (!A.isArrayLhs())
-        ++Counts[A.lhsScalar()];
-      continue;
-    }
-    countScalarAssignments(asLoop(*S).body(), Counts);
-  }
-}
-
 class InductionPass {
 public:
-  explicit InductionPass(Program &P) : P(P) {}
+  explicit InductionPass(Program &P) : P(P), A(P.exprs()), Env(P) {}
 
   void run() { walk(P.body()); }
 
 private:
   Program &P;
-  /// Known entry-value expressions for scalars, maintained with the same
-  /// conservative rules as ScalarPropagation (but without rewriting
-  /// uses; that is the other pass's job).
-  std::map<unsigned, ExprPtr> Env;
-  std::vector<unsigned> ActiveLoops;
+  ExprArena &A;
+  /// Known entry values of scalars, kept by the same conservative rules
+  /// as ScalarPropagation (but without rewriting uses; that is the other
+  /// pass's job).
+  ScalarBindings Env;
 
-  bool isRememberable(const ExprPtr &E) const {
-    if (E->containsArrayRead())
-      return false;
-    std::vector<unsigned> Vars;
-    E->collectVars(Vars);
-    for (unsigned V : Vars) {
-      if (P.var(V).Kind == VarKind::Symbolic)
-        continue;
-      if (std::find(ActiveLoops.begin(), ActiveLoops.end(), V) !=
-          ActiveLoops.end())
-        continue;
-      return false;
-    }
-    return true;
+  /// Replaces the uses of \p VarId in \p E with \p Value.
+  const Expr *substituteUse(const Expr *E, unsigned VarId,
+                            const Expr *Value) {
+    if (E->references(VarId))
+      E = substitute(A, E, [VarId, Value](unsigned V) {
+        return V == VarId ? Value : nullptr;
+      });
+    return foldExpr(A, E);
   }
 
-  void killReferencing(unsigned VarId) {
-    for (auto It = Env.begin(); It != Env.end();) {
-      if (It->second->references(VarId))
-        It = Env.erase(It);
-      else
-        ++It;
-    }
-  }
-
-  /// Replaces uses of the variables in \p Values inside \p E.
-  static ExprPtr substituteUses(const ExprPtr &E,
-                                const std::map<unsigned, ExprPtr> &Values) {
-    ExprPtr Out = substitute(E, [&Values](unsigned VarId) -> ExprPtr {
-      auto It = Values.find(VarId);
-      return It == Values.end() ? nullptr : It->second;
-    });
-    return foldExpr(Out);
-  }
-
-  static void rewriteStmtUses(Stmt &S,
-                              const std::map<unsigned, ExprPtr> &Values);
+  void rewriteStmtUses(Stmt &S, unsigned VarId, const Expr *Value);
 
   void walk(std::vector<StmtPtr> &Body) {
     for (StmtPtr &S : Body) {
       if (S->kind() == StmtKind::Assign) {
-        AssignStmt &A = asAssign(*S);
-        if (!A.isArrayLhs()) {
-          unsigned V = A.lhsScalar();
-          if (isRememberable(A.rhs()))
-            Env[V] = A.rhs();
-          else
-            Env.erase(V);
-          killReferencing(V);
-        }
+        AssignStmt &As = asAssign(*S);
+        if (!As.isArrayLhs())
+          Env.assign(As.lhsScalar(), As.rhs());
         continue;
       }
 
       LoopStmt &L = asLoop(*S);
-      killReferencing(L.varId());
-      Env.erase(L.varId());
-
+      Env.enterLoop(L);
       if (L.step() == 1)
         rewriteInductionsIn(L);
-
-      std::vector<unsigned> Assigned;
-      collectAssigned(L.body(), Assigned);
-      std::map<unsigned, ExprPtr> Outer = Env;
-      for (unsigned V : Assigned)
-        Env.erase(V);
-
-      ActiveLoops.push_back(L.varId());
       walk(L.body());
-      ActiveLoops.pop_back();
-
-      Env = std::move(Outer);
-      for (unsigned V : Assigned)
-        Env.erase(V);
-      killReferencing(L.varId());
-    }
-  }
-
-  static void collectAssigned(const std::vector<StmtPtr> &Body,
-                              std::vector<unsigned> &Out) {
-    std::map<unsigned, unsigned> Counts;
-    countScalarAssignments(Body, Counts);
-    for (const auto &[V, Count] : Counts) {
-      (void)Count;
-      Out.push_back(V);
+      Env.leaveLoop(L);
     }
   }
 
   void rewriteInductionsIn(LoopStmt &L) {
     // Candidates: direct children k = k + c whose variable is assigned
-    // exactly once in the whole body and has a known entry value that
-    // does not reference this loop's variable.
-    std::map<unsigned, unsigned> Counts;
-    countScalarAssignments(L.body(), Counts);
-
+    // exactly once in the whole body and has a known entry value (which
+    // cannot mention this loop's variable: entering the loop forgot
+    // those).
+    std::span<const unsigned> Assigned = Env.assignedInLoop();
     for (size_t Idx = 0; Idx < L.body().size(); ++Idx) {
       Stmt &Child = *L.body()[Idx];
       if (Child.kind() != StmtKind::Assign)
         continue;
-      AssignStmt &A = asAssign(Child);
-      std::optional<int64_t> Inc = matchIncrement(A);
+      AssignStmt &As = asAssign(Child);
+      std::optional<int64_t> Inc = matchIncrement(As);
       if (!Inc)
         continue;
-      unsigned K = A.lhsScalar();
-      if (Counts[K] != 1)
+      unsigned K = As.lhsScalar();
+      if (std::count(Assigned.begin(), Assigned.end(), K) != 1)
         continue;
-      auto EnvIt = Env.find(K);
-      if (EnvIt == Env.end() || EnvIt->second->references(L.varId()))
+      const Expr *Entry = Env.entryValue(K);
+      if (!Entry)
         continue;
 
       // Pre-increment value: E0 + c*(i - L); post adds one more c.
-      ExprPtr IterCount =
-          Expr::makeSub(Expr::makeVar(L.varId()), L.lo());
-      ExprPtr Pre = foldExpr(Expr::makeAdd(
-          EnvIt->second,
-          Expr::makeMul(Expr::makeConst(*Inc), IterCount)));
-      ExprPtr Post =
-          foldExpr(Expr::makeAdd(Pre, Expr::makeConst(*Inc)));
+      const Expr *IterCount = A.makeSub(A.makeVar(L.varId()), L.lo());
+      const Expr *Pre = foldExpr(
+          A, A.makeAdd(Entry, A.makeMul(A.makeConst(*Inc), IterCount)));
+      const Expr *Post = foldExpr(A, A.makeAdd(Pre, A.makeConst(*Inc)));
 
-      std::map<unsigned, ExprPtr> PreMap{{K, Pre}};
-      std::map<unsigned, ExprPtr> PostMap{{K, Post}};
       for (size_t J = 0; J < L.body().size(); ++J) {
         if (J == Idx) {
           // The increment reads the pre value; rewrite its RHS so the
           // stored value stays correct.
-          A.setRhs(substituteUses(A.rhs(), PreMap));
+          As.setRhs(substituteUse(As.rhs(), K, Pre));
           continue;
         }
-        rewriteStmtUses(*L.body()[J], J < Idx ? PreMap : PostMap);
+        rewriteStmtUses(*L.body()[J], K, J < Idx ? Pre : Post);
       }
     }
   }
 };
 
-void InductionPass::rewriteStmtUses(
-    Stmt &S, const std::map<unsigned, ExprPtr> &Values) {
+void InductionPass::rewriteStmtUses(Stmt &S, unsigned VarId,
+                                    const Expr *Value) {
   if (S.kind() == StmtKind::Assign) {
-    AssignStmt &A = asAssign(S);
-    if (A.isArrayLhs())
-      for (unsigned D = 0; D < A.lhsSubscripts().size(); ++D)
-        A.setLhsSubscript(D, substituteUses(A.lhsSubscripts()[D], Values));
-    A.setRhs(substituteUses(A.rhs(), Values));
+    AssignStmt &As = asAssign(S);
+    if (As.isArrayLhs())
+      for (unsigned D = 0; D < As.lhsSubscripts().size(); ++D)
+        As.setLhsSubscript(
+            D, substituteUse(As.lhsSubscripts()[D], VarId, Value));
+    As.setRhs(substituteUse(As.rhs(), VarId, Value));
     return;
   }
   LoopStmt &L = asLoop(S);
-  L.setLo(substituteUses(L.lo(), Values));
-  L.setHi(substituteUses(L.hi(), Values));
+  L.setLo(substituteUse(L.lo(), VarId, Value));
+  L.setHi(substituteUse(L.hi(), VarId, Value));
   for (StmtPtr &Child : L.body())
-    rewriteStmtUses(*Child, Values);
+    rewriteStmtUses(*Child, VarId, Value);
 }
 
 } // namespace

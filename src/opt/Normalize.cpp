@@ -15,6 +15,7 @@ using namespace edda;
 namespace {
 
 void normalizeBody(Program &P, std::vector<StmtPtr> &Body) {
+  ExprArena &A = P.exprs();
   for (StmtPtr &S : Body) {
     if (S->kind() != StmtKind::Loop)
       continue;
@@ -23,8 +24,8 @@ void normalizeBody(Program &P, std::vector<StmtPtr> &Body) {
     if (L.step() == 1)
       continue;
 
-    ExprPtr Lo = foldExpr(L.lo());
-    ExprPtr Hi = foldExpr(L.hi());
+    const Expr *Lo = foldExpr(A, L.lo());
+    const Expr *Hi = foldExpr(A, L.hi());
     if (Lo->kind() != ExprKind::Const || Hi->kind() != ExprKind::Const)
       continue; // non-constant bounds with a stride: leave unnormalized
 
@@ -49,15 +50,14 @@ void normalizeBody(Program &P, std::vector<StmtPtr> &Body) {
       Name = BaseName + std::to_string(++Suffix);
     unsigned NormVar = P.addVar(Name, VarKind::Loop);
 
-    auto NewLoop = std::make_unique<LoopStmt>(
-        NormVar, Expr::makeConst(0), Expr::makeConst(Count), 1);
+    auto NewLoop = std::make_unique<LoopStmt>(NormVar, A.makeConst(0),
+                                              A.makeConst(Count), 1);
     // i = L + s * i_n keeps the original variable live for the body and
     // for code after the loop; scalar propagation substitutes it away.
-    ExprPtr Recompute = Expr::makeAdd(
-        Expr::makeConst(LoV),
-        Expr::makeMul(Expr::makeConst(Step), Expr::makeVar(NormVar)));
-    NewLoop->body().push_back(std::make_unique<AssignStmt>(
-        L.varId(), std::move(Recompute)));
+    const Expr *Recompute = A.makeAdd(
+        A.makeConst(LoV), A.makeMul(A.makeConst(Step), A.makeVar(NormVar)));
+    NewLoop->body().push_back(
+        std::make_unique<AssignStmt>(L.varId(), Recompute));
     for (StmtPtr &Child : L.body())
       NewLoop->body().push_back(std::move(Child));
     S = std::move(NewLoop);

@@ -24,6 +24,7 @@ void edda::runPrepass(Program &P) {
   propagateScalars(P);
   // Induction rewriting needs normalized loops and entry values.
   substituteInductionVariables(P);
+  // Propagation folds every expression it visits, so its output is
+  // already folded.
   propagateScalars(P);
-  foldConstants(P);
 }

@@ -22,7 +22,8 @@
 namespace edda {
 
 /// Runs the full prepass: fold, propagate, normalize, propagate,
-/// induction-substitute, propagate, fold.
+/// induction-substitute, propagate (which leaves every expression
+/// folded).
 void runPrepass(Program &P);
 
 } // namespace edda

@@ -9,7 +9,6 @@
 
 #include "support/IntMath.h"
 
-#include <cctype>
 
 using namespace edda;
 
@@ -64,139 +63,114 @@ const char *edda::tokenKindName(TokenKind Kind) {
 namespace {
 
 TokenKind keywordKind(std::string_view Word) {
-  if (Word == "program")
-    return TokenKind::KwProgram;
-  if (Word == "end")
-    return TokenKind::KwEnd;
-  if (Word == "for")
-    return TokenKind::KwFor;
-  if (Word == "to")
-    return TokenKind::KwTo;
-  if (Word == "step")
-    return TokenKind::KwStep;
-  if (Word == "do")
-    return TokenKind::KwDo;
-  if (Word == "array")
-    return TokenKind::KwArray;
-  if (Word == "read")
-    return TokenKind::KwRead;
-  if (Word == "param")
-    return TokenKind::KwParam;
-  return TokenKind::Identifier;
+  switch (Word.front()) {
+  case 'a':
+    return Word == "array" ? TokenKind::KwArray : TokenKind::Identifier;
+  case 'd':
+    return Word == "do" ? TokenKind::KwDo : TokenKind::Identifier;
+  case 'e':
+    return Word == "end" ? TokenKind::KwEnd : TokenKind::Identifier;
+  case 'f':
+    return Word == "for" ? TokenKind::KwFor : TokenKind::Identifier;
+  case 'p':
+    if (Word == "program")
+      return TokenKind::KwProgram;
+    return Word == "param" ? TokenKind::KwParam : TokenKind::Identifier;
+  case 'r':
+    return Word == "read" ? TokenKind::KwRead : TokenKind::Identifier;
+  case 's':
+    return Word == "step" ? TokenKind::KwStep : TokenKind::Identifier;
+  case 't':
+    return Word == "to" ? TokenKind::KwTo : TokenKind::Identifier;
+  default:
+    return TokenKind::Identifier;
+  }
+}
+
+// ASCII classes: LoopLang source is ASCII, and the lexer must not vary
+// with the C locale.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
+
+TokenKind punctuationKind(char C) {
+  switch (C) {
+  case '+':
+    return TokenKind::Plus;
+  case '-':
+    return TokenKind::Minus;
+  case '*':
+    return TokenKind::Star;
+  case '(':
+    return TokenKind::LParen;
+  case ')':
+    return TokenKind::RParen;
+  case '[':
+    return TokenKind::LBracket;
+  case ']':
+    return TokenKind::RBracket;
+  case '=':
+    return TokenKind::Equals;
+  default:
+    return TokenKind::Invalid;
+  }
 }
 
 } // namespace
 
-std::vector<Token> Lexer::lexAll() {
-  std::vector<Token> Tokens;
-  size_t Pos = 0;
-  unsigned Line = 1;
-  unsigned Column = 1;
+Token Lexer::next() {
   const size_t Size = Source.size();
-
-  auto advance = [&](size_t Count) {
-    for (size_t I = 0; I < Count; ++I) {
-      if (Source[Pos + I] == '\n') {
-        ++Line;
-        Column = 1;
-      } else {
-        ++Column;
-      }
-    }
-    Pos += Count;
-  };
-
+  // Skip whitespace and '#' line comments.
   while (Pos < Size) {
     char C = Source[Pos];
-    // Skip whitespace.
-    if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-      advance(1);
-      continue;
-    }
-    // Skip '#' line comments.
-    if (C == '#') {
-      size_t End = Pos;
-      while (End < Size && Source[End] != '\n')
-        ++End;
-      advance(End - Pos);
-      continue;
-    }
-
-    Token Tok;
-    Tok.Line = Line;
-    Tok.Column = Column;
-
-    if (std::isdigit(static_cast<unsigned char>(C))) {
-      size_t End = Pos;
-      while (End < Size &&
-             std::isdigit(static_cast<unsigned char>(Source[End])))
-        ++End;
-      Tok.Text = Source.substr(Pos, End - Pos);
-      Tok.Kind = TokenKind::Integer;
-      // Overflow-checked decimal accumulation.
-      CheckedInt Value(0);
-      for (char Digit : Tok.Text)
-        Value = Value * 10 + (Digit - '0');
-      if (Value.valid())
-        Tok.IntValue = Value.get();
-      else
-        Tok.Kind = TokenKind::Invalid;
-      advance(End - Pos);
-      Tokens.push_back(Tok);
-      continue;
-    }
-
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      size_t End = Pos;
-      while (End < Size &&
-             (std::isalnum(static_cast<unsigned char>(Source[End])) ||
-              Source[End] == '_'))
-        ++End;
-      Tok.Text = Source.substr(Pos, End - Pos);
-      Tok.Kind = keywordKind(Tok.Text);
-      advance(End - Pos);
-      Tokens.push_back(Tok);
-      continue;
-    }
-
-    Tok.Text = Source.substr(Pos, 1);
-    switch (C) {
-    case '+':
-      Tok.Kind = TokenKind::Plus;
-      break;
-    case '-':
-      Tok.Kind = TokenKind::Minus;
-      break;
-    case '*':
-      Tok.Kind = TokenKind::Star;
-      break;
-    case '(':
-      Tok.Kind = TokenKind::LParen;
-      break;
-    case ')':
-      Tok.Kind = TokenKind::RParen;
-      break;
-    case '[':
-      Tok.Kind = TokenKind::LBracket;
-      break;
-    case ']':
-      Tok.Kind = TokenKind::RBracket;
-      break;
-    case '=':
-      Tok.Kind = TokenKind::Equals;
-      break;
-    default:
-      Tok.Kind = TokenKind::Invalid;
+    if (C == '\n') {
+      ++Pos;
+      ++Line;
+      Column = 1;
+    } else if (C == ' ' || C == '\t' || C == '\r') {
+      ++Pos;
+      ++Column;
+    } else if (C == '#') {
+      size_t End = Source.find('\n', Pos);
+      End = End == std::string_view::npos ? Size : End;
+      Column += static_cast<unsigned>(End - Pos);
+      Pos = End;
+    } else {
       break;
     }
-    advance(1);
-    Tokens.push_back(Tok);
   }
 
-  Token Eof;
-  Eof.Kind = TokenKind::Eof;
-  Eof.Line = Line;
-  Eof.Column = Column;
-  Tokens.push_back(Eof);
-  return Tokens;
+  Token Tok;
+  Tok.Line = Line;
+  Tok.Column = Column;
+  if (Pos == Size)
+    return Tok; // Eof
+
+  char C = Source[Pos];
+  size_t End = Pos + 1;
+  if (isDigit(C)) {
+    while (End < Size && isDigit(Source[End]))
+      ++End;
+    Tok.Kind = TokenKind::Integer;
+    // Overflow-checked decimal accumulation.
+    CheckedInt Value(0);
+    for (size_t I = Pos; I < End; ++I)
+      Value = Value * 10 + (Source[I] - '0');
+    if (Value.valid())
+      Tok.IntValue = Value.get();
+    else
+      Tok.Kind = TokenKind::Invalid;
+  } else if (isIdentStart(C)) {
+    while (End < Size && isIdentChar(Source[End]))
+      ++End;
+    Tok.Kind = keywordKind(Source.substr(Pos, End - Pos));
+  } else {
+    Tok.Kind = punctuationKind(C);
+  }
+  Tok.Text = Source.substr(Pos, End - Pos);
+  Column += static_cast<unsigned>(End - Pos);
+  Pos = End;
+  return Tok;
 }

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace edda {
 
@@ -61,18 +60,22 @@ struct Token {
   unsigned Column = 1;  ///< 1-based.
 };
 
-/// Lexes an entire LoopLang source buffer into a token vector terminated
-/// by an Eof token. The source string must outlive the tokens.
+/// Streams the tokens of a LoopLang source buffer, one per next() call,
+/// ending in an Eof token. The source string must outlive the tokens.
 class Lexer {
 public:
   explicit Lexer(std::string_view Source) : Source(Source) {}
 
-  /// Lexes all tokens. Invalid characters and out-of-range integers
-  /// produce Invalid tokens; the parser reports them.
-  std::vector<Token> lexAll();
+  /// The next token. Invalid characters and out-of-range integers produce
+  /// Invalid tokens; the parser reports them. At the end of the input
+  /// every call returns Eof.
+  Token next();
 
 private:
   std::string_view Source;
+  size_t Pos = 0;
+  unsigned Line = 1;
+  unsigned Column = 1;
 };
 
 } // namespace edda

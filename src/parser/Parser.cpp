@@ -20,27 +20,38 @@ std::string Diagnostic::str() const {
 
 namespace {
 
+/// Bound on the arena space a parse reserves up front.
+constexpr size_t MaxReserveBytes = size_t(64) << 20;
+
 /// Recursive-descent parser state. Parsing bails out after the first
 /// error in a statement but attempts no fancy recovery: LoopLang inputs
-/// are machine-generated or tiny.
+/// are machine-generated or tiny. The parser pulls tokens from the lexer
+/// as it goes and never looks more than one token ahead.
 class ParserImpl {
 public:
   explicit ParserImpl(std::string_view Source)
-      : Tokens(Lexer(Source).lexAll()) {}
+      : Lex(Source), Cur(Lex.next()), SourceBytes(Source.size()) {}
 
   ParseResult run();
 
 private:
-  std::vector<Token> Tokens;
-  size_t Pos = 0;
+  Lexer Lex;
+  /// The one token of lookahead.
+  Token Cur;
+  size_t SourceBytes;
   Program Prog;
   std::vector<Diagnostic> Diags;
   /// Loop variables currently live on the loop stack (to reject nested
   /// reuse of the same induction variable).
   std::vector<unsigned> ActiveLoopVars;
 
-  const Token &peek() const { return Tokens[Pos]; }
-  const Token &get() { return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos]; }
+  const Token &peek() const { return Cur; }
+  Token get() {
+    Token Tok = Cur;
+    if (Cur.Kind != TokenKind::Eof)
+      Cur = Lex.next();
+    return Tok;
+  }
 
   bool check(TokenKind Kind) const { return peek().Kind == Kind; }
 
@@ -72,12 +83,12 @@ private:
   bool parseStmts(std::vector<StmtPtr> &Out);
   StmtPtr parseLoop();
   StmtPtr parseAssign();
-  ExprPtr parseExpr();
-  ExprPtr parseTerm();
-  ExprPtr parseUnary();
-  ExprPtr parsePrimary();
+  const Expr *parseExpr();
+  const Expr *parseTerm();
+  const Expr *parseUnary();
+  const Expr *parsePrimary();
   /// Parses '[expr]...' subscripts for array \p ArrayId, checking rank.
-  bool parseSubscripts(unsigned ArrayId, std::vector<ExprPtr> &Out);
+  bool parseSubscripts(unsigned ArrayId, std::vector<const Expr *> &Out);
 };
 
 ParseResult ParserImpl::run() {
@@ -92,6 +103,15 @@ ParseResult ParserImpl::run() {
     return Result;
   }
   Prog = Program(std::string(get().Text));
+  // Room for the whole parse in one chunk: the suite's programs take
+  // 1.4-3 bytes of nodes per byte of source. The chunk is sized like the
+  // former batch lexer's token vector (about 15 bytes per source byte),
+  // which keeps the allocator's footprint steady from one program to the
+  // next: the first such chunk freed lifts glibc's mmap and trim
+  // thresholds, so the analysis that follows reuses heap pages instead
+  // of faulting in fresh ones. Pages no node touches cost address space,
+  // not memory.
+  Prog.exprs().reserve(std::min(16 * SourceBytes, MaxReserveBytes));
 
   if (!parseDecls() || !parseStmts(Prog.body())) {
     Result.Diags = std::move(Diags);
@@ -173,7 +193,7 @@ bool ParserImpl::parseDecls() {
       // A param is sugar for an initializing scalar assignment; constant
       // propagation folds it away.
       Prog.body().push_back(
-          std::make_unique<AssignStmt>(Id, Expr::makeConst(Value)));
+          std::make_unique<AssignStmt>(Id, Prog.exprs().makeConst(Value)));
       continue;
     }
     return true;
@@ -229,12 +249,12 @@ StmtPtr ParserImpl::parseLoop() {
 
   if (!expect(TokenKind::Equals, "after loop variable"))
     return nullptr;
-  ExprPtr Lo = parseExpr();
+  const Expr *Lo = parseExpr();
   if (!Lo)
     return nullptr;
   if (!expect(TokenKind::KwTo, "between loop bounds"))
     return nullptr;
-  ExprPtr Hi = parseExpr();
+  const Expr *Hi = parseExpr();
   if (!Hi)
     return nullptr;
   if (Lo->containsArrayRead() || Hi->containsArrayRead()) {
@@ -260,8 +280,7 @@ StmtPtr ParserImpl::parseLoop() {
   if (!expect(TokenKind::KwDo, "after loop header"))
     return nullptr;
 
-  auto Loop = std::make_unique<LoopStmt>(VarId, std::move(Lo),
-                                         std::move(Hi), Step);
+  auto Loop = std::make_unique<LoopStmt>(VarId, Lo, Hi, Step);
   ActiveLoopVars.push_back(VarId);
   bool BodyOk = parseStmts(Loop->body());
   ActiveLoopVars.pop_back();
@@ -276,16 +295,15 @@ StmtPtr ParserImpl::parseAssign() {
   std::string Name(get().Text);
 
   if (std::optional<unsigned> ArrayId = Prog.lookupArray(Name)) {
-    std::vector<ExprPtr> Subs;
+    std::vector<const Expr *> Subs;
     if (!parseSubscripts(*ArrayId, Subs))
       return nullptr;
     if (!expect(TokenKind::Equals, "in assignment"))
       return nullptr;
-    ExprPtr Rhs = parseExpr();
+    const Expr *Rhs = parseExpr();
     if (!Rhs)
       return nullptr;
-    return std::make_unique<AssignStmt>(*ArrayId, std::move(Subs),
-                                        std::move(Rhs));
+    return std::make_unique<AssignStmt>(*ArrayId, std::move(Subs), Rhs);
   }
 
   unsigned VarId;
@@ -307,19 +325,19 @@ StmtPtr ParserImpl::parseAssign() {
 
   if (!expect(TokenKind::Equals, "in assignment"))
     return nullptr;
-  ExprPtr Rhs = parseExpr();
+  const Expr *Rhs = parseExpr();
   if (!Rhs)
     return nullptr;
-  return std::make_unique<AssignStmt>(VarId, std::move(Rhs));
+  return std::make_unique<AssignStmt>(VarId, Rhs);
 }
 
 bool ParserImpl::parseSubscripts(unsigned ArrayId,
-                                 std::vector<ExprPtr> &Out) {
+                                 std::vector<const Expr *> &Out) {
   while (accept(TokenKind::LBracket)) {
-    ExprPtr Sub = parseExpr();
+    const Expr *Sub = parseExpr();
     if (!Sub)
       return false;
-    Out.push_back(std::move(Sub));
+    Out.push_back(Sub);
     if (!expect(TokenKind::RBracket, "after subscript"))
       return false;
   }
@@ -333,56 +351,56 @@ bool ParserImpl::parseSubscripts(unsigned ArrayId,
   return true;
 }
 
-ExprPtr ParserImpl::parseExpr() {
-  ExprPtr Lhs = parseTerm();
+const Expr *ParserImpl::parseExpr() {
+  const Expr *Lhs = parseTerm();
   if (!Lhs)
     return nullptr;
   while (true) {
     if (accept(TokenKind::Plus)) {
-      ExprPtr Rhs = parseTerm();
+      const Expr *Rhs = parseTerm();
       if (!Rhs)
         return nullptr;
-      Lhs = Expr::makeAdd(std::move(Lhs), std::move(Rhs));
+      Lhs = Prog.exprs().makeAdd(Lhs, Rhs);
     } else if (accept(TokenKind::Minus)) {
-      ExprPtr Rhs = parseTerm();
+      const Expr *Rhs = parseTerm();
       if (!Rhs)
         return nullptr;
-      Lhs = Expr::makeSub(std::move(Lhs), std::move(Rhs));
+      Lhs = Prog.exprs().makeSub(Lhs, Rhs);
     } else {
       return Lhs;
     }
   }
 }
 
-ExprPtr ParserImpl::parseTerm() {
-  ExprPtr Lhs = parseUnary();
+const Expr *ParserImpl::parseTerm() {
+  const Expr *Lhs = parseUnary();
   if (!Lhs)
     return nullptr;
   while (accept(TokenKind::Star)) {
-    ExprPtr Rhs = parseUnary();
+    const Expr *Rhs = parseUnary();
     if (!Rhs)
       return nullptr;
-    Lhs = Expr::makeMul(std::move(Lhs), std::move(Rhs));
+    Lhs = Prog.exprs().makeMul(Lhs, Rhs);
   }
   return Lhs;
 }
 
-ExprPtr ParserImpl::parseUnary() {
+const Expr *ParserImpl::parseUnary() {
   if (accept(TokenKind::Minus)) {
-    ExprPtr Operand = parseUnary();
+    const Expr *Operand = parseUnary();
     if (!Operand)
       return nullptr;
-    return Expr::makeNeg(std::move(Operand));
+    return Prog.exprs().makeNeg(Operand);
   }
   return parsePrimary();
 }
 
-ExprPtr ParserImpl::parsePrimary() {
+const Expr *ParserImpl::parsePrimary() {
   if (check(TokenKind::Integer))
-    return Expr::makeConst(get().IntValue);
+    return Prog.exprs().makeConst(get().IntValue);
 
   if (accept(TokenKind::LParen)) {
-    ExprPtr Inner = parseExpr();
+    const Expr *Inner = parseExpr();
     if (!Inner)
       return nullptr;
     if (!expect(TokenKind::RParen, "to close the parenthesis"))
@@ -395,14 +413,14 @@ ExprPtr ParserImpl::parsePrimary() {
           tokenKindName(peek().Kind));
     return nullptr;
   }
-  const Token &NameTok = get();
+  Token NameTok = get();
   std::string Name(NameTok.Text);
 
   if (std::optional<unsigned> ArrayId = Prog.lookupArray(Name)) {
-    std::vector<ExprPtr> Subs;
+    std::vector<const Expr *> Subs;
     if (!parseSubscripts(*ArrayId, Subs))
       return nullptr;
-    return Expr::makeArrayRead(*ArrayId, std::move(Subs));
+    return Prog.exprs().makeArrayRead(*ArrayId, Subs);
   }
 
   std::optional<unsigned> VarId = Prog.lookupVar(Name);
@@ -410,7 +428,7 @@ ExprPtr ParserImpl::parsePrimary() {
     errorAt(NameTok, "use of undeclared variable '" + Name + "'");
     return nullptr;
   }
-  return Expr::makeVar(*VarId);
+  return Prog.exprs().makeVar(*VarId);
 }
 
 } // namespace

@@ -842,8 +842,8 @@ std::string edda::applyRandomEdit(Program &Prog, SplitRng &Rng) {
       unsigned Dim = static_cast<unsigned>(
           Rng.below(A.lhsSubscripts().size()));
       int64_t C = 1 + static_cast<int64_t>(Rng.below(2));
-      A.setLhsSubscript(Dim, Expr::makeAdd(A.lhsSubscripts()[Dim],
-                                           Expr::makeConst(C)));
+      A.setLhsSubscript(Dim, Prog.exprs().makeAdd(A.lhsSubscripts()[Dim],
+                                           Prog.exprs().makeConst(C)));
       return "subscript+" + std::to_string(C);
     }
     case 1: { // Right-hand side: rhs -> rhs + c (references untouched).
@@ -852,7 +852,7 @@ std::string edda::applyRandomEdit(Program &Prog, SplitRng &Rng) {
       AssignStmt &A = asAssign(**(Site.ParentBody->begin() +
                                   static_cast<long>(Site.Index)));
       int64_t C = 1 + static_cast<int64_t>(Rng.below(3));
-      A.setRhs(Expr::makeAdd(A.rhs(), Expr::makeConst(C)));
+      A.setRhs(Prog.exprs().makeAdd(A.rhs(), Prog.exprs().makeConst(C)));
       return "rhs+" + std::to_string(C);
     }
     case 2: { // Loop bound: lo or hi bumped by one.
@@ -860,10 +860,10 @@ std::string edda::applyRandomEdit(Program &Prog, SplitRng &Rng) {
         continue;
       LoopStmt &L = *Sites.Loops[Rng.below(Sites.Loops.size())];
       if (Rng.below(2) == 0) {
-        L.setLo(Expr::makeAdd(L.lo(), Expr::makeConst(1)));
+        L.setLo(Prog.exprs().makeAdd(L.lo(), Prog.exprs().makeConst(1)));
         return "bound-lo+1";
       }
-      L.setHi(Expr::makeAdd(L.hi(), Expr::makeConst(1)));
+      L.setHi(Prog.exprs().makeAdd(L.hi(), Prog.exprs().makeConst(1)));
       return "bound-hi+1";
     }
     case 3: { // Insert a clone of an existing assignment.

@@ -412,15 +412,14 @@ TEST(Analyzer, SuiteCountersGolden) {
 
 namespace {
 
-/// Analyzes \p Source under \p Opts (no memoization effects matter: the
+/// Analyzes \p P under \p Opts (no memoization effects matter: the
 /// program is all constant or unanalyzable pairs) and holds every pair
 /// to the direct statement of the constant-pair policy: build the pair
 /// with the reference builder and run the pipeline on it. Also holds
 /// the decision counters to the ones those runs record. Returns the
 /// analysis for case-specific checks.
-AnalysisResult expectConstantPairsAsBuilt(const std::string &Source,
+AnalysisResult expectConstantPairsAsBuilt(Program &P,
                                           const AnalyzerOptions &Opts) {
-  Program P = mustParse(Source);
   AnalyzerOptions Run = Opts;
   Run.RunPrepass = false;
   DependenceAnalyzer Analyzer(Run);
@@ -489,8 +488,8 @@ end
 // a[n+1] against a[n]: the symbolic parts cancel, so the pair is decided
 // by the const stage (Table 1 counts it as Constant).
 TEST(Analyzer, SymbolicOffsetPairIsConstant) {
-  AnalysisResult R = expectConstantPairsAsBuilt(ConstantPairs, {});
   Program P = mustParse(ConstantPairs);
+  AnalysisResult R = expectConstantPairsAsBuilt(P, {});
   const DependencePair &Pair =
       pairOf(R, P, "a[(n + 1)] (write at depth 1)", "a[n] (read at depth 1)");
   EXPECT_EQ(Pair.DecidedBy, TestKind::ArrayConstant);
@@ -499,8 +498,8 @@ TEST(Analyzer, SymbolicOffsetPairIsConstant) {
 
 // An enclosing loop with constant bounds lo > hi never runs.
 TEST(Analyzer, ConstantEmptyLoopMakesConstantPairIndependent) {
-  AnalysisResult R = expectConstantPairsAsBuilt(ConstantPairs, {});
   Program P = mustParse(ConstantPairs);
+  AnalysisResult R = expectConstantPairsAsBuilt(P, {});
   const DependencePair &Pair =
       pairOf(R, P, "e[7] (write at depth 1)", "e[7] (read at depth 1)");
   EXPECT_EQ(Pair.DecidedBy, TestKind::ArrayConstant);
@@ -513,7 +512,8 @@ TEST(Analyzer, ConstantPairsWithoutConstStageRunThePipeline) {
   AnalyzerOptions Opts;
   Opts.Cascade.Pipeline = makePipeline("gcd,svpc,acyclic,residue,fm");
   ASSERT_NE(Opts.Cascade.Pipeline, nullptr);
-  AnalysisResult R = expectConstantPairsAsBuilt(ConstantPairs, Opts);
+  Program P = mustParse(ConstantPairs);
+  AnalysisResult R = expectConstantPairsAsBuilt(P, Opts);
   for (const DependencePair &Pair : R.Pairs)
     EXPECT_NE(Pair.DecidedBy, TestKind::ArrayConstant);
 }
@@ -522,8 +522,8 @@ TEST(Analyzer, ConstantPairsWithoutConstStageRunThePipeline) {
 TEST(Analyzer, ConstantPairsWithoutNonEmptyAssumption) {
   AnalyzerOptions Opts;
   Opts.Cascade.AssumeNonEmptyLoops = false;
-  AnalysisResult R = expectConstantPairsAsBuilt(ConstantPairs, Opts);
   Program P = mustParse(ConstantPairs);
+  AnalysisResult R = expectConstantPairsAsBuilt(P, Opts);
   const DependencePair &Same =
       pairOf(R, P, "a[(n + 1)] (write at depth 1)",
              "a[(n + 1)] (write at depth 1)");
@@ -539,8 +539,8 @@ TEST(Analyzer, OverflowingConstantDifferenceStaysUnanalyzable) {
   a[9223372036854775807] = a[0 - 1]
 end
 )";
-  AnalysisResult R = expectConstantPairsAsBuilt(Source, {});
   Program P = mustParse(Source);
+  AnalysisResult R = expectConstantPairsAsBuilt(P, {});
   const DependencePair &Pair =
       pairOf(R, P, "a[9223372036854775807] (write at depth 0)",
              "a[-1] (read at depth 0)");
@@ -553,7 +553,8 @@ end
 TEST(Analyzer, TraceBuildsConstantPairs) {
   AnalyzerOptions Opts;
   Opts.Trace = true;
-  AnalysisResult R = expectConstantPairsAsBuilt(ConstantPairs, Opts);
+  Program P = mustParse(ConstantPairs);
+  AnalysisResult R = expectConstantPairsAsBuilt(P, Opts);
   for (const DependencePair &Pair : R.Pairs) {
     ASSERT_TRUE(Pair.Trace.has_value());
     ASSERT_FALSE(Pair.Trace->Stages.empty());

@@ -472,7 +472,7 @@ end
   ASSERT_NE(B.Outer, nullptr);
   ASSERT_TRUE(canReverse(B.Graph, B.Outer).Legal);
   Program Original = mustParse(Source, /*Prepass=*/false);
-  ASSERT_TRUE(reverseLoop(*B.Outer));
+  ASSERT_TRUE(reverseLoop(B.Prog, *B.Outer));
   InterpResult R1 = interpret(Original);
   InterpResult R2 = interpret(B.Prog);
   ASSERT_TRUE(R1.Ok);
@@ -495,7 +495,7 @@ end
   ASSERT_NE(B.Outer, nullptr);
   EXPECT_FALSE(canReverse(B.Graph, B.Outer).Legal);
   Program Original = mustParse(Source, /*Prepass=*/false);
-  ASSERT_TRUE(reverseLoop(*B.Outer));
+  ASSERT_TRUE(reverseLoop(B.Prog, *B.Outer));
   InterpResult R1 = interpret(Original);
   InterpResult R2 = interpret(B.Prog);
   ASSERT_TRUE(R1.Ok);

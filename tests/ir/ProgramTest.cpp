@@ -7,10 +7,70 @@
 
 #include "ir/Program.h"
 
+#include "opt/Pipeline.h"
 #include "parser/Parser.h"
+#include "workload/Generator.h"
 #include "gtest/gtest.h"
 
+#include <map>
+#include <set>
+
 using namespace edda;
+
+namespace {
+
+/// Records every node reachable from \p E under its rendering, which
+/// spells out the whole structure (array reads render their id).
+void recordNodes(const Expr *E,
+                 std::map<std::string, std::set<const Expr *>> &Seen) {
+  Seen[E->str([](unsigned V) { return "v" + std::to_string(V); })].insert(
+      E);
+  if (E->kind() == ExprKind::ArrayRead) {
+    for (const Expr *S : E->subscripts())
+      recordNodes(S, Seen);
+  } else if (E->kind() != ExprKind::Const && E->kind() != ExprKind::Var) {
+    recordNodes(E->lhs(), Seen);
+    if (E->kind() != ExprKind::Neg)
+      recordNodes(E->rhs(), Seen);
+  }
+}
+
+void recordStmts(const std::vector<StmtPtr> &Body,
+                 std::map<std::string, std::set<const Expr *>> &Seen) {
+  for (const StmtPtr &S : Body) {
+    if (S->kind() == StmtKind::Assign) {
+      const AssignStmt &A = asAssign(*S);
+      if (A.isArrayLhs())
+        for (const Expr *Sub : A.lhsSubscripts())
+          recordNodes(Sub, Seen);
+      recordNodes(A.rhs(), Seen);
+      continue;
+    }
+    const LoopStmt &L = asLoop(*S);
+    recordNodes(L.lo(), Seen);
+    recordNodes(L.hi(), Seen);
+    recordStmts(L.body(), Seen);
+  }
+}
+
+} // namespace
+
+TEST(Program, StructurallyEqualNodesAreOnePointer) {
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions())) {
+    ParseResult R = parseProgram(Source);
+    ASSERT_TRUE(R.succeeded()) << Name;
+    Program &P = *R.Prog;
+    std::map<std::string, std::set<const Expr *>> Parsed, Prepassed;
+    recordStmts(P.body(), Parsed);
+    runPrepass(P);
+    recordStmts(P.body(), Prepassed);
+    for (const auto *Seen : {&Parsed, &Prepassed})
+      for (const auto &[Rendering, Nodes] : *Seen)
+        EXPECT_EQ(Nodes.size(), 1u) << Name << ": " << Rendering;
+    EXPECT_LE(Parsed.size(), P.exprs().size()) << Name;
+  }
+}
 
 TEST(Program, SymbolTables) {
   Program P("demo");
@@ -33,12 +93,12 @@ TEST(Program, StmtConstructionAndCasts) {
   Program P("demo");
   unsigned I = P.addVar("i", VarKind::Loop);
   unsigned A = P.addArray("a", {10});
-  auto Loop = std::make_unique<LoopStmt>(I, Expr::makeConst(1),
-                                         Expr::makeConst(10), 1);
-  std::vector<ExprPtr> Subs;
-  Subs.push_back(Expr::makeVar(I));
+  auto Loop = std::make_unique<LoopStmt>(I, P.exprs().makeConst(1),
+                                         P.exprs().makeConst(10), 1);
+  std::vector<const Expr *> Subs;
+  Subs.push_back(P.exprs().makeVar(I));
   Loop->body().push_back(std::make_unique<AssignStmt>(
-      A, std::move(Subs), Expr::makeConst(0)));
+      A, std::move(Subs), P.exprs().makeConst(0)));
   EXPECT_EQ(Loop->kind(), StmtKind::Loop);
   const AssignStmt &Assign = asAssign(*Loop->body()[0]);
   EXPECT_TRUE(Assign.isArrayLhs());
@@ -49,16 +109,16 @@ TEST(Program, StmtConstructionAndCasts) {
 TEST(Program, CloneIsDeep) {
   Program P("demo");
   unsigned I = P.addVar("i", VarKind::Loop);
-  auto Loop = std::make_unique<LoopStmt>(I, Expr::makeConst(1),
-                                         Expr::makeConst(3), 1);
+  auto Loop = std::make_unique<LoopStmt>(I, P.exprs().makeConst(1),
+                                         P.exprs().makeConst(3), 1);
   Loop->body().push_back(
       std::make_unique<AssignStmt>(P.addVar("s", VarKind::Scalar),
-                                   Expr::makeConst(7)));
+                                   P.exprs().makeConst(7)));
   P.body().push_back(std::move(Loop));
 
   Program Copy(P);
   // Mutating the copy leaves the original alone.
-  asLoop(*Copy.body()[0]).setHi(Expr::makeConst(99));
+  asLoop(*Copy.body()[0]).setHi(Copy.exprs().makeConst(99));
   EXPECT_EQ(asLoop(*P.body()[0]).hi()->constValue(), 3);
   EXPECT_EQ(asLoop(*Copy.body()[0]).hi()->constValue(), 99);
 }
@@ -99,8 +159,8 @@ end
 TEST(Program, ParallelFlagSurvivesClone) {
   Program P("demo");
   unsigned I = P.addVar("i", VarKind::Loop);
-  auto Loop = std::make_unique<LoopStmt>(I, Expr::makeConst(1),
-                                         Expr::makeConst(3), 1);
+  auto Loop = std::make_unique<LoopStmt>(I, P.exprs().makeConst(1),
+                                         P.exprs().makeConst(3), 1);
   Loop->setParallel(true);
   StmtPtr Copy = Loop->clone();
   EXPECT_TRUE(asLoop(*Copy).isParallel());

@@ -34,7 +34,9 @@ const LoopStmt &firstLoop(const Program &P) {
     if (S->kind() == StmtKind::Loop)
       return asLoop(*S);
   ADD_FAILURE() << "no loop in program";
-  static LoopStmt Dummy(0, Expr::makeConst(0), Expr::makeConst(0), 1);
+  static ExprArena DummyExprs;
+  static LoopStmt Dummy(0, DummyExprs.makeConst(0), DummyExprs.makeConst(0),
+                        1);
   return Dummy;
 }
 

@@ -7,6 +7,7 @@
 
 #include "opt/Pipeline.h"
 
+#include "analysis/Analyzer.h"
 #include "analysis/Builder.h"
 #include "analysis/Interp.h"
 #include "analysis/Refs.h"
@@ -16,6 +17,7 @@
 #include "gtest/gtest.h"
 
 #include <iterator>
+#include <thread>
 
 using namespace edda;
 using namespace edda::testutil;
@@ -180,5 +182,49 @@ TEST(Pipeline, SuitePrepassOutputGolden) {
     runPrepass(P);
     EXPECT_EQ(fnv1a(P.print()), Golden[I].second)
         << Name << " prepass output changed";
+  }
+}
+
+namespace {
+
+/// The printed program after analyze() (which runs the prepass), then
+/// every reference and every pair's outcome.
+std::string analyzedDigest(Program &P) {
+  DependenceAnalyzer Analyzer;
+  AnalysisResult R = Analyzer.analyze(P);
+  std::string Out = P.print();
+  for (const ArrayReference &Ref : R.Refs)
+    Out += refStr(P, Ref) + " " + std::to_string(Ref.Fingerprint) + "\n";
+  for (const DependencePair &Pair : R.Pairs)
+    Out += std::to_string(Pair.RefA) + "," + std::to_string(Pair.RefB) +
+           " " + std::to_string(static_cast<int>(Pair.Answer)) + " " +
+           std::to_string(static_cast<int>(Pair.DecidedBy)) +
+           (Pair.Exact ? " exact\n" : "\n");
+  return Out;
+}
+
+} // namespace
+
+// Two copies of one parsed program share its nodes and make new ones
+// each in its own arena, so prepassing and analyzing them on two threads
+// at once gives what a serial run gives (and, under TSan, races on
+// nothing).
+TEST(Pipeline, CopiesPrepassAndAnalyzeOnTwoThreads) {
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions())) {
+    Program Parsed = mustParse(Source, /*Prepass=*/false);
+    Program Serial(Parsed);
+    std::string Want = analyzedDigest(Serial);
+
+    Program First(Parsed), Second(Parsed);
+    std::string Got1, Got2;
+    std::thread T1([&] { Got1 = analyzedDigest(First); });
+    std::thread T2([&] { Got2 = analyzedDigest(Second); });
+    T1.join();
+    T2.join();
+    EXPECT_EQ(Got1, Want) << Name;
+    EXPECT_EQ(Got2, Want) << Name;
+    // The source program is untouched by its copies' prepasses.
+    EXPECT_EQ(Parsed.print(), mustParse(Source, false).print()) << Name;
   }
 }

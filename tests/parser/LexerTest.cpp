@@ -7,14 +7,161 @@
 
 #include "parser/Lexer.h"
 
+#include "support/IntMath.h"
+#include "workload/Generator.h"
 #include "gtest/gtest.h"
+
+#include <cctype>
 
 using namespace edda;
 
 namespace {
 
+/// The batch lexer the streaming one replaced, kept as the reference: it
+/// lexes a whole buffer into a vector, classifying characters with
+/// <cctype> and tracking positions one character at a time.
+std::vector<Token> referenceLexAll(std::string_view Source) {
+  std::vector<Token> Tokens;
+  size_t Pos = 0;
+  unsigned Line = 1;
+  unsigned Column = 1;
+  const size_t Size = Source.size();
+
+  auto advance = [&](size_t Count) {
+    for (size_t I = 0; I < Count; ++I) {
+      if (Source[Pos + I] == '\n') {
+        ++Line;
+        Column = 1;
+      } else {
+        ++Column;
+      }
+    }
+    Pos += Count;
+  };
+
+  while (Pos < Size) {
+    char C = Source[Pos];
+    if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
+      advance(1);
+      continue;
+    }
+    if (C == '#') {
+      size_t End = Pos;
+      while (End < Size && Source[End] != '\n')
+        ++End;
+      advance(End - Pos);
+      continue;
+    }
+
+    Token Tok;
+    Tok.Line = Line;
+    Tok.Column = Column;
+
+    if (std::isdigit(static_cast<unsigned char>(C))) {
+      size_t End = Pos;
+      while (End < Size &&
+             std::isdigit(static_cast<unsigned char>(Source[End])))
+        ++End;
+      Tok.Text = Source.substr(Pos, End - Pos);
+      Tok.Kind = TokenKind::Integer;
+      CheckedInt Value(0);
+      for (char Digit : Tok.Text)
+        Value = Value * 10 + (Digit - '0');
+      if (Value.valid())
+        Tok.IntValue = Value.get();
+      else
+        Tok.Kind = TokenKind::Invalid;
+      advance(End - Pos);
+      Tokens.push_back(Tok);
+      continue;
+    }
+
+    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
+      size_t End = Pos;
+      while (End < Size &&
+             (std::isalnum(static_cast<unsigned char>(Source[End])) ||
+              Source[End] == '_'))
+        ++End;
+      Tok.Text = Source.substr(Pos, End - Pos);
+      static const std::pair<const char *, TokenKind> Keywords[] = {
+          {"program", TokenKind::KwProgram}, {"end", TokenKind::KwEnd},
+          {"for", TokenKind::KwFor},         {"to", TokenKind::KwTo},
+          {"step", TokenKind::KwStep},       {"do", TokenKind::KwDo},
+          {"array", TokenKind::KwArray},     {"read", TokenKind::KwRead},
+          {"param", TokenKind::KwParam}};
+      Tok.Kind = TokenKind::Identifier;
+      for (const auto &[Word, Kind] : Keywords)
+        if (Tok.Text == Word)
+          Tok.Kind = Kind;
+      advance(End - Pos);
+      Tokens.push_back(Tok);
+      continue;
+    }
+
+    Tok.Text = Source.substr(Pos, 1);
+    const std::string_view Punct = "+-*()[]=";
+    const TokenKind PunctKinds[] = {
+        TokenKind::Plus,   TokenKind::Minus,    TokenKind::Star,
+        TokenKind::LParen, TokenKind::RParen,   TokenKind::LBracket,
+        TokenKind::RBracket, TokenKind::Equals};
+    size_t At = Punct.find(C);
+    Tok.Kind = At == std::string_view::npos ? TokenKind::Invalid
+                                            : PunctKinds[At];
+    advance(1);
+    Tokens.push_back(Tok);
+  }
+
+  Token Eof;
+  Eof.Kind = TokenKind::Eof;
+  Eof.Line = Line;
+  Eof.Column = Column;
+  Tokens.push_back(Eof);
+  return Tokens;
+}
+
+/// Lexer::next() yields the reference's tokens field for field, then
+/// keeps yielding the same Eof.
+void expectStreamMatchesReference(std::string_view Source) {
+  std::vector<Token> Want = referenceLexAll(Source);
+  Lexer Lex(Source);
+  for (size_t I = 0; I < Want.size() + 2; ++I) {
+    const Token &W = Want[std::min(I, Want.size() - 1)];
+    Token Got = Lex.next();
+    ASSERT_EQ(Got.Kind, W.Kind) << "token " << I;
+    ASSERT_EQ(Got.Text, W.Text) << "token " << I;
+    ASSERT_EQ(Got.IntValue, W.IntValue) << "token " << I;
+    ASSERT_EQ(Got.Line, W.Line) << "token " << I;
+    ASSERT_EQ(Got.Column, W.Column) << "token " << I;
+  }
+}
+
+/// Every input the tests below lex.
+const char *const LexerTestInputs[] = {
+    "",
+    "program foo end",
+    "forx",
+    "program end for to step do array read param",
+    "+ - * ( ) [ ] =",
+    "0 42 12345",
+    "99999999999999999999",
+    "a # comment until end of line\nb",
+    "ab cd\n  ef",
+    "a $ b",
+    "_foo bar_9",
+};
+
+/// Every token of \p Source, through the Eof token.
+std::vector<Token> lexAll(std::string_view Source) {
+  Lexer Lex(Source);
+  std::vector<Token> Tokens;
+  do
+    Tokens.push_back(Lex.next());
+  while (Tokens.back().Kind != TokenKind::Eof);
+  return Tokens;
+}
+
 std::vector<TokenKind> kindsOf(std::string_view Source) {
-  std::vector<Token> Tokens = Lexer(Source).lexAll();
+  std::vector<Token> Tokens = lexAll(Source);
   std::vector<TokenKind> Kinds;
   for (const Token &T : Tokens)
     Kinds.push_back(T.Kind);
@@ -55,7 +202,7 @@ TEST(Lexer, Punctuation) {
 }
 
 TEST(Lexer, IntegerValues) {
-  std::vector<Token> Tokens = Lexer("0 42 12345").lexAll();
+  std::vector<Token> Tokens = lexAll("0 42 12345");
   ASSERT_EQ(Tokens.size(), 4u);
   EXPECT_EQ(Tokens[0].IntValue, 0);
   EXPECT_EQ(Tokens[1].IntValue, 42);
@@ -63,13 +210,13 @@ TEST(Lexer, IntegerValues) {
 }
 
 TEST(Lexer, IntegerOverflowIsInvalid) {
-  std::vector<Token> Tokens = Lexer("99999999999999999999").lexAll();
+  std::vector<Token> Tokens = lexAll("99999999999999999999");
   EXPECT_EQ(Tokens[0].Kind, TokenKind::Invalid);
 }
 
 TEST(Lexer, CommentsSkipped) {
   std::vector<Token> Tokens =
-      Lexer("a # comment until end of line\nb").lexAll();
+      lexAll("a # comment until end of line\nb");
   ASSERT_EQ(Tokens.size(), 3u);
   EXPECT_EQ(Tokens[0].Text, "a");
   EXPECT_EQ(Tokens[1].Text, "b");
@@ -77,7 +224,7 @@ TEST(Lexer, CommentsSkipped) {
 }
 
 TEST(Lexer, LineAndColumnTracking) {
-  std::vector<Token> Tokens = Lexer("ab cd\n  ef").lexAll();
+  std::vector<Token> Tokens = lexAll("ab cd\n  ef");
   EXPECT_EQ(Tokens[0].Line, 1u);
   EXPECT_EQ(Tokens[0].Column, 1u);
   EXPECT_EQ(Tokens[1].Column, 4u);
@@ -86,12 +233,12 @@ TEST(Lexer, LineAndColumnTracking) {
 }
 
 TEST(Lexer, InvalidCharacter) {
-  std::vector<Token> Tokens = Lexer("a $ b").lexAll();
+  std::vector<Token> Tokens = lexAll("a $ b");
   EXPECT_EQ(Tokens[1].Kind, TokenKind::Invalid);
 }
 
 TEST(Lexer, UnderscoreIdentifiers) {
-  std::vector<Token> Tokens = Lexer("_foo bar_9").lexAll();
+  std::vector<Token> Tokens = lexAll("_foo bar_9");
   EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier);
   EXPECT_EQ(Tokens[0].Text, "_foo");
   EXPECT_EQ(Tokens[1].Text, "bar_9");
@@ -101,4 +248,22 @@ TEST(Lexer, TokenKindNames) {
   EXPECT_STREQ(tokenKindName(TokenKind::KwFor), "'for'");
   EXPECT_STREQ(tokenKindName(TokenKind::Identifier), "identifier");
   EXPECT_STREQ(tokenKindName(TokenKind::Eof), "end of input");
+}
+
+TEST(Lexer, StreamMatchesBatchLexerOnTestInputs) {
+  for (const char *Source : LexerTestInputs)
+    expectStreamMatchesReference(Source);
+  // Edge cases of the streaming loop: a comment at the end of input,
+  // CRLF line ends, tabs and a lone high-bit byte.
+  expectStreamMatchesReference("a # trailing");
+  expectStreamMatchesReference("a\r\n\tb = 1\r\n");
+  expectStreamMatchesReference("x\xc3\xa9y 7");
+}
+
+TEST(Lexer, StreamMatchesBatchLexerOnSuite) {
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions())) {
+    SCOPED_TRACE(Name);
+    expectStreamMatchesReference(Source);
+  }
 }

@@ -50,7 +50,7 @@ private:
 /// Converts \p E into an XAffine over the columns of \p Map. The vector
 /// is sized for the final numX later; here columns are collected as
 /// (column, coeff) pairs.
-bool convert(const ExprPtr &E, ColumnMap &Map,
+bool convert(const Expr *E, ColumnMap &Map,
              std::vector<std::pair<unsigned, int64_t>> &Terms,
              int64_t &Const) {
   std::optional<AffineExpr> Affine = toAffine(E);
@@ -118,8 +118,8 @@ edda::testutil::referenceBuildProblem(const Program &Prog,
       // A surviving non-unit step relaxes the range to its interval.
       if (Loop.step() != 1)
         Built.Exact = false;
-      const ExprPtr &LoExpr = Loop.step() > 0 ? Loop.lo() : Loop.hi();
-      const ExprPtr &HiExpr = Loop.step() > 0 ? Loop.hi() : Loop.lo();
+      const Expr *LoExpr = Loop.step() > 0 ? Loop.lo() : Loop.hi();
+      const Expr *HiExpr = Loop.step() > 0 ? Loop.hi() : Loop.lo();
       PendingForm Lo;
       if (convert(LoExpr, Map, Lo.Terms, Lo.Const)) {
         Lo.Present = true;
