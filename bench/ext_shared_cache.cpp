@@ -30,7 +30,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+
+#include <unistd.h>
 
 using namespace edda;
 using namespace edda::bench;
@@ -80,19 +83,22 @@ int main() {
   DependenceAnalyzer Shared(AOpts);
   DepStats SharedStats = runShared(Shared, GOpts);
 
-  // Persist and recompile warm.
-  std::string CachePath = "/tmp/edda_shared_cache.txt";
-  if (!Shared.cache().saveToFile(CachePath)) {
-    std::fprintf(stderr, "cannot persist cache\n");
-    return 1;
-  }
+  // Persist and recompile warm. The file is unique to this process, so
+  // concurrent runs (say, two build trees' test suites) never remove or
+  // overwrite each other's table.
+  std::string CachePath =
+      (std::filesystem::temp_directory_path() /
+       ("edda_shared_cache." + std::to_string(getpid())))
+          .string();
   DependenceAnalyzer Warm(AOpts);
-  if (!Warm.cache().loadFromFile(CachePath)) {
-    std::fprintf(stderr, "cannot reload cache\n");
+  bool Reloaded = Shared.cache().saveToFile(CachePath) &&
+                  Warm.cache().loadFromFile(CachePath);
+  std::remove(CachePath.c_str());
+  if (!Reloaded) {
+    std::fprintf(stderr, "cannot persist and reload cache\n");
     return 1;
   }
   DepStats WarmStats = runShared(Warm, GOpts);
-  std::remove(CachePath.c_str());
 
   std::printf("Extension: sharing the memo tables beyond one program "
               "(paper section 5 suggestions)\n\n");

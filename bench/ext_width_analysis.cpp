@@ -111,12 +111,7 @@ std::string joinLoops(const WidthAnalysis &WA,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  // Benches ignore flags they do not understand (run_benches.sh
-  // forwards its EXTRA_ARGS to every binary).
-  (void)Argc;
-  (void)Argv;
-
+int main() {
   const auto Suite = generateKernelSuite();
   if (Suite.size() != sizeof(Expectations) / sizeof(Expectations[0])) {
     std::fprintf(stderr,

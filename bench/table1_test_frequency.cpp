@@ -82,7 +82,7 @@ int main() {
                   Total.decided(TestKind::Unanalyzable)));
   // The PERFECT-style suite has modest coefficients, so the 128-bit
   // widening ladder must never fire here; a nonzero count means the
-  // 64-bit fast path regressed. run_benches.sh --json scrapes this.
+  // 64-bit fast path regressed.
   std::printf("Widened queries: %llu (64-bit fast path must stay 0)\n",
               static_cast<unsigned long long>(Total.WidenedQueries));
   std::printf("Shape check: SVPC decides %.1f%% of the non-constant "

@@ -7,11 +7,10 @@
 ///
 /// \file
 /// A small client for the edda-serve Unix-domain-socket transport,
-/// used by the edda-serve --client mode, the ext_serve_throughput
-/// bench and the serving tests. One ServeClient wraps one connection
-/// and is not thread-safe — concurrent load generators open one
-/// client per thread, which is also how independent compiler
-/// processes would share a daemon.
+/// used by the edda-serve --client mode and the serving tests. One
+/// ServeClient wraps one connection and is not thread-safe —
+/// concurrent load generators open one client per thread, which is
+/// also how independent compiler processes would share a daemon.
 ///
 //===----------------------------------------------------------------------===//
 

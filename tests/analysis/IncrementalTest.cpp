@@ -9,9 +9,11 @@
 /// Tests for the edit-loop stack: reference content fingerprints
 /// (stable across reparse, bound-sensitive), Analyzer::reanalyze
 /// splicing (bit-identical to from-scratch analysis, reuse counters
-/// honest), IncrementalSession graph maintenance, and the PERFECT-style
-/// single-edit reuse claim (a one-statement edit re-runs a small
-/// fraction of the reference pairs, proved by counters, not wall time).
+/// honest), IncrementalSession graph maintenance, and, on every
+/// PERFECT-style suite program, the single-edit reuse claim (a
+/// one-statement edit re-runs a small fraction of the reference pairs,
+/// proved by counters, not wall time) and bit-identity across random
+/// edit sessions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,6 +86,14 @@ std::string renderAll(const Program &Prog, const AnalysisResult &Result,
   Report.CacheMarkers = false;
   return renderAnalysisReport(Prog, Result, Report) + "\n" +
          Graph.str(Prog);
+}
+
+/// The graph a cold analyzer builds from \p Source: what a session's
+/// spliced graph must equal after every edit.
+std::string scratchGraph(const std::string &Source) {
+  DependenceAnalyzer Analyzer(directionOptions());
+  Program Prog = parse(Source);
+  return DependenceGraph::build(Prog, Analyzer).str(Prog);
 }
 
 } // namespace
@@ -243,75 +253,74 @@ TEST(Incremental, SessionTracksInsertAndDelete) {
   EXPECT_GT(Restored.PairsReused, 0u);
 
   // And the live graph matches a from-scratch build at every step.
-  DependenceAnalyzer FreshAnalyzer(directionOptions());
-  Program FreshProg = parse(editableSource());
-  DependenceGraph Fresh =
-      DependenceGraph::build(FreshProg, FreshAnalyzer);
   EXPECT_EQ(Session.graph().str(Session.program()),
-            Fresh.str(FreshProg));
+            scratchGraph(editableSource()));
 }
 
 TEST(Incremental, RandomEditSequenceStaysIdentical) {
-  // A deterministic mini version of the fuzzer's incr axis: apply a
-  // few generator edits, re-parsing after each, and hold the spliced
-  // graph to the from-scratch one.
-  IncrementalSession Session{directionOptions()};
-  Program Master = parse(editableSource());
-  Session.update(Program(Master));
-
-  SplitRng Rng(7);
-  for (int Step = 0; Step < 6; ++Step) {
-    std::string Desc = applyRandomEdit(Master, Rng);
-    ParseResult Reparsed = parseProgram(Master.print());
-    ASSERT_TRUE(Reparsed.succeeded()) << Desc << "\n" << Master.print();
-    Master = std::move(*Reparsed.Prog);
+  // A deterministic mini version of the fuzzer's incr axis: apply
+  // generator edits (subscript, right-hand side or bound tweaks,
+  // statement inserts and deletes), re-parsing after each, and hold the
+  // spliced graph to the from-scratch one; first on a small program,
+  // then on every synthetic PERFECT Club program. Most edits leave every
+  // answer unchanged, but at these seeds a bound edit on NA does not,
+  // which catches a reuse key that forgets the loop bounds.
+  auto CheckEdits = [](const std::string &Source, uint64_t Seed,
+                       int Steps) {
+    IncrementalSession Session{directionOptions()};
+    Program Master = parse(Source);
     Session.update(Program(Master));
-
-    DependenceAnalyzer FreshAnalyzer(directionOptions());
-    Program FreshProg = parse(Master.print());
-    DependenceGraph Fresh =
-        DependenceGraph::build(FreshProg, FreshAnalyzer);
-    ASSERT_EQ(Session.graph().str(Session.program()),
-              Fresh.str(FreshProg))
-        << "step " << Step << " (" << Desc << ")";
+    SplitRng Rng(Seed);
+    for (int Step = 0; Step < Steps; ++Step) {
+      std::string Desc = applyRandomEdit(Master, Rng);
+      ParseResult Reparsed = parseProgram(Master.print());
+      ASSERT_TRUE(Reparsed.succeeded()) << Desc << "\n" << Master.print();
+      Master = std::move(*Reparsed.Prog);
+      Session.update(Program(Master));
+      ASSERT_EQ(Session.graph().str(Session.program()),
+                scratchGraph(Master.print()))
+          << "step " << Step << " (" << Desc << ")";
+    }
+  };
+  CheckEdits(editableSource(), 7, 6);
+  const std::vector<ProgramProfile> &Profiles = perfectClubProfiles();
+  for (size_t I = 0; I < Profiles.size(); ++I) {
+    SCOPED_TRACE(Profiles[I].Name);
+    CheckEdits(generateProgramSource(Profiles[I], GeneratorOptions()),
+               0x5eed + I * 131 + 8, 8);
   }
 }
 
 TEST(Incremental, PerfectSingleEditRerunsUnderTenPercent) {
-  // The acceptance criterion for the edit loop, on the synthetic
-  // PERFECT-style workload: a one-statement subscript edit re-runs
-  // fewer than 10% of the reference pairs. Counters, not wall time.
-  GeneratorOptions GO;
-  GO.Seed = 42;
-  GO.Scale = 0.25;
-  GO.MaxWrapDepth = 3;
-  std::string Source =
-      generateProgramSource(perfectClubProfiles().front(), GO);
+  // The acceptance criterion for the edit loop, on every synthetic
+  // PERFECT Club program: a one-statement subscript edit re-runs fewer
+  // than 10% of the reference pairs (counters, not wall time), and the
+  // spliced graph equals a from-scratch build of the edited source.
+  for (const ProgramProfile &Profile : perfectClubProfiles()) {
+    SCOPED_TRACE(Profile.Name);
+    Program Master =
+        parse(generateProgramSource(Profile, GeneratorOptions()));
+    IncrementalSession Session{directionOptions()};
+    Session.update(Program(Master));
 
-  IncrementalSession Session{directionOptions()};
-  Program Master = parse(Source);
-  Session.update(Program(Master));
-
-  // Find a deterministic seed whose edit is a single-statement
-  // subscript change (the edit kinds are seed-driven).
-  ReanalyzeStats RS;
-  bool Found = false;
-  for (uint64_t Seed = 1; Seed < 64 && !Found; ++Seed) {
-    Program Candidate(Master);
-    SplitRng Rng(Seed);
-    std::string Desc = applyRandomEdit(Candidate, Rng);
-    if (Desc.rfind("subscript", 0) != 0)
-      continue;
-    ParseResult Reparsed = parseProgram(Candidate.print());
-    ASSERT_TRUE(Reparsed.succeeded());
-    RS = Session.update(std::move(*Reparsed.Prog));
-    Found = true;
+    // Find a deterministic seed whose edit is a single-statement
+    // subscript change (the edit kinds are seed-driven).
+    std::string Edited;
+    for (uint64_t Seed = 1; Seed < 64 && Edited.empty(); ++Seed) {
+      Program Candidate(Master);
+      SplitRng Rng(Seed);
+      if (applyRandomEdit(Candidate, Rng).rfind("subscript", 0) == 0)
+        Edited = Candidate.print();
+    }
+    ASSERT_FALSE(Edited.empty()) << "no subscript edit among the seeds";
+    ReanalyzeStats RS = Session.update(parse(Edited));
+    ASSERT_GT(RS.PairsTotal, 20u) << "workload too small to be meaningful";
+    EXPECT_LT(RS.PairsInvalidated * 10, RS.PairsTotal)
+        << RS.PairsInvalidated << " of " << RS.PairsTotal
+        << " pairs re-ran";
+    EXPECT_EQ(Session.graph().str(Session.program()),
+              scratchGraph(Edited));
   }
-  ASSERT_TRUE(Found) << "no subscript edit among the probed seeds";
-  ASSERT_GT(RS.PairsTotal, 20u) << "workload too small to be meaningful";
-  EXPECT_LT(RS.PairsInvalidated * 10, RS.PairsTotal)
-      << RS.PairsInvalidated << " of " << RS.PairsTotal
-      << " pairs re-ran";
 }
 
 TEST(Incremental, StaleKeysFeedCacheInvalidation) {
