@@ -221,15 +221,16 @@ int main() {
   double SweepPct =
       100.0 * SweepHits /
       static_cast<double>(SweepQueries ? SweepQueries : 1);
-  std::printf("\nWidth suite: %zu kernels, %zu loops, %llu us, "
+  std::printf("\nWidth suite: %zu kernels, %zu loops, "
               "%llu width probes (%llu cached), "
               "%llu boundary probes (%llu cached)\n",
               Suite.size(), TotalLoops,
-              static_cast<unsigned long long>(TotalMicros),
               static_cast<unsigned long long>(TotalWidthProbes),
               static_cast<unsigned long long>(TotalWidthHits),
               static_cast<unsigned long long>(TotalBoundaryProbes),
               static_cast<unsigned long long>(TotalBoundaryHits));
+  std::printf("Width suite time: %llu us\n",
+              static_cast<unsigned long long>(TotalMicros));
   std::printf("Width sweep reuse: answered %llu of %llu probes from "
               "the interval memo (%.1f%%)\n",
               static_cast<unsigned long long>(SweepHits),

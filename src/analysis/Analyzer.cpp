@@ -38,6 +38,8 @@
 #include "opt/Pipeline.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -212,41 +214,57 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   // (loop-object prefix, as the builder computes it) and fingerprint
   // key. A dependence needs a shared array and a write, so each ref
   // pairs only with later refs of its own array: all of them when it
-  // is a write, only the writes when it is a read. Refs arrive in
-  // program order, so each array's lists are ascending and the pairs
-  // come out sorted by (I, J) with no sort.
-  std::vector<std::vector<unsigned>> RefsOf(Prog.numArrays());
-  std::vector<std::vector<unsigned>> WritesOf(Prog.numArrays());
-  for (unsigned I = 0; I < Refs.size(); ++I) {
-    RefsOf[Refs[I].ArrayId].push_back(I);
-    if (Refs[I].IsWrite)
-      WritesOf[Refs[I].ArrayId].push_back(I);
+  // is a write, only the writes when it is a read. Each array's refs
+  // and writes, in program order, form two CSR lists: array A's refs
+  // are RefList[RefBegin[A], RefBegin[A + 1]). Refs arrive in program
+  // order, so the pairs come out sorted by (I, J) with no sort.
+  const unsigned NumArrays = Prog.numArrays();
+  std::vector<unsigned> RefBegin(NumArrays + 1, 0);
+  std::vector<unsigned> WriteBegin(NumArrays + 1, 0);
+  for (const ArrayReference &R : Refs) {
+    ++RefBegin[R.ArrayId + 1];
+    WriteBegin[R.ArrayId + 1] += R.IsWrite;
   }
-  // Per array: how many of its refs and writes precede the current I.
-  std::vector<size_t> RefsSeen(Prog.numArrays(), 0);
-  std::vector<size_t> WritesSeen(Prog.numArrays(), 0);
-  std::vector<std::pair<unsigned, unsigned>> Candidates;
-  std::vector<unsigned> CandCommon;
-  std::vector<uint64_t> CandKey;
+  std::partial_sum(RefBegin.begin(), RefBegin.end(), RefBegin.begin());
+  std::partial_sum(WriteBegin.begin(), WriteBegin.end(),
+                   WriteBegin.begin());
+  // Per array: the first of its refs and writes not yet placed; then,
+  // reset, the first not yet passed by I.
+  std::vector<unsigned> RefNext(RefBegin.begin(), RefBegin.end() - 1);
+  std::vector<unsigned> WriteNext(WriteBegin.begin(), WriteBegin.end() - 1);
+  std::vector<unsigned> RefList(Refs.size());
+  std::vector<unsigned> WriteList(WriteBegin.back());
   for (unsigned I = 0; I < Refs.size(); ++I) {
-    unsigned A = Refs[I].ArrayId;
-    const std::vector<unsigned> &Sinks =
-        Refs[I].IsWrite ? RefsOf[A] : WritesOf[A];
-    size_t First = Refs[I].IsWrite ? RefsSeen[A] : WritesSeen[A];
-    ++RefsSeen[A];
+    RefList[RefNext[Refs[I].ArrayId]++] = I;
     if (Refs[I].IsWrite)
-      ++WritesSeen[A];
-    for (size_t K = First; K < Sinks.size(); ++K) {
-      unsigned J = Sinks[K];
-      Candidates.emplace_back(I, J);
+      WriteList[WriteNext[Refs[I].ArrayId]++] = I;
+  }
+  std::copy(RefBegin.begin(), RefBegin.end() - 1, RefNext.begin());
+  std::copy(WriteBegin.begin(), WriteBegin.end() - 1, WriteNext.begin());
+  struct Candidate {
+    unsigned I = 0, J = 0;
+    unsigned Common = 0;
+    uint64_t Key = 0;
+  };
+  std::vector<Candidate> Candidates;
+  for (unsigned I = 0; I < Refs.size(); ++I) {
+    const ArrayReference &Src = Refs[I];
+    const unsigned A = Src.ArrayId;
+    std::span<const unsigned> Sinks =
+        Src.IsWrite ? std::span<const unsigned>(RefList).subspan(
+                          RefNext[A], RefBegin[A + 1] - RefNext[A])
+                    : std::span<const unsigned>(WriteList).subspan(
+                          WriteNext[A], WriteBegin[A + 1] - WriteNext[A]);
+    ++RefNext[A];
+    WriteNext[A] += Src.IsWrite;
+    for (unsigned J : Sinks) {
+      const ArrayReference &Sink = Refs[J];
       unsigned Common = 0;
-      while (Common < Refs[I].Loops.size() &&
-             Common < Refs[J].Loops.size() &&
-             Refs[I].Loops[Common] == Refs[J].Loops[Common])
+      while (Common < Src.Loops.size() && Common < Sink.Loops.size() &&
+             Src.Loops[Common] == Sink.Loops[Common])
         ++Common;
-      CandCommon.push_back(Common);
-      CandKey.push_back(
-          pairFingerprint(RefFp(Refs[I]), RefFp(Refs[J]), Common));
+      Candidates.push_back(
+          {I, J, Common, pairFingerprint(RefFp(Src), RefFp(Sink), Common)});
     }
   }
   Result.PairsConsidered = Candidates.size();
@@ -269,7 +287,7 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
                           static_cast<unsigned>(P.CommonLoops.size())),
           &P);
     for (size_t C = 0; C < Candidates.size(); ++C) {
-      auto It = OldByKey.find(CandKey[C]);
+      auto It = OldByKey.find(Candidates[C].Key);
       if (It != OldByKey.end())
         Reused[C] = It->second;
     }
@@ -279,8 +297,10 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
         if (R)
           ++RS->PairsReused;
       RS->PairsInvalidated = RS->PairsTotal - RS->PairsReused;
-      std::unordered_set<uint64_t> NewKeys(CandKey.begin(),
-                                           CandKey.end());
+      std::unordered_set<uint64_t> NewKeys;
+      NewKeys.reserve(Candidates.size());
+      for (const Candidate &Cand : Candidates)
+        NewKeys.insert(Cand.Key);
       for (const auto &[Key, P] : OldByKey)
         if (!NewKeys.count(Key))
           RS->StaleKeys.push_back(Key);
@@ -312,16 +332,17 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   runIndexed(Candidates.size(), [&](size_t C) {
     if (Reused[C])
       return;
-    auto [I, J] = Candidates[C];
+    const ArrayReference &A = Refs[Candidates[C].I];
+    const ArrayReference &B = Refs[Candidates[C].J];
     BuiltCandidate &BC = BuiltPairs[C];
-    std::optional<ConstantPair> CP = constantPair(Refs[I], Refs[J]);
+    std::optional<ConstantPair> CP = constantPair(A, B);
     if (CP && Pipeline.runConstant(CP->NonzeroDifference,
                                    CP->ConstantEmptyLoop, Opts.Cascade,
                                    /*Stats=*/nullptr)) {
       BC.Constant = CP;
       return;
     }
-    BC.Built = buildProblem(Prog, Refs[I], Refs[J]);
+    BC.Built = buildProblem(Prog, A, B);
     if (!BC.Built)
       return;
     BC.AllConstantEqs = true;
@@ -331,25 +352,25 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       BC.Key = cache().makeKey(BC.Built->Problem);
   });
 
-  // Phase 3 (serial): assemble the ordered pair list. Unanalyzable and
-  // all-constant pairs are decided inline — they never touch the cache
-  // and cost next to nothing. Tested pairs get a slot now and a task
+  // Phase 3 (serial): assemble the ordered pair list, one pair per
+  // candidate, so candidate C's outcome lives in Result.Pairs[C].
+  // Unanalyzable and all-constant pairs are decided inline — they never
+  // touch the cache and cost next to nothing. Tested pairs become tasks
   // for the fan-out.
-  std::vector<size_t> TaskCandidate; // candidate index per task
-  std::vector<size_t> TaskSlot;      // Result.Pairs index per task
+  Result.Pairs.reserve(Candidates.size());
+  std::vector<unsigned> Tasks; // candidate index per task
   for (size_t C = 0; C < Candidates.size(); ++C) {
-    auto [I, J] = Candidates[C];
+    const Candidate &Cand = Candidates[C];
     BuiltCandidate &BC = BuiltPairs[C];
 
-    DependencePair Pair;
-    Pair.RefA = I;
-    Pair.RefB = J;
+    DependencePair &Pair = Result.Pairs.emplace_back();
+    Pair.RefA = Cand.I;
+    Pair.RefB = Cand.J;
     // The builder's common nest, from Phase 1's count. Reused pairs need
     // it to point into the *new* program (the count matches the old pair
     // by key construction); unanalyzable ones still need it so clients
     // (the parallelizer) serialize conservatively.
-    Pair.CommonLoops.assign(Refs[I].Loops.begin(),
-                            Refs[I].Loops.begin() + CandCommon[C]);
+    Pair.CommonLoops = Refs[Cand.I].Loops.first(Cand.Common);
 
     if (const DependencePair *Old = Reused[C]) {
       Pair.Answer = Old->Answer;
@@ -362,7 +383,6 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       // intentionally cover only re-run pairs.
       if (Pair.DecidedBy == TestKind::Unanalyzable)
         ++Result.UnanalyzablePairs;
-      Result.Pairs.push_back(std::move(Pair));
       continue;
     }
 
@@ -372,7 +392,6 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       Pair.DecidedBy = TestKind::Unanalyzable;
       Pair.Exact = false;
       Result.Stats.recordDecision(TestKind::Unanalyzable, false);
-      Result.Pairs.push_back(std::move(Pair));
       continue;
     }
 
@@ -401,49 +420,70 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
         Dirs.Exact = Outcome.Exact;
         Dirs.Widened = Outcome.Widened;
         Dirs.RootWidened = Outcome.Widened;
-        Dirs.Distances.assign(CandCommon[C], std::nullopt);
+        Dirs.Distances.assign(Cand.Common, std::nullopt);
         // Every direction is possible for a constant overlap.
-        Dirs.Vectors.push_back(DirVector(CandCommon[C], Dir::Any));
+        Dirs.Vectors.push_back(DirVector(Cand.Common, Dir::Any));
         Pair.Directions = std::move(Dirs);
       }
-      Result.Pairs.push_back(std::move(Pair));
       continue;
     }
 
-    TaskCandidate.push_back(C);
-    TaskSlot.push_back(Result.Pairs.size());
-    Result.Pairs.push_back(std::move(Pair));
+    Tasks.push_back(static_cast<unsigned>(C));
   }
 
   // Phase 4 (serial, cheap): batch tasks into determinism groups. With
   // memoization on, tasks sharing a without-bounds key form one group,
-  // ordered by first occurrence; with it off every task is independent.
-  std::vector<std::vector<size_t>> Groups;
+  // numbered by first occurrence; with it off every task is its own
+  // group. The groups form one flat index: group G's candidates are
+  // GroupCandidates[GroupBegin[G], GroupBegin[G + 1]), in task order.
+  const size_t NumTasks = Tasks.size();
+  std::vector<unsigned> GroupOf(NumTasks);
+  unsigned NumGroups = 0;
   if (Opts.UseMemoization) {
-    std::unordered_map<MemoKeyView, size_t, MemoKeyViewHash> GroupIndex(
-        TaskCandidate.size());
-    for (size_t T = 0; T < TaskCandidate.size(); ++T) {
-      auto [It, Inserted] = GroupIndex.emplace(
-          BuiltPairs[TaskCandidate[T]].Key->noBounds(), Groups.size());
-      if (Inserted)
-        Groups.emplace_back();
-      Groups[It->second].push_back(T);
+    // Open addressing over a table at most half full; a slot holds the
+    // first task of its group.
+    auto KeyOf = [&](unsigned T) {
+      return BuiltPairs[Tasks[T]].Key->noBounds();
+    };
+    constexpr unsigned NoTask = ~0u;
+    const size_t Size = std::bit_ceil(2 * NumTasks + 2);
+    const int Shift = 64 - std::countr_zero(Size);
+    std::vector<unsigned> FirstTask(Size, NoTask);
+    for (unsigned T = 0; T < NumTasks; ++T) {
+      const MemoKeyView K = KeyOf(T);
+      size_t S = (K.Hash * 0x9E3779B97F4A7C15ull) >> Shift;
+      while (FirstTask[S] != NoTask && !(KeyOf(FirstTask[S]) == K))
+        S = (S + 1) & (Size - 1);
+      if (FirstTask[S] == NoTask) {
+        FirstTask[S] = T;
+        GroupOf[T] = NumGroups++;
+      } else {
+        GroupOf[T] = GroupOf[FirstTask[S]];
+      }
     }
   } else {
-    Groups.resize(TaskCandidate.size());
-    for (size_t T = 0; T < TaskCandidate.size(); ++T)
-      Groups[T].push_back(T);
+    std::iota(GroupOf.begin(), GroupOf.end(), 0u);
+    NumGroups = static_cast<unsigned>(NumTasks);
   }
+  std::vector<unsigned> GroupBegin(NumGroups + 1, 0);
+  for (unsigned G : GroupOf)
+    ++GroupBegin[G + 1];
+  std::partial_sum(GroupBegin.begin(), GroupBegin.end(),
+                   GroupBegin.begin());
+  std::vector<unsigned> GroupCandidates(NumTasks);
+  std::vector<unsigned> GroupNext(GroupBegin.begin(), GroupBegin.end() - 1);
+  for (size_t T = 0; T < NumTasks; ++T)
+    GroupCandidates[GroupNext[GroupOf[T]]++] = Tasks[T];
 
   // Phase 5 (parallel): decide each group. Groups touch disjoint cache
   // keys, so inter-group scheduling cannot change any outcome.
-  std::vector<DepStats> GroupStats(Groups.size());
-  runIndexed(Groups.size(), [&](size_t G) {
-    for (size_t T : Groups[G]) {
-      const BuiltCandidate &BC = BuiltPairs[TaskCandidate[T]];
+  std::vector<DepStats> GroupStats(NumGroups);
+  runIndexed(NumGroups, [&](size_t G) {
+    for (unsigned K = GroupBegin[G]; K < GroupBegin[G + 1]; ++K) {
+      const unsigned C = GroupCandidates[K];
+      const BuiltCandidate &BC = BuiltPairs[C];
       decideTestedPair(*BC.Built, BC.Key ? &*BC.Key : nullptr,
-                       Result.Pairs[TaskSlot[T]], GroupStats[G],
-                       CandKey[TaskCandidate[T]]);
+                       Result.Pairs[C], GroupStats[G], Candidates[C].Key);
     }
   });
   for (const DepStats &S : GroupStats)
@@ -452,15 +492,13 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   // Optional trace pass: re-run the pipeline observationally on every
   // analyzable pair — no stats, no memoization — so the records show
   // what each stage did without perturbing the results above. Pairs
-  // the const stage decided unbuilt are built here. Phase 3 pushed
-  // exactly one pair per candidate, so candidate C's outcome lives in
-  // Result.Pairs[C].
+  // the const stage decided unbuilt are built here.
   if (Opts.Trace) {
     runIndexed(Candidates.size(), [&](size_t C) {
       BuiltCandidate &BC = BuiltPairs[C];
       if (BC.Constant)
-        BC.Built = buildProblem(Prog, Refs[Candidates[C].first],
-                                Refs[Candidates[C].second]);
+        BC.Built = buildProblem(Prog, Refs[Candidates[C].I],
+                                Refs[Candidates[C].J]);
       if (!BC.Built)
         return;
       PipelineTrace Trace;

@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace edda {
@@ -98,8 +99,10 @@ struct DependencePair {
   bool Exact = false;
   /// True when the answer (and directions) came from the cache.
   bool FromCache = false;
-  /// The pair's common enclosing loops, outermost first.
-  std::vector<const LoopStmt *> CommonLoops;
+  /// The pair's common enclosing loops, outermost first: a prefix of
+  /// the source reference's Loops, valid as long as that reference's
+  /// tables are (Refs.h).
+  std::span<const LoopStmt *const> CommonLoops;
   /// Present when directions were requested and the pair may depend.
   std::optional<DirectionResult> Directions;
   /// Per-stage pipeline trace (AnalyzerOptions::Trace); absent for

@@ -79,7 +79,6 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
          A.Loops[Common] == B.Loops[Common])
     ++Common;
   P.NumCommon = Common;
-  Built.CommonLoops.assign(A.Loops.begin(), A.Loops.begin() + Common);
 
   const unsigned NumLoopVars = P.NumLoopsA + P.NumLoopsB;
   const unsigned NumDims = static_cast<unsigned>(A.Subs.size());
@@ -179,7 +178,8 @@ std::optional<ConstantPair> edda::constantPair(const ArrayReference &A,
     // Loop columns of A and B are disjoint, so the difference is
     // constant exactly when neither side has a loop term and the
     // symbolic parts cancel.
-    if (SA.hasLoopTerms() || SB.hasLoopTerms() || SA.Terms != SB.Terms)
+    if (SA.hasLoopTerms() || SB.hasLoopTerms() ||
+        !std::ranges::equal(SA.Terms, SB.Terms))
       return std::nullopt;
     CheckedInt C = CheckedInt(SA.Const) - CheckedInt(SB.Const);
     if (!C.valid())

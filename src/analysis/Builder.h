@@ -40,9 +40,6 @@ struct BuiltProblem {
   /// False when some loop range was relaxed (non-unit step survived);
   /// Dependent answers are then conservative rather than exact.
   bool Exact = true;
-  /// The common enclosing loops, outermost first (Problem.NumCommon of
-  /// them); direction vector components refer to these.
-  std::vector<const LoopStmt *> CommonLoops;
   /// Program variable ids of the symbolic columns, in x order.
   std::vector<unsigned> SymbolicVars;
 };

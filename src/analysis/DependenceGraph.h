@@ -24,6 +24,7 @@
 #include "analysis/Analyzer.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,9 @@ struct DepEdge {
   std::vector<DirVector> Vectors;
   /// Constant distances where known (normalized with the vectors).
   std::vector<std::optional<int64_t>> Distances;
-  /// The common enclosing loops, outermost first.
-  std::vector<const LoopStmt *> CommonLoops;
+  /// The common enclosing loops, outermost first (a prefix of the
+  /// source pair's Loops, kept alive by the graph's refs).
+  std::span<const LoopStmt *const> CommonLoops;
   /// False when the underlying answer was Unknown/unanalyzable: the
   /// edge must be treated as carrying every direction.
   bool Exact = true;

@@ -10,153 +10,213 @@
 #include "ir/Fingerprint.h"
 #include "support/Hashing.h"
 
+#include <optional>
 #include <utility>
 
 using namespace edda;
 
-std::vector<const Expr *> edda::collectStmtReads(const AssignStmt &A) {
-  std::vector<const Expr *> Reads;
-  if (A.isArrayLhs())
-    for (const Expr *Sub : A.lhsSubscripts())
-      Sub->collectArrayReads(Reads);
-  A.rhs()->collectArrayReads(Reads);
-  return Reads;
-}
+/// Every loop chain, loop summary, subscript summary and summary term of
+/// one collection. Never changes after collectReferences returns.
+struct edda::ReferenceTables {
+  /// The chain of enclosing loops, outermost first, of each loop that
+  /// directly holds a reference, ending with the loop itself; the
+  /// chains lie back to back.
+  std::vector<const LoopStmt *> Chains;
+  /// Summaries of Chains, entry for entry.
+  std::vector<LoopSummary> ChainInfo;
+  /// Every reference's subscript summaries, reference after reference.
+  std::vector<AffineSummary> Subs;
+  /// The terms of every summary, summary after summary.
+  std::vector<SummaryTerm> Terms;
+};
 
 namespace {
 
-/// Takes the affine form of \p E and resolves each variable against the
-/// first \p NumLoops of \p Loops (the outermost loop with that
-/// variable); unmatched variables stay variable terms.
-AffineSummary summarize(const Expr *E,
-                        const std::vector<const LoopStmt *> &Loops,
-                        size_t NumLoops) {
-  AffineSummary S;
+/// A stretch of one of the tables' vectors.
+struct Range {
+  uint32_t Begin = 0;
+  uint32_t Size = 0;
+
+  template <typename T> std::span<const T> of(const std::vector<T> &V) const {
+    return std::span<const T>(V).subspan(Begin, Size);
+  }
+};
+
+/// One collectReferences call. The tables grow during the walk, so the
+/// walk records where each summary's terms and each reference's slices
+/// lie, and finish() turns those into spans once nothing moves.
+class Collector {
+public:
+  explicit Collector(const Program &P)
+      : P(P), T(std::make_shared<ReferenceTables>()) {}
+
+  std::vector<ArrayReference> run() {
+    collectFrom(P.body());
+    return finish();
+  }
+
+private:
+  /// Where a reference's slices lie in the tables.
+  struct PendingRef {
+    Range Chain;
+    Range Subs;
+  };
+  /// One open loop: summarized on entry, copied into the chain of every
+  /// loop inside it that holds a reference.
+  struct OpenLoop {
+    const LoopStmt *Loop = nullptr;
+    LoopSummary Info;
+    Range Lo, Hi; // the terms of Info.Lo and Info.Hi
+  };
+
+  const Program &P;
+  std::shared_ptr<ReferenceTables> T;
+  std::vector<ArrayReference> Out;
+  std::vector<PendingRef> Pending; // per element of Out
+  std::vector<Range> SubTerms;     // per element of T->Subs
+  /// Per element of T->ChainInfo: its Lo and Hi terms.
+  std::vector<std::pair<Range, Range>> ChainTerms;
+
+  /// The open loops, outermost first.
+  std::vector<OpenLoop> Open;
+  /// The innermost open loop's chain, once a reference needed it.
+  std::optional<Range> Chain = Range{};
+  /// The loop-chain fingerprint of Open.
+  uint64_t ChainFp = emptyLoopChain();
+  /// The current statement's array reads, in slot order.
+  std::vector<const Expr *> Reads;
+
+  void collectFrom(const std::vector<StmtPtr> &Body);
+  void addRef(const AssignStmt &A, unsigned ArrayId, int Slot,
+              std::span<const Expr *const> Subscripts);
+  Range summarize(const Expr *E, AffineSummary &S);
+  std::vector<ArrayReference> finish();
+};
+
+/// Takes the affine form of \p E into \p S, appending its terms to the
+/// tables, and resolves each variable against Open (the outermost loop
+/// with that variable); unmatched variables stay variable terms.
+Range Collector::summarize(const Expr *E, AffineSummary &S) {
+  Range R{static_cast<uint32_t>(T->Terms.size()), 0};
   const AffineForm *Affine = E->affine();
   if (!Affine)
-    return S;
+    return R;
   S.Affine = true;
   S.Const = Affine->Constant;
-  S.Terms.reserve(Affine->Terms.size());
-  for (const AffineExpr::Term &T : Affine->Terms) {
-    SummaryTerm &Out = S.Terms.emplace_back();
-    Out.Var = T.VarId;
-    Out.Coeff = T.Coeff;
-    for (unsigned L = 0; L < NumLoops; ++L)
-      if (Loops[L]->varId() == T.VarId) {
-        Out.Loop = L;
+  for (const AffineExpr::Term &Term : Affine->Terms) {
+    SummaryTerm &Sum = T->Terms.emplace_back();
+    Sum.Var = Term.VarId;
+    Sum.Coeff = Term.Coeff;
+    for (unsigned L = 0; L < Open.size(); ++L)
+      if (Open[L].Loop->varId() == Term.VarId) {
+        Sum.Loop = L;
         break;
       }
   }
-  return S;
+  R.Size = static_cast<uint32_t>(Affine->Terms.size());
+  return R;
 }
 
-/// The innermost loop of \p LoopStack, summarized against itself and
-/// the loops around it.
-LoopSummary summarizeLoop(const std::vector<const LoopStmt *> &LoopStack) {
-  const LoopStmt &Loop = *LoopStack.back();
-  LoopSummary S;
-  const Expr *LoExpr = Loop.step() > 0 ? Loop.lo() : Loop.hi();
-  const Expr *HiExpr = Loop.step() > 0 ? Loop.hi() : Loop.lo();
-  S.Lo = summarize(LoExpr, LoopStack, LoopStack.size());
-  S.Hi = summarize(HiExpr, LoopStack, LoopStack.size());
-  S.ConstantEmpty = S.Lo.Affine && S.Hi.Affine && S.Lo.Terms.empty() &&
-                    S.Hi.Terms.empty() && S.Lo.Const > S.Hi.Const;
-  S.UnitStep = Loop.step() == 1;
-  return S;
-}
+void Collector::addRef(const AssignStmt &A, unsigned ArrayId, int Slot,
+                       std::span<const Expr *const> Subscripts) {
+  if (!Chain) {
+    Chain = Range{static_cast<uint32_t>(T->Chains.size()),
+                  static_cast<uint32_t>(Open.size())};
+    for (const OpenLoop &L : Open) {
+      T->Chains.push_back(L.Loop);
+      T->ChainInfo.push_back(L.Info);
+      ChainTerms.emplace_back(L.Lo, L.Hi);
+    }
+  }
 
-/// Fills Ref.Subs and Ref.Unanalyzable from Ref.Subscripts.
-void summarizeSubscripts(const Program &P, ArrayReference &Ref) {
-  Ref.Subs.reserve(Ref.Subscripts.size());
-  for (const Expr *Sub : Ref.Subscripts) {
-    AffineSummary &S = Ref.Subs.emplace_back(
-        summarize(Sub, Ref.Loops, Ref.Loops.size()));
+  ArrayReference &Ref = Out.emplace_back();
+  Ref.ArrayId = ArrayId;
+  Ref.Stmt = &A;
+  Ref.Slot = Slot;
+  Ref.IsWrite = Slot < 0;
+  Ref.Subscripts = Subscripts;
+
+  uint64_t H = hashCombine(0x5EFu, Ref.IsWrite ? 1u : 0u);
+  H = hashCombine(H, fingerprintArrayAccess(P, ArrayId, Subscripts));
+  Ref.FingerprintNoBounds = H;
+  Ref.Fingerprint = hashCombine(H, ChainFp);
+
+  Pending.push_back({*Chain,
+                     {static_cast<uint32_t>(T->Subs.size()),
+                      static_cast<uint32_t>(Subscripts.size())}});
+  for (const Expr *Sub : Subscripts) {
+    AffineSummary &S = T->Subs.emplace_back();
+    const Range Terms = summarize(Sub, S);
+    SubTerms.push_back(Terms);
     if (!S.Affine)
       Ref.Unanalyzable = true;
-    for (const SummaryTerm &T : S.Terms)
-      if (T.Loop == SummaryTerm::NoLoop &&
-          P.var(T.Var).Kind != VarKind::Symbolic)
+    for (const SummaryTerm &Term : Terms.of(T->Terms))
+      if (Term.Loop == SummaryTerm::NoLoop &&
+          P.var(Term.Var).Kind != VarKind::Symbolic)
         Ref.Unanalyzable = true; // A scalar the prepass could not remove.
   }
 }
 
-struct LoopContext {
-  std::vector<const LoopStmt *> Loops;
-  /// Summaries of Loops; one vector per loop, made on entry.
-  std::shared_ptr<const std::vector<LoopSummary>> Info;
-  /// The loop-chain fingerprint of Loops, extended on entry to each loop.
-  uint64_t Chain = emptyLoopChain();
-};
-
-void fingerprintRef(const Program &P, const LoopContext &Ctx,
-                    ArrayReference &Ref) {
-  uint64_t H = hashCombine(0x5EFu, Ref.IsWrite ? 1u : 0u);
-  H = hashCombine(H, fingerprintArrayAccess(P, Ref.ArrayId,
-                                            Ref.Subscripts));
-  Ref.FingerprintNoBounds = H;
-  Ref.Fingerprint = hashCombine(H, Ctx.Chain);
-}
-
-void collectFrom(const Program &P, const std::vector<StmtPtr> &Body,
-                 LoopContext &Ctx, std::vector<ArrayReference> &Out) {
+void Collector::collectFrom(const std::vector<StmtPtr> &Body) {
   for (const StmtPtr &S : Body) {
     if (S->kind() == StmtKind::Loop) {
+      // Summarize the loop against itself and the loops around it.
       const LoopStmt &L = asLoop(*S);
-      Ctx.Loops.push_back(&L);
-      auto Info = std::make_shared<std::vector<LoopSummary>>();
-      if (Ctx.Info)
-        *Info = *Ctx.Info;
-      Info->push_back(summarizeLoop(Ctx.Loops));
-      std::shared_ptr<const std::vector<LoopSummary>> Outer =
-          std::exchange(Ctx.Info, std::move(Info));
-      uint64_t OuterChain =
-          std::exchange(Ctx.Chain, extendLoopChain(P, Ctx.Chain, L));
-      collectFrom(P, L.body(), Ctx, Out);
-      Ctx.Chain = OuterChain;
-      Ctx.Info = std::move(Outer);
-      Ctx.Loops.pop_back();
+      OpenLoop &Entry = Open.emplace_back();
+      LoopSummary &Info = Entry.Info;
+      Entry.Loop = &L;
+      Entry.Lo = summarize(L.step() > 0 ? L.lo() : L.hi(), Info.Lo);
+      Entry.Hi = summarize(L.step() > 0 ? L.hi() : L.lo(), Info.Hi);
+      Info.ConstantEmpty = Info.Lo.Affine && Info.Hi.Affine &&
+                           Entry.Lo.Size == 0 && Entry.Hi.Size == 0 &&
+                           Info.Lo.Const > Info.Hi.Const;
+      Info.UnitStep = L.step() == 1;
+
+      const std::optional<Range> OuterChain =
+          std::exchange(Chain, std::nullopt);
+      const uint64_t OuterFp =
+          std::exchange(ChainFp, extendLoopChain(P, ChainFp, L));
+      collectFrom(L.body());
+      ChainFp = OuterFp;
+      Chain = OuterChain;
+      Open.pop_back();
       continue;
     }
     const AssignStmt &A = asAssign(*S);
-    if (A.isArrayLhs()) {
-      ArrayReference Write;
-      Write.ArrayId = A.lhsArray();
-      Write.Stmt = &A;
-      Write.Slot = -1;
-      Write.IsWrite = true;
-      Write.Subscripts = A.lhsSubscripts();
-      Write.Loops = Ctx.Loops;
-      Write.LoopInfo = Ctx.Info;
-      fingerprintRef(P, Ctx, Write);
-      summarizeSubscripts(P, Write);
-      Out.push_back(std::move(Write));
-    }
-    std::vector<const Expr *> Reads = collectStmtReads(A);
-    for (unsigned I = 0; I < Reads.size(); ++I) {
-      ArrayReference Read;
-      Read.ArrayId = Reads[I]->arrayId();
-      Read.Stmt = &A;
-      Read.Slot = static_cast<int>(I);
-      Read.IsWrite = false;
-      Read.Subscripts.assign(Reads[I]->subscripts().begin(),
-                             Reads[I]->subscripts().end());
-      Read.Loops = Ctx.Loops;
-      Read.LoopInfo = Ctx.Info;
-      fingerprintRef(P, Ctx, Read);
-      summarizeSubscripts(P, Read);
-      Out.push_back(std::move(Read));
-    }
+    if (A.isArrayLhs())
+      addRef(A, A.lhsArray(), -1, A.lhsSubscripts());
+    Reads.clear();
+    if (A.isArrayLhs())
+      for (const Expr *Sub : A.lhsSubscripts())
+        Sub->collectArrayReads(Reads);
+    A.rhs()->collectArrayReads(Reads);
+    for (unsigned I = 0; I < Reads.size(); ++I)
+      addRef(A, Reads[I]->arrayId(), static_cast<int>(I),
+             Reads[I]->subscripts());
   }
+}
+
+std::vector<ArrayReference> Collector::finish() {
+  for (size_t S = 0; S < T->Subs.size(); ++S)
+    T->Subs[S].Terms = SubTerms[S].of(T->Terms);
+  for (size_t K = 0; K < T->ChainInfo.size(); ++K) {
+    T->ChainInfo[K].Lo.Terms = ChainTerms[K].first.of(T->Terms);
+    T->ChainInfo[K].Hi.Terms = ChainTerms[K].second.of(T->Terms);
+  }
+  for (size_t R = 0; R < Out.size(); ++R) {
+    ArrayReference &Ref = Out[R];
+    Ref.Loops = Pending[R].Chain.of(T->Chains);
+    Ref.LoopInfo = Pending[R].Chain.of(T->ChainInfo);
+    Ref.Subs = Pending[R].Subs.of(T->Subs);
+    Ref.Tables = T;
+  }
+  return std::move(Out);
 }
 
 } // namespace
 
 std::vector<ArrayReference> edda::collectReferences(const Program &P) {
-  std::vector<ArrayReference> Out;
-  LoopContext Ctx;
-  collectFrom(P, P.body(), Ctx, Out);
-  return Out;
+  return Collector(P).run();
 }
 
 uint64_t edda::pairFingerprint(uint64_t FpA, uint64_t FpB,

@@ -19,6 +19,20 @@
 /// name enclosing loops by depth, and every enclosing loop's bounds,
 /// converted once per loop and shared by all references inside it.
 ///
+/// Storage. One collectReferences call makes one immutable
+/// ReferenceTables block. For each loop that directly holds a
+/// reference, it stores the loop's chain of enclosing loops and their
+/// summaries contiguously (each loop is summarized once); it also holds
+/// every subscript summary with its terms. A reference allocates
+/// nothing of its own. Its Loops, LoopInfo and
+/// Subs are spans into that block, and its Subscripts span the
+/// statement's left-hand-side subscripts or the array-read node's own.
+/// Every reference holds a shared pointer to the block, so a reference
+/// copied out of a result keeps the block alive after the result is
+/// gone. The rule: the spans stay valid while the Program and any
+/// reference of the collection are alive (and the Program's statements
+/// are not edited).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EDDA_ANALYSIS_REFS_H
@@ -27,6 +41,7 @@
 #include "ir/Program.h"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +65,7 @@ struct SummaryTerm {
 /// toAffine's term order (ascending variable id, no zero coefficient).
 /// Affine is false when the conversion failed; Terms is then empty.
 struct AffineSummary {
-  std::vector<SummaryTerm> Terms;
+  std::span<const SummaryTerm> Terms;
   int64_t Const = 0;
   bool Affine = false;
 
@@ -80,6 +95,10 @@ struct LoopSummary {
   bool UnitStep = true;
 };
 
+/// The storage one collectReferences call shares among its references
+/// (defined in Refs.cpp; see the file comment).
+struct ReferenceTables;
+
 /// One static array reference.
 struct ArrayReference {
   unsigned ArrayId = 0;
@@ -87,9 +106,9 @@ struct ArrayReference {
   /// -1 for the write on the left-hand side, otherwise the read index.
   int Slot = -1;
   bool IsWrite = false;
-  std::vector<const Expr *> Subscripts;
+  std::span<const Expr *const> Subscripts;
   /// Enclosing loops, outermost first.
-  std::vector<const LoopStmt *> Loops;
+  std::span<const LoopStmt *const> Loops;
   /// Stable content fingerprint: array name, read/write, subscript
   /// expressions and the full enclosing bound chain (ir/Fingerprint.h).
   /// Equal fingerprints imply structurally identical references that
@@ -106,16 +125,18 @@ struct ArrayReference {
   /// Subscripts as affine forms, index for index. A subscript variable
   /// is resolved against Loops (first match); any other variable must be
   /// symbolic. Meaningful only when !Unanalyzable.
-  std::vector<AffineSummary> Subs;
+  std::span<const AffineSummary> Subs;
   /// Some subscript is not affine, or names a variable that is neither
   /// an enclosing loop's nor symbolic: every pair with this reference is
   /// unanalyzable.
   bool Unanalyzable = false;
   /// Summaries of Loops, index for index, shared by every reference
-  /// with the same innermost loop (null when Loops is empty).
-  std::shared_ptr<const std::vector<LoopSummary>> LoopInfo;
+  /// with the same innermost loop.
+  std::span<const LoopSummary> LoopInfo;
+  /// Keeps the block that Loops, Subs and LoopInfo point into alive.
+  std::shared_ptr<const ReferenceTables> Tables;
 
-  const LoopSummary &loopInfo(size_t L) const { return (*LoopInfo)[L]; }
+  const LoopSummary &loopInfo(size_t L) const { return LoopInfo[L]; }
 };
 
 /// Reuse key for an ordered reference pair (fingerprints \p FpA, \p FpB)
@@ -125,9 +146,6 @@ struct ArrayReference {
 /// sharing. Callers pass either the full or the no-bounds reference
 /// fingerprints (the latter only by the fuzzer's injected bug).
 uint64_t pairFingerprint(uint64_t FpA, uint64_t FpB, unsigned NumCommon);
-
-/// Collects the array reads of one assignment in slot order.
-std::vector<const Expr *> collectStmtReads(const AssignStmt &A);
 
 /// Collects every array reference in the program, in statement order.
 std::vector<ArrayReference> collectReferences(const Program &P);

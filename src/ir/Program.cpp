@@ -66,7 +66,7 @@ unsigned Program::addArray(std::string ArrayName,
   return Id;
 }
 
-std::optional<unsigned> Program::lookupVar(const std::string &VarName) const {
+std::optional<unsigned> Program::lookupVar(std::string_view VarName) const {
   auto It = VarIndex.find(VarName);
   if (It == VarIndex.end())
     return std::nullopt;
@@ -74,7 +74,7 @@ std::optional<unsigned> Program::lookupVar(const std::string &VarName) const {
 }
 
 std::optional<unsigned>
-Program::lookupArray(const std::string &ArrayName) const {
+Program::lookupArray(std::string_view ArrayName) const {
   auto It = ArrayIndex.find(ArrayName);
   if (It == ArrayIndex.end())
     return std::nullopt;

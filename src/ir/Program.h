@@ -21,9 +21,11 @@
 #include "ir/Expr.h"
 
 #include <cassert>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -256,8 +258,8 @@ public:
     Vars[Id].Kind = Kind;
   }
 
-  std::optional<unsigned> lookupVar(const std::string &VarName) const;
-  std::optional<unsigned> lookupArray(const std::string &ArrayName) const;
+  std::optional<unsigned> lookupVar(std::string_view VarName) const;
+  std::optional<unsigned> lookupArray(std::string_view ArrayName) const;
 
   std::vector<StmtPtr> &body() { return Body; }
   const std::vector<StmtPtr> &body() const { return Body; }
@@ -279,9 +281,18 @@ private:
   std::vector<VarInfo> Vars;
   std::vector<ArrayInfo> Arrays;
   std::vector<StmtPtr> Body;
+  /// Hashes a name as a string view, so a lookup builds no string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+  using NameIndex =
+      std::unordered_map<std::string, unsigned, NameHash, std::equal_to<>>;
   /// Name -> id indexes (programs can hold thousands of symbols).
-  std::unordered_map<std::string, unsigned> VarIndex;
-  std::unordered_map<std::string, unsigned> ArrayIndex;
+  NameIndex VarIndex;
+  NameIndex ArrayIndex;
 };
 
 } // namespace edda

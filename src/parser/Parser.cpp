@@ -44,6 +44,9 @@ private:
   /// Loop variables currently live on the loop stack (to reject nested
   /// reuse of the same induction variable).
   std::vector<unsigned> ActiveLoopVars;
+  /// Subscripts parsed but not yet made into a node or statement; the
+  /// innermost array access's are on top.
+  std::vector<const Expr *> SubStack;
 
   const Token &peek() const { return Cur; }
   Token get() {
@@ -87,8 +90,10 @@ private:
   const Expr *parseTerm();
   const Expr *parseUnary();
   const Expr *parsePrimary();
-  /// Parses '[expr]...' subscripts for array \p ArrayId, checking rank.
-  bool parseSubscripts(unsigned ArrayId, std::vector<const Expr *> &Out);
+  /// Parses '[expr]...' subscripts for array \p ArrayId onto SubStack,
+  /// checking rank, and returns where they start. On an error, SubStack
+  /// is left as it was found.
+  std::optional<size_t> parseSubscripts(unsigned ArrayId);
 };
 
 ParseResult ParserImpl::run() {
@@ -134,9 +139,9 @@ bool ParserImpl::parseDecls() {
         error("expected array name");
         return false;
       }
-      std::string Name(get().Text);
+      std::string_view Name = get().Text;
       if (Prog.lookupArray(Name) || Prog.lookupVar(Name)) {
-        error("redeclaration of '" + Name + "'");
+        error("redeclaration of '" + std::string(Name) + "'");
         return false;
       }
       std::vector<int64_t> Extents;
@@ -150,10 +155,11 @@ bool ParserImpl::parseDecls() {
           return false;
       }
       if (Extents.empty()) {
-        error("array '" + Name + "' needs at least one dimension");
+        error("array '" + std::string(Name) +
+              "' needs at least one dimension");
         return false;
       }
-      Prog.addArray(std::move(Name), std::move(Extents));
+      Prog.addArray(std::string(Name), std::move(Extents));
       continue;
     }
     if (accept(TokenKind::KwRead)) {
@@ -161,12 +167,12 @@ bool ParserImpl::parseDecls() {
         error("expected variable name after 'read'");
         return false;
       }
-      std::string Name(get().Text);
+      std::string_view Name = get().Text;
       if (Prog.lookupArray(Name) || Prog.lookupVar(Name)) {
-        error("redeclaration of '" + Name + "'");
+        error("redeclaration of '" + std::string(Name) + "'");
         return false;
       }
-      Prog.addVar(std::move(Name), VarKind::Symbolic);
+      Prog.addVar(std::string(Name), VarKind::Symbolic);
       continue;
     }
     if (accept(TokenKind::KwParam)) {
@@ -174,9 +180,9 @@ bool ParserImpl::parseDecls() {
         error("expected variable name after 'param'");
         return false;
       }
-      std::string Name(get().Text);
+      std::string_view Name = get().Text;
       if (Prog.lookupArray(Name) || Prog.lookupVar(Name)) {
-        error("redeclaration of '" + Name + "'");
+        error("redeclaration of '" + std::string(Name) + "'");
         return false;
       }
       if (!expect(TokenKind::Equals, "in param declaration"))
@@ -189,7 +195,7 @@ bool ParserImpl::parseDecls() {
       int64_t Value = get().IntValue;
       if (Negative)
         Value = -Value;
-      unsigned Id = Prog.addVar(std::move(Name), VarKind::Scalar);
+      unsigned Id = Prog.addVar(std::string(Name), VarKind::Scalar);
       // A param is sugar for an initializing scalar assignment; constant
       // propagation folds it away.
       Prog.body().push_back(
@@ -226,25 +232,26 @@ StmtPtr ParserImpl::parseLoop() {
     error("expected loop variable name");
     return nullptr;
   }
-  std::string Name(get().Text);
+  std::string_view Name = get().Text;
   if (Prog.lookupArray(Name)) {
-    error("'" + Name + "' is an array, not a loop variable");
+    error("'" + std::string(Name) + "' is an array, not a loop variable");
     return nullptr;
   }
   unsigned VarId;
   if (std::optional<unsigned> Existing = Prog.lookupVar(Name)) {
     if (Prog.var(*Existing).Kind != VarKind::Loop) {
-      error("'" + Name + "' is not usable as a loop variable");
+      error("'" + std::string(Name) + "' is not usable as a loop variable");
       return nullptr;
     }
     if (std::find(ActiveLoopVars.begin(), ActiveLoopVars.end(),
                   *Existing) != ActiveLoopVars.end()) {
-      error("loop variable '" + Name + "' reused by an enclosing loop");
+      error("loop variable '" + std::string(Name) +
+            "' reused by an enclosing loop");
       return nullptr;
     }
     VarId = *Existing;
   } else {
-    VarId = Prog.addVar(Name, VarKind::Loop);
+    VarId = Prog.addVar(std::string(Name), VarKind::Loop);
   }
 
   if (!expect(TokenKind::Equals, "after loop variable"))
@@ -292,12 +299,15 @@ StmtPtr ParserImpl::parseLoop() {
 }
 
 StmtPtr ParserImpl::parseAssign() {
-  std::string Name(get().Text);
+  std::string_view Name = get().Text;
 
   if (std::optional<unsigned> ArrayId = Prog.lookupArray(Name)) {
-    std::vector<const Expr *> Subs;
-    if (!parseSubscripts(*ArrayId, Subs))
+    std::optional<size_t> First = parseSubscripts(*ArrayId);
+    if (!First)
       return nullptr;
+    std::vector<const Expr *> Subs(SubStack.begin() + *First,
+                                   SubStack.end());
+    SubStack.resize(*First);
     if (!expect(TokenKind::Equals, "in assignment"))
       return nullptr;
     const Expr *Rhs = parseExpr();
@@ -311,16 +321,17 @@ StmtPtr ParserImpl::parseAssign() {
     if (Prog.var(*Existing).Kind == VarKind::Loop &&
         std::find(ActiveLoopVars.begin(), ActiveLoopVars.end(),
                   *Existing) != ActiveLoopVars.end()) {
-      error("assignment to active loop variable '" + Name + "'");
+      error("assignment to active loop variable '" + std::string(Name) +
+            "'");
       return nullptr;
     }
     if (Prog.var(*Existing).Kind == VarKind::Symbolic) {
-      error("assignment to symbolic variable '" + Name + "'");
+      error("assignment to symbolic variable '" + std::string(Name) + "'");
       return nullptr;
     }
     VarId = *Existing;
   } else {
-    VarId = Prog.addVar(Name, VarKind::Scalar);
+    VarId = Prog.addVar(std::string(Name), VarKind::Scalar);
   }
 
   if (!expect(TokenKind::Equals, "in assignment"))
@@ -331,24 +342,30 @@ StmtPtr ParserImpl::parseAssign() {
   return std::make_unique<AssignStmt>(VarId, Rhs);
 }
 
-bool ParserImpl::parseSubscripts(unsigned ArrayId,
-                                 std::vector<const Expr *> &Out) {
+std::optional<size_t> ParserImpl::parseSubscripts(unsigned ArrayId) {
+  const size_t First = SubStack.size();
+  auto Fail = [&] {
+    SubStack.resize(First);
+    return std::nullopt;
+  };
   while (accept(TokenKind::LBracket)) {
+    // A nested access's subscripts come and go above First.
     const Expr *Sub = parseExpr();
     if (!Sub)
-      return false;
-    Out.push_back(Sub);
+      return Fail();
+    SubStack.push_back(Sub);
     if (!expect(TokenKind::RBracket, "after subscript"))
-      return false;
+      return Fail();
   }
+  const size_t Given = SubStack.size() - First;
   unsigned Rank = Prog.array(ArrayId).rank();
-  if (Out.size() != Rank) {
+  if (Given != Rank) {
     error("array '" + Prog.array(ArrayId).Name + "' has rank " +
-          std::to_string(Rank) + " but " + std::to_string(Out.size()) +
+          std::to_string(Rank) + " but " + std::to_string(Given) +
           " subscripts were given");
-    return false;
+    return Fail();
   }
-  return true;
+  return First;
 }
 
 const Expr *ParserImpl::parseExpr() {
@@ -414,18 +431,22 @@ const Expr *ParserImpl::parsePrimary() {
     return nullptr;
   }
   Token NameTok = get();
-  std::string Name(NameTok.Text);
+  std::string_view Name = NameTok.Text;
 
   if (std::optional<unsigned> ArrayId = Prog.lookupArray(Name)) {
-    std::vector<const Expr *> Subs;
-    if (!parseSubscripts(*ArrayId, Subs))
+    std::optional<size_t> First = parseSubscripts(*ArrayId);
+    if (!First)
       return nullptr;
-    return Prog.exprs().makeArrayRead(*ArrayId, Subs);
+    const Expr *Read = Prog.exprs().makeArrayRead(
+        *ArrayId, std::span<const Expr *const>(SubStack).subspan(*First));
+    SubStack.resize(*First);
+    return Read;
   }
 
   std::optional<unsigned> VarId = Prog.lookupVar(Name);
   if (!VarId) {
-    errorAt(NameTok, "use of undeclared variable '" + Name + "'");
+    errorAt(NameTok,
+            "use of undeclared variable '" + std::string(Name) + "'");
     return nullptr;
   }
   return Prog.exprs().makeVar(*VarId);

@@ -13,6 +13,9 @@
 #include "workload/Generator.h"
 #include "gtest/gtest.h"
 
+#include <optional>
+#include <span>
+
 using namespace edda;
 using namespace edda::testutil;
 
@@ -44,18 +47,71 @@ void expectBruteForceEnumeration(const AnalysisResult &R,
   ASSERT_EQ(Got, Expected) << What;
   EXPECT_EQ(R.PairsConsidered, Expected.size()) << What;
   for (const DependencePair &Pair : R.Pairs) {
-    const std::vector<const LoopStmt *> &A = Refs[Pair.RefA].Loops;
-    const std::vector<const LoopStmt *> &B = Refs[Pair.RefB].Loops;
+    std::span<const LoopStmt *const> A = Refs[Pair.RefA].Loops;
+    std::span<const LoopStmt *const> B = Refs[Pair.RefB].Loops;
     size_t Common = 0;
     while (Common < A.size() && Common < B.size() && A[Common] == B[Common])
       ++Common;
-    EXPECT_EQ(Pair.CommonLoops,
-              std::vector<const LoopStmt *>(A.begin(), A.begin() + Common))
+    EXPECT_EQ(Pair.CommonLoops.data(), A.data())
+        << What << ": pair (" << Pair.RefA << ", " << Pair.RefB << ")";
+    EXPECT_EQ(Pair.CommonLoops.size(), Common)
         << What << ": pair (" << Pair.RefA << ", " << Pair.RefB << ")";
   }
 }
 
 } // namespace
+
+TEST(Analyzer, PairCommonLoopsSurviveCopyAndMove) {
+  const std::string Source = R"(program s
+  array a[100][100]
+  for i = 1 to 10 do
+    for j = 1 to 10 do
+      a[i][j + 1] = a[i][j]
+    end
+    a[i][1] = a[i + 1][2]
+  end
+  a[1][1] = a[2][2]
+end
+)";
+  Program P = mustParse(Source, /*Prepass=*/false);
+  DependenceAnalyzer Analyzer;
+  std::optional<AnalysisResult> Original = Analyzer.analyze(P);
+  ASSERT_FALSE(Original->Pairs.empty());
+  AnalysisResult Copy = *Original;
+  AnalysisResult Moved = std::move(*Original);
+  Original.reset();
+  // Each pair's CommonLoops is the prefix of its source reference's
+  // Loops, in the tables the copies keep alive.
+  expectBruteForceEnumeration(Copy, "copy");
+  expectBruteForceEnumeration(Moved, "moved");
+  bool SawCommon = false;
+  for (const DependencePair &Pair : Copy.Pairs)
+    SawCommon = SawCommon || !Pair.CommonLoops.empty();
+  EXPECT_TRUE(SawCommon);
+
+  // Re-analysis splices reused outcomes; their CommonLoops must point
+  // into the new references, not into the previous result's tables,
+  // which are freed before they are read.
+  for (const char *Edit : {"a[i + 1][2]", "a[i + 1][3]"}) {
+    std::string Edited = Source;
+    Edited.replace(Edited.find("a[i + 1][2]"), 11, Edit);
+    Program Q = mustParse(Edited, /*Prepass=*/false);
+    ReanalyzeStats RS;
+    std::optional<AnalysisResult> Previous = Analyzer.analyze(P);
+    AnalysisResult Re = Analyzer.reanalyze(Q, *Previous, &RS);
+    Previous.reset();
+    EXPECT_GT(RS.PairsReused, 0u) << Edit;
+    expectBruteForceEnumeration(Re, Edit);
+    const LoopStmt *Outer = &asLoop(*Q.body()[0]);
+    for (const DependencePair &Pair : Re.Pairs) {
+      if (!Pair.CommonLoops.empty()) {
+        EXPECT_EQ(Pair.CommonLoops[0], Outer) << Edit;
+      }
+    }
+    AnalysisResult MovedRe = std::move(Re);
+    expectBruteForceEnumeration(MovedRe, std::string(Edit) + ", moved");
+  }
+}
 
 TEST(Analyzer, IndependentLoopPairs) {
   AnalysisResult R = analyzeSource(R"(program s

@@ -43,7 +43,6 @@ end
   ASSERT_TRUE(P.Hi[1].has_value());
   EXPECT_EQ(P.Hi[1]->Const, 10);
   EXPECT_TRUE(B->Exact);
-  EXPECT_EQ(B->CommonLoops.size(), 1u);
 }
 
 TEST(Builder, TriangularBoundsReferenceOuterColumn) {
@@ -263,7 +262,6 @@ void expectBuildsMatchReference(const Program &Prog,
       EXPECT_EQ(G.Lo, W.Lo) << Where;
       EXPECT_EQ(G.Hi, W.Hi) << Where;
       EXPECT_EQ(Got->Exact, Want->Exact) << Where;
-      EXPECT_EQ(Got->CommonLoops, Want->CommonLoops) << Where;
       EXPECT_EQ(Got->SymbolicVars, Want->SymbolicVars) << Where;
 
       bool AllConstant = true, Nonzero = false, EmptyLoop = false;

@@ -7,6 +7,7 @@
 
 #include "analysis/Refs.h"
 
+#include "analysis/Analyzer.h"
 #include "testutil/Helpers.h"
 #include "gtest/gtest.h"
 
@@ -100,4 +101,53 @@ end
   std::string S = refStr(P, Refs[0]);
   EXPECT_NE(S.find("a["), std::string::npos);
   EXPECT_NE(S.find("write"), std::string::npos);
+}
+
+TEST(Refs, ReferenceOutlivesItsResult) {
+  Program P = mustParse(R"(program s
+  array a[100][100]
+  read n
+  for i = 1 to n do
+    for j = i to 10 do
+      a[i + 1][j] = a[i][j + n]
+    end
+  end
+end
+)");
+  ArrayReference Read;
+  {
+    AnalyzerOptions Opts;
+    Opts.RunPrepass = false;
+    DependenceAnalyzer Analyzer(Opts);
+    AnalysisResult R = Analyzer.analyze(P);
+    ASSERT_EQ(R.Refs.size(), 2u);
+    Read = R.Refs[1];
+  }
+  // The copy alone keeps the collection's tables alive now; a read of
+  // freed storage below fails under AddressSanitizer.
+  const LoopStmt &I = asLoop(*P.body()[0]);
+  const LoopStmt &J = asLoop(*I.body()[0]);
+  ASSERT_EQ(Read.Loops.size(), 2u);
+  EXPECT_EQ(Read.Loops[0], &I);
+  EXPECT_EQ(Read.Loops[1], &J);
+  EXPECT_FALSE(Read.Unanalyzable);
+  ASSERT_EQ(Read.Subs.size(), 2u);
+  // a[i][...]: one loop term, the loop at depth 0.
+  ASSERT_EQ(Read.Subs[0].Terms.size(), 1u);
+  EXPECT_EQ(Read.Subs[0].Terms[0].Loop, 0u);
+  // a[...][j + n]: the symbolic n (declared first) and the loop at depth 1.
+  ASSERT_EQ(Read.Subs[1].Terms.size(), 2u);
+  EXPECT_EQ(Read.Subs[1].Terms[0].Loop, SummaryTerm::NoLoop);
+  EXPECT_EQ(Read.Subs[1].Terms[1].Loop, 1u);
+  // for i = 1 to n: a constant and a symbolic bound.
+  EXPECT_TRUE(Read.loopInfo(0).Lo.Terms.empty());
+  EXPECT_EQ(Read.loopInfo(0).Lo.Const, 1);
+  ASSERT_EQ(Read.loopInfo(0).Hi.Terms.size(), 1u);
+  EXPECT_EQ(Read.loopInfo(0).Hi.Terms[0].Loop, SummaryTerm::NoLoop);
+  // for j = i to 10: the lower bound names the outer loop.
+  ASSERT_EQ(Read.loopInfo(1).Lo.Terms.size(), 1u);
+  EXPECT_EQ(Read.loopInfo(1).Lo.Terms[0].Loop, 0u);
+  EXPECT_EQ(Read.loopInfo(1).Hi.Const, 10);
+  EXPECT_EQ(Read.Subscripts.size(), 2u);
+  EXPECT_EQ(refStr(P, Read), "a[i][(n + j)] (read at depth 2)");
 }

@@ -31,6 +31,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 
 using namespace edda;
 using namespace edda::testutil;
@@ -45,7 +46,7 @@ using RefKey = std::pair<const AssignStmt *, int>;
 std::set<DirVector>
 observedDirections(const InterpResult &Trace, const ArrayReference &A,
                    const ArrayReference &B,
-                   const std::vector<const LoopStmt *> &CommonLoops) {
+                   std::span<const LoopStmt *const> CommonLoops) {
   std::set<DirVector> Out;
   std::vector<const AccessRecord *> AccA, AccB;
   for (const AccessRecord &Rec : Trace.Trace) {

@@ -85,7 +85,6 @@ edda::testutil::referenceBuildProblem(const Program &Prog,
          A.Loops[Common] == B.Loops[Common])
     ++Common;
   P.NumCommon = Common;
-  Built.CommonLoops.assign(A.Loops.begin(), A.Loops.begin() + Common);
 
   const unsigned NumLoopVars = P.NumLoopsA + P.NumLoopsB;
   ColumnMap MapA(Prog, A, 0, Built.SymbolicVars, NumLoopVars);
