@@ -6,20 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// analyze() runs in five phases (docs/ALGORITHMS.md, "Parallel
-/// analysis"): enumerate candidate pairs; build and key the pairs that
-/// need testing; assemble the pair list, deciding unanalyzable and
-/// all-constant pairs inline; group the tested pairs; decide the groups.
-/// Problems come from the per-reference summaries collectReferences
-/// stores. A pair whose subscript differences are all constant is
-/// decided from those summaries by the const stage's own rule, and is
-/// never built. Each tested pair computes its memo key once; every
-/// lookup and insert for it reuses that key.
+/// analysis"): enumerate candidate pairs; fill the pair list, deciding
+/// every pair that needs no memo and keying the rest; merge the chunks'
+/// counters and list the tested pairs; group the tested pairs; decide
+/// the groups. Problems come from the per-reference summaries
+/// collectReferences stores. A pair whose subscript differences are all
+/// constant is decided from those summaries by the const stage's own
+/// rule, and is never built. Every other pair is built into reused
+/// per-chunk storage, and no problem outlives its phase: a tested pair
+/// keeps only its memo key, made once into a per-chunk key pool, which
+/// every lookup and insert for it reuses. Only a memo miss builds the
+/// pair again.
 ///
 /// The parallel driver's determinism argument, in one place:
 ///
-///  1. Pair enumeration, problem construction and memo keying are pure
-///     per pair, so they fan out freely; results land in slots indexed
-///     by the serial enumeration order.
+///  1. Pair enumeration, problem construction, constant decisions and
+///     memo keying are pure per pair, so they fan out freely; each pair
+///     lands in the slot of its serial enumeration index, and the tested
+///     pairs are listed per chunk in that order (chunks are contiguous
+///     and merged in order). Where a key's words lie in which pool has
+///     no effect: keys are compared by their words alone.
 ///  2. Two tested pairs can observe each other through the cache only
 ///     when their without-bounds memo keys are equal (the without-bounds
 ///     key is a prefix of the with-bounds key, so equal full keys imply
@@ -28,7 +34,7 @@
 ///     enumeration order, inside one worker task. Across groups the
 ///     cache is accessed on disjoint keys, so every pair sees exactly
 ///     the hits and misses a serial run would have produced.
-///  3. Per-group DepStats are summed after the barrier; counter sums
+///  3. Per-chunk DepStats are summed after each barrier; counter sums
 ///     are order-independent.
 ///
 //===----------------------------------------------------------------------===//
@@ -78,25 +84,37 @@ DependenceAnalyzer::DependenceAnalyzer(AnalyzerOptions O,
     : Opts(resolveOptions(std::move(O))), Owned(MemoOptions{}),
       External(&SharedCache) {}
 
-void DependenceAnalyzer::runIndexed(
-    size_t N, const std::function<void(size_t)> &Body) {
-  if (Opts.NumThreads <= 1 || N <= 1) {
-    for (size_t I = 0; I < N; ++I)
-      Body(I);
+size_t DependenceAnalyzer::chunkCount(size_t N) const {
+  // Several chunks per worker so uneven per-item cost still balances.
+  return std::min<size_t>(
+      N, Opts.NumThreads <= 1 ? 1 : size_t{Opts.NumThreads} * 8);
+}
+
+void DependenceAnalyzer::runChunks(
+    size_t N, const std::function<void(size_t, size_t, size_t)> &Body) {
+  const size_t NumChunks = chunkCount(N);
+  if (NumChunks == 0)
+    return;
+  const size_t Size = (N + NumChunks - 1) / NumChunks;
+  auto Run = [&](size_t K) {
+    Body(K, std::min(N, K * Size), std::min(N, (K + 1) * Size));
+  };
+  if (NumChunks == 1) {
+    Run(0);
     return;
   }
   if (!Pool)
     Pool = std::make_unique<ThreadPool>(Opts.NumThreads);
-  Pool->parallelFor(N, Body);
+  Pool->parallelFor(NumChunks, Run);
 }
 
-void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
-                                          const MemoKey *Key,
+template <typename BuildFn>
+void DependenceAnalyzer::decideTestedPair(const MemoKeyRef *Key,
+                                          bool BuiltExact,
+                                          const BuildFn &Problem,
                                           DependencePair &Pair,
                                           DepStats &Stats,
                                           uint64_t PairKey) {
-  const DependenceProblem &Problem = Built.Problem;
-
   if (Opts.ComputeDirections) {
     // Direction mode: the direction computation's root (*,...,*)
     // query IS the plain dependence test, so it drives everything
@@ -112,7 +130,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
       Dirs = std::move(*CachedDirs);
       Pair.FromCache = true;
     } else {
-      Dirs = computeDirectionVectors(Problem, Opts.Direction);
+      Dirs = computeDirectionVectors(Problem(), Opts.Direction);
       if (Opts.UseMemoization) {
         cache().insertDirections(*Key, Dirs, PairKey);
         // The root answer also serves plain (non-direction) runs
@@ -128,7 +146,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
     }
     Pair.Answer = Dirs.RootAnswer;
     Pair.DecidedBy = Dirs.RootDecidedBy;
-    Pair.Exact = Dirs.Exact && Built.Exact;
+    Pair.Exact = Dirs.Exact && BuiltExact;
     Pair.Directions = std::move(Dirs);
     return;
   }
@@ -159,7 +177,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
       Outcome.Exact = true;
       Pair.FromCache = true;
     } else {
-      Outcome = testDependence(Problem, Opts.Cascade, &Stats);
+      Outcome = testDependence(Problem(), Opts.Cascade, &Stats);
       if (Opts.UseMemoization) {
         cache().insertFull(*Key, Outcome, PairKey);
         // A system-stage decision implies the extended GCD found the
@@ -177,7 +195,7 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
   }
   Pair.Answer = Outcome.Answer;
   Pair.DecidedBy = Outcome.DecidedBy;
-  Pair.Exact = Outcome.Exact && Built.Exact;
+  Pair.Exact = Outcome.Exact && BuiltExact;
 }
 
 AnalysisResult DependenceAnalyzer::analyze(Program &Prog) {
@@ -310,149 +328,157 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
     RS->PairsTotal = RS->PairsInvalidated = Candidates.size();
   }
 
-  // Phase 2 (parallel): per candidate, read off the reference
-  // summaries whether the const stage decides it unbuilt; otherwise
-  // build its problem and, when the cache is in play and the equations
-  // are not all constant, its memo key, whose without-bounds prefix is
-  // the determinism grouping key. Pure per candidate. Reused candidates
-  // skip all of it; that skip, not edge bookkeeping, is what makes
-  // re-analysis O(edit).
+  // Phase 2 (parallel, in contiguous chunks of candidates): fill each
+  // candidate's pair and decide every pair that needs no memo. Reused
+  // candidates copy their previous outcome; that skip, not edge
+  // bookkeeping, is what makes re-analysis O(edit). A pair whose
+  // subscript differences the summaries show constant is decided by
+  // the const stage's rule, unbuilt. Any other pair is built into the
+  // chunk's scratch problem: unanalyzable and all-constant-equation
+  // pairs are decided here too (they never touch the cache), and a
+  // tested pair keeps only its memo key, appended to the chunk's pool,
+  // whose without-bounds prefix is the determinism grouping key. No
+  // problem outlives the candidate that built it. Decision counters go
+  // to the chunk.
   const TestPipeline &Pipeline = Opts.Cascade.Pipeline
                                      ? *Opts.Cascade.Pipeline
                                      : TestPipeline::defaultPipeline();
-  struct BuiltCandidate {
-    /// Set when the const stage decides the pair from its summaries;
-    /// such a pair is not built (except for a trace).
-    std::optional<ConstantPair> Constant;
-    std::optional<BuiltProblem> Built;
-    bool AllConstantEqs = false;
-    std::optional<MemoKey> Key;
+  /// What Phases 4 and 5 need of a tested pair: where its key lies and
+  /// whether its build was exact.
+  struct TestedPair {
+    unsigned Candidate = 0;
+    unsigned Chunk = 0; ///< Whose Keys hold the key.
+    unsigned Key = 0;   ///< Its index there (memoization on).
+    bool Exact = true;
   };
-  std::vector<BuiltCandidate> BuiltPairs(Candidates.size());
-  runIndexed(Candidates.size(), [&](size_t C) {
-    if (Reused[C])
-      return;
-    const ArrayReference &A = Refs[Candidates[C].I];
-    const ArrayReference &B = Refs[Candidates[C].J];
-    BuiltCandidate &BC = BuiltPairs[C];
-    std::optional<ConstantPair> CP = constantPair(A, B);
-    if (CP && Pipeline.runConstant(CP->NonzeroDifference,
-                                   CP->ConstantEmptyLoop, Opts.Cascade,
-                                   /*Stats=*/nullptr)) {
-      BC.Constant = CP;
-      return;
-    }
-    BC.Built = buildProblem(Prog, A, B);
-    if (!BC.Built)
-      return;
-    BC.AllConstantEqs = true;
-    for (const XAffine &Eq : BC.Built->Problem.Equations)
-      BC.AllConstantEqs = BC.AllConstantEqs && Eq.isConstant();
-    if (!BC.AllConstantEqs && Opts.UseMemoization)
-      BC.Key = cache().makeKey(BC.Built->Problem);
-  });
+  struct ChunkOut {
+    MemoKeyPool Keys;
+    std::vector<TestedPair> Tested; ///< In candidate order.
+    DepStats Stats;
+    uint64_t Unanalyzable = 0;
+  };
+  std::vector<ChunkOut> Chunks(chunkCount(Candidates.size()));
+  // Per-chunk problem storage, reused by every build of every phase.
+  std::vector<BuiltProblem> Scratch(Chunks.size());
+  Result.Pairs.resize(Candidates.size());
+  runChunks(Candidates.size(), [&](size_t K, size_t Begin, size_t End) {
+    ChunkOut &Out = Chunks[K];
+    BuiltProblem &Built = Scratch[K];
+    for (size_t C = Begin; C < End; ++C) {
+      const Candidate &Cand = Candidates[C];
+      DependencePair &Pair = Result.Pairs[C];
+      Pair.RefA = Cand.I;
+      Pair.RefB = Cand.J;
+      // The builder's common nest, from Phase 1's count. Reused pairs
+      // need it to point into the *new* program (the count matches the
+      // old pair by key construction); unanalyzable ones still need it
+      // so clients (the parallelizer) serialize conservatively.
+      Pair.CommonLoops = Refs[Cand.I].Loops.first(Cand.Common);
 
-  // Phase 3 (serial): assemble the ordered pair list, one pair per
-  // candidate, so candidate C's outcome lives in Result.Pairs[C].
-  // Unanalyzable and all-constant pairs are decided inline — they never
-  // touch the cache and cost next to nothing. Tested pairs become tasks
-  // for the fan-out.
-  Result.Pairs.reserve(Candidates.size());
-  std::vector<unsigned> Tasks; // candidate index per task
-  for (size_t C = 0; C < Candidates.size(); ++C) {
-    const Candidate &Cand = Candidates[C];
-    BuiltCandidate &BC = BuiltPairs[C];
+      if (const DependencePair *Old = Reused[C]) {
+        Pair.Answer = Old->Answer;
+        Pair.DecidedBy = Old->DecidedBy;
+        Pair.Exact = Old->Exact;
+        Pair.FromCache = true;
+        Pair.Directions = Old->Directions;
+        // The report header's unanalyzable count is structural and
+        // must stay bit-identical to a fresh run; Stats (decision
+        // counters) intentionally cover only re-run pairs.
+        if (Pair.DecidedBy == TestKind::Unanalyzable)
+          ++Out.Unanalyzable;
+        continue;
+      }
 
-    DependencePair &Pair = Result.Pairs.emplace_back();
-    Pair.RefA = Cand.I;
-    Pair.RefB = Cand.J;
-    // The builder's common nest, from Phase 1's count. Reused pairs need
-    // it to point into the *new* program (the count matches the old pair
-    // by key construction); unanalyzable ones still need it so clients
-    // (the parallelizer) serialize conservatively.
-    Pair.CommonLoops = Refs[Cand.I].Loops.first(Cand.Common);
-
-    if (const DependencePair *Old = Reused[C]) {
-      Pair.Answer = Old->Answer;
-      Pair.DecidedBy = Old->DecidedBy;
-      Pair.Exact = Old->Exact;
-      Pair.FromCache = true;
-      Pair.Directions = Old->Directions;
-      // The report header's unanalyzable count is structural and must
-      // stay bit-identical to a fresh run; Stats (decision counters)
-      // intentionally cover only re-run pairs.
-      if (Pair.DecidedBy == TestKind::Unanalyzable)
-        ++Result.UnanalyzablePairs;
-      continue;
-    }
-
-    if (!BC.Constant && !BC.Built) {
-      ++Result.UnanalyzablePairs;
-      Pair.Answer = DepAnswer::Unknown;
-      Pair.DecidedBy = TestKind::Unanalyzable;
-      Pair.Exact = false;
-      Result.Stats.recordDecision(TestKind::Unanalyzable, false);
-      continue;
-    }
-
-    // Array constants are handled without dependence testing (paper
-    // section 4) — and without memoization overhead, which would
-    // otherwise dominate constant-heavy programs like LG. When the
-    // const stage's rule decides, not even a problem is built; else the
-    // built problem runs through the pipeline.
-    if (BC.Constant || BC.AllConstantEqs) {
-      CascadeResult Outcome =
-          BC.Constant
-              ? *Pipeline.runConstant(BC.Constant->NonzeroDifference,
-                                      BC.Constant->ConstantEmptyLoop,
-                                      Opts.Cascade, &Result.Stats)
-              : testDependence(BC.Built->Problem, Opts.Cascade,
-                               &Result.Stats);
-      Pair.Answer = Outcome.Answer;
-      Pair.DecidedBy = Outcome.DecidedBy;
-      Pair.Exact = Outcome.Exact &&
-                   (BC.Constant ? BC.Constant->Exact : BC.Built->Exact);
-      if (Opts.ComputeDirections &&
-          Pair.Answer != DepAnswer::Independent) {
+      // Array constants are handled without dependence testing (paper
+      // section 4) — and without memoization overhead, which would
+      // otherwise dominate constant-heavy programs like LG. When the
+      // const stage's rule decides, not even a problem is built; else
+      // the built problem runs through the pipeline.
+      const ArrayReference &A = Refs[Cand.I], &B = Refs[Cand.J];
+      std::optional<CascadeResult> Outcome;
+      bool Exact = true;
+      if (std::optional<ConstantPair> CP = constantPair(A, B)) {
+        Outcome = Pipeline.runConstant(CP->NonzeroDifference,
+                                       CP->ConstantEmptyLoop, Opts.Cascade,
+                                       &Out.Stats);
+        Exact = CP->Exact;
+      }
+      if (!Outcome) {
+        if (!buildProblem(Prog, A, B, Built)) {
+          ++Out.Unanalyzable;
+          Pair.Answer = DepAnswer::Unknown;
+          Pair.DecidedBy = TestKind::Unanalyzable;
+          Pair.Exact = false;
+          Out.Stats.recordDecision(TestKind::Unanalyzable, false);
+          continue;
+        }
+        Exact = Built.Exact;
+        if (!std::ranges::all_of(Built.Problem.Equations,
+                                 &XAffine::isConstant)) {
+          TestedPair &T = Out.Tested.emplace_back();
+          T.Candidate = static_cast<unsigned>(C);
+          T.Chunk = static_cast<unsigned>(K);
+          T.Exact = Exact;
+          if (Opts.UseMemoization)
+            T.Key = static_cast<unsigned>(
+                cache().makeKey(Built.Problem, Out.Keys));
+          continue;
+        }
+        Outcome = testDependence(Built.Problem, Opts.Cascade, &Out.Stats);
+      }
+      Pair.Answer = Outcome->Answer;
+      Pair.DecidedBy = Outcome->DecidedBy;
+      Pair.Exact = Outcome->Exact && Exact;
+      if (Opts.ComputeDirections && Pair.Answer != DepAnswer::Independent) {
         DirectionResult Dirs;
         Dirs.RootAnswer = Pair.Answer;
-        Dirs.RootDecidedBy = Outcome.DecidedBy;
-        Dirs.Exact = Outcome.Exact;
-        Dirs.Widened = Outcome.Widened;
-        Dirs.RootWidened = Outcome.Widened;
+        Dirs.RootDecidedBy = Outcome->DecidedBy;
+        Dirs.Exact = Outcome->Exact;
+        Dirs.Widened = Outcome->Widened;
+        Dirs.RootWidened = Outcome->Widened;
         Dirs.Distances.assign(Cand.Common, std::nullopt);
         // Every direction is possible for a constant overlap.
         Dirs.Vectors.push_back(DirVector(Cand.Common, Dir::Any));
         Pair.Directions = std::move(Dirs);
       }
-      continue;
     }
+  });
 
-    Tasks.push_back(static_cast<unsigned>(C));
+  // Phase 3 (serial): merge the chunks' counters and list the tested
+  // pairs, in candidate order (the chunks are contiguous), as tasks.
+  size_t NumTasks = 0;
+  for (const ChunkOut &Out : Chunks)
+    NumTasks += Out.Tested.size();
+  std::vector<TestedPair> Tasks;
+  Tasks.reserve(NumTasks);
+  for (const ChunkOut &Out : Chunks) {
+    Result.Stats += Out.Stats;
+    Result.UnanalyzablePairs += Out.Unanalyzable;
+    Tasks.insert(Tasks.end(), Out.Tested.begin(), Out.Tested.end());
   }
+  auto KeyOf = [&](const TestedPair &T) {
+    return Chunks[T.Chunk].Keys[T.Key];
+  };
 
   // Phase 4 (serial, cheap): batch tasks into determinism groups. With
   // memoization on, tasks sharing a without-bounds key form one group,
   // numbered by first occurrence; with it off every task is its own
-  // group. The groups form one flat index: group G's candidates are
-  // GroupCandidates[GroupBegin[G], GroupBegin[G + 1]), in task order.
-  const size_t NumTasks = Tasks.size();
+  // group. The groups form one flat index: group G's tasks are
+  // GroupTasks[GroupBegin[G], GroupBegin[G + 1]), in task order.
   std::vector<unsigned> GroupOf(NumTasks);
   unsigned NumGroups = 0;
   if (Opts.UseMemoization) {
     // Open addressing over a table at most half full; a slot holds the
     // first task of its group.
-    auto KeyOf = [&](unsigned T) {
-      return BuiltPairs[Tasks[T]].Key->noBounds();
-    };
+    auto NoBoundsOf = [&](unsigned T) { return KeyOf(Tasks[T]).noBounds(); };
     constexpr unsigned NoTask = ~0u;
     const size_t Size = std::bit_ceil(2 * NumTasks + 2);
     const int Shift = 64 - std::countr_zero(Size);
     std::vector<unsigned> FirstTask(Size, NoTask);
     for (unsigned T = 0; T < NumTasks; ++T) {
-      const MemoKeyView K = KeyOf(T);
+      const MemoKeyView K = NoBoundsOf(T);
       size_t S = (K.Hash * 0x9E3779B97F4A7C15ull) >> Shift;
-      while (FirstTask[S] != NoTask && !(KeyOf(FirstTask[S]) == K))
+      while (FirstTask[S] != NoTask && !(NoBoundsOf(FirstTask[S]) == K))
         S = (S + 1) & (Size - 1);
       if (FirstTask[S] == NoTask) {
         FirstTask[S] = T;
@@ -470,41 +496,53 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
     ++GroupBegin[G + 1];
   std::partial_sum(GroupBegin.begin(), GroupBegin.end(),
                    GroupBegin.begin());
-  std::vector<unsigned> GroupCandidates(NumTasks);
+  std::vector<unsigned> GroupTasks(NumTasks);
   std::vector<unsigned> GroupNext(GroupBegin.begin(), GroupBegin.end() - 1);
-  for (size_t T = 0; T < NumTasks; ++T)
-    GroupCandidates[GroupNext[GroupOf[T]]++] = Tasks[T];
+  for (unsigned T = 0; T < NumTasks; ++T)
+    GroupTasks[GroupNext[GroupOf[T]]++] = T;
 
-  // Phase 5 (parallel): decide each group. Groups touch disjoint cache
-  // keys, so inter-group scheduling cannot change any outcome.
-  std::vector<DepStats> GroupStats(NumGroups);
-  runIndexed(NumGroups, [&](size_t G) {
-    for (unsigned K = GroupBegin[G]; K < GroupBegin[G + 1]; ++K) {
-      const unsigned C = GroupCandidates[K];
-      const BuiltCandidate &BC = BuiltPairs[C];
-      decideTestedPair(*BC.Built, BC.Key ? &*BC.Key : nullptr,
-                       Result.Pairs[C], GroupStats[G], Candidates[C].Key);
-    }
+  // Phase 5 (parallel, in contiguous chunks of groups): decide each
+  // group. Groups touch disjoint cache keys, so inter-group scheduling
+  // cannot change any outcome. A pair is looked up by its pooled key;
+  // only a miss rebuilds its problem, into the chunk's scratch.
+  std::vector<DepStats> ChunkStats(chunkCount(NumGroups));
+  runChunks(NumGroups, [&](size_t K, size_t Begin, size_t End) {
+    for (size_t G = Begin; G < End; ++G)
+      for (unsigned I = GroupBegin[G]; I < GroupBegin[G + 1]; ++I) {
+        const TestedPair &T = Tasks[GroupTasks[I]];
+        const Candidate &Cand = Candidates[T.Candidate];
+        auto Rebuild = [&]() -> const DependenceProblem & {
+          [[maybe_unused]] const bool Built = buildProblem(
+              Prog, Refs[Cand.I], Refs[Cand.J], Scratch[K]);
+          assert(Built && "a tested pair no longer builds");
+          return Scratch[K].Problem;
+        };
+        std::optional<MemoKeyRef> Key;
+        if (Opts.UseMemoization)
+          Key.emplace(KeyOf(T));
+        decideTestedPair(Key ? &*Key : nullptr, T.Exact, Rebuild,
+                         Result.Pairs[T.Candidate], ChunkStats[K],
+                         Cand.Key);
+      }
   });
-  for (const DepStats &S : GroupStats)
+  for (const DepStats &S : ChunkStats)
     Result.Stats += S;
 
   // Optional trace pass: re-run the pipeline observationally on every
   // analyzable pair — no stats, no memoization — so the records show
-  // what each stage did without perturbing the results above. Pairs
-  // the const stage decided unbuilt are built here.
+  // what each stage did without perturbing the results above. Every
+  // pair is rebuilt for it; reused pairs keep no trace.
   if (Opts.Trace) {
-    runIndexed(Candidates.size(), [&](size_t C) {
-      BuiltCandidate &BC = BuiltPairs[C];
-      if (BC.Constant)
-        BC.Built = buildProblem(Prog, Refs[Candidates[C].I],
-                                Refs[Candidates[C].J]);
-      if (!BC.Built)
-        return;
-      PipelineTrace Trace;
-      Pipeline.run(BC.Built->Problem, {}, Opts.Cascade,
-                   /*Stats=*/nullptr, &Trace);
-      Result.Pairs[C].Trace = std::move(Trace);
+    runChunks(Candidates.size(), [&](size_t K, size_t Begin, size_t End) {
+      for (size_t C = Begin; C < End; ++C) {
+        if (Reused[C] || !buildProblem(Prog, Refs[Candidates[C].I],
+                                       Refs[Candidates[C].J], Scratch[K]))
+          continue;
+        PipelineTrace Trace;
+        Pipeline.run(Scratch[K].Problem, {}, Opts.Cascade,
+                     /*Stats=*/nullptr, &Trace);
+        Result.Pairs[C].Trace = std::move(Trace);
+      }
     });
   }
   return Result;

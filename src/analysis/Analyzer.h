@@ -172,8 +172,16 @@ private:
   /// Created on the first parallel analyze(), reused afterwards.
   std::unique_ptr<ThreadPool> Pool;
 
-  /// Runs Body(0..N-1): on the pool when parallel, inline when serial.
-  void runIndexed(size_t N, const std::function<void(size_t)> &Body);
+  /// The number of contiguous chunks runChunks cuts N items into: one
+  /// on a serial analyzer, several per worker otherwise (none for no
+  /// items).
+  size_t chunkCount(size_t N) const;
+  /// Runs Body(Chunk, Begin, End) for each of the chunkCount(N) chunks
+  /// of [0, N), in order: on the pool when parallel, inline when
+  /// serial. Each chunk runs on one thread, so per-chunk state indexed
+  /// by Chunk needs no lock.
+  void runChunks(size_t N,
+                 const std::function<void(size_t, size_t, size_t)> &Body);
 
   /// Shared body of analyze()/reanalyze(); \p Prev enables fingerprint
   /// reuse.
@@ -183,12 +191,15 @@ private:
   /// Decides one analyzable, non-constant pair: memo lookup, cascade or
   /// direction computation on a miss, insert. \p Key is the pair's memo
   /// key (null when memoization is off), made once for every lookup and
-  /// insert. Writes the outcome into \p Pair and the decision counters
-  /// into \p Stats. \p PairKey tags the memo entries the pair creates
-  /// (fingerprint-aware invalidation).
-  void decideTestedPair(const BuiltProblem &Built, const MemoKey *Key,
-                        DependencePair &Pair, DepStats &Stats,
-                        uint64_t PairKey);
+  /// insert. \p Problem() returns the pair's problem, building it; it is
+  /// called only when the memo cannot answer. \p BuiltExact is the
+  /// build's BuiltProblem::Exact. Writes the outcome into \p Pair and
+  /// the decision counters into \p Stats. \p PairKey tags the memo
+  /// entries the pair creates (fingerprint-aware invalidation).
+  template <typename BuildFn>
+  void decideTestedPair(const MemoKeyRef *Key, bool BuiltExact,
+                        const BuildFn &Problem, DependencePair &Pair,
+                        DepStats &Stats, uint64_t PairKey);
 };
 
 } // namespace edda

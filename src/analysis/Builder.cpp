@@ -60,18 +60,73 @@ private:
   std::vector<unsigned> &SymbolicVars;
 };
 
+/// Row storage for a build into a reused BuiltProblem: rows the new
+/// problem drops go to the spares, rows it adds come from them.
+class Rows {
+public:
+  explicit Rows(std::vector<std::vector<int64_t>> &Spare) : Spare(Spare) {}
+
+  /// Engages \p Slot when \p On, else disengages it; a slot already in
+  /// that state keeps its row.
+  void engage(std::optional<XAffine> &Slot, bool On) {
+    if (On && !Slot) {
+      Slot.emplace();
+      take(*Slot);
+    } else if (!On && Slot) {
+      Spare.push_back(std::move(Slot->Coeffs));
+      Slot.reset();
+    }
+  }
+
+  /// Resizes \p Slots to \p N, keeping the rows of dropped slots.
+  void resize(std::vector<std::optional<XAffine>> &Slots, size_t N) {
+    for (size_t S = N; S < Slots.size(); ++S)
+      engage(Slots[S], false);
+    Slots.resize(N);
+  }
+
+  /// Resizes \p Eqs to \p N, keeping the rows of dropped equations.
+  void resize(std::vector<XAffine> &Eqs, size_t N) {
+    for (size_t E = N; E < Eqs.size(); ++E)
+      Spare.push_back(std::move(Eqs[E].Coeffs));
+    Eqs.resize(std::min(N, Eqs.size()));
+    while (Eqs.size() < N)
+      take(Eqs.emplace_back());
+  }
+
+private:
+  std::vector<std::vector<int64_t>> &Spare;
+
+  void take(XAffine &Row) {
+    if (Spare.empty())
+      return;
+    Row.Coeffs = std::move(Spare.back());
+    Spare.pop_back();
+  }
+};
+
 } // namespace
 
 std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
                                                const ArrayReference &A,
                                                const ArrayReference &B) {
+  std::optional<BuiltProblem> Built(std::in_place);
+  if (!buildProblem(Prog, A, B, *Built))
+    return std::nullopt;
+  return Built;
+}
+
+bool edda::buildProblem(const Program &Prog, const ArrayReference &A,
+                        const ArrayReference &B, BuiltProblem &Built) {
   if (A.ArrayId != B.ArrayId ||
       A.Subscripts.size() != B.Subscripts.size() || A.Unanalyzable ||
       B.Unanalyzable)
-    return std::nullopt;
+    return false;
 
-  BuiltProblem Built;
   DependenceProblem &P = Built.Problem;
+  Rows Storage(Built.SpareRows);
+  Built.Exact = true;
+  Built.SymbolicVars.clear();
   P.NumLoopsA = static_cast<unsigned>(A.Loops.size());
   P.NumLoopsB = static_cast<unsigned>(B.Loops.size());
   unsigned Common = 0;
@@ -95,17 +150,16 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
       if (T.Loop == SummaryTerm::NoLoop)
         Cols.symbolic(T.Var);
   }
-  P.Lo.resize(NumLoopVars);
-  P.Hi.resize(NumLoopVars);
-  auto Settle = [&](const AffineSummary &Form, const ArrayReference &Ref,
-                    bool SideA, size_t Depth,
-                    std::optional<XAffine> &Slot) {
+  Storage.resize(P.Lo, NumLoopVars);
+  Storage.resize(P.Hi, NumLoopVars);
+  auto Converts = [&](const AffineSummary &Form, const ArrayReference &Ref,
+                      bool SideA, size_t Depth) {
     if (!Form.Affine)
-      return;
+      return false;
     for (const SummaryTerm &T : Form.Terms)
       if (!Cols.column(T, Ref, SideA, Depth))
-        return;
-    Slot.emplace();
+        return false;
+    return true;
   };
   for (const bool SideA : {true, false}) {
     const ArrayReference *Ref = SideA ? &A : &B;
@@ -114,8 +168,8 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
       const LoopSummary &Info = Ref->loopInfo(L);
       if (!Info.UnitStep)
         Built.Exact = false;
-      Settle(Info.Lo, *Ref, SideA, L, P.Lo[Base + L]);
-      Settle(Info.Hi, *Ref, SideA, L, P.Hi[Base + L]);
+      Storage.engage(P.Lo[Base + L], Converts(Info.Lo, *Ref, SideA, L));
+      Storage.engage(P.Hi[Base + L], Converts(Info.Hi, *Ref, SideA, L));
     }
   }
 
@@ -124,13 +178,14 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
   const unsigned NumX = P.numX();
 
   // Equations: subA_d(x) - subB_d(x) == 0.
-  P.Equations.reserve(NumDims);
+  Storage.resize(P.Equations, NumDims);
   for (unsigned D = 0; D < NumDims; ++D) {
     const AffineSummary &SA = A.Subs[D], &SB = B.Subs[D];
-    XAffine &Eq = P.Equations.emplace_back(NumX);
+    XAffine &Eq = P.Equations[D];
+    Eq.Coeffs.assign(NumX, 0);
     CheckedInt C = CheckedInt(SA.Const) - CheckedInt(SB.Const);
     if (!C.valid())
-      return std::nullopt;
+      return false;
     Eq.Const = C.get();
     for (const SummaryTerm &T : SA.Terms)
       Eq.Coeffs[*Cols.column(T, A, true, A.Loops.size())] = T.Coeff;
@@ -138,7 +193,7 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
       int64_t &Coeff = Eq.Coeffs[*Cols.column(T, B, false, B.Loops.size())];
       CheckedInt Diff = CheckedInt(Coeff) - CheckedInt(T.Coeff);
       if (!Diff.valid())
-        return std::nullopt;
+        return false;
       Coeff = Diff.get();
     }
   }
@@ -163,7 +218,7 @@ std::optional<BuiltProblem> edda::buildProblem(const Program &Prog,
   }
 
   assert(P.wellFormed() && "builder produced a malformed problem");
-  return Built;
+  return true;
 }
 
 std::optional<ConstantPair> edda::constantPair(const ArrayReference &A,

@@ -42,6 +42,10 @@ struct BuiltProblem {
   bool Exact = true;
   /// Program variable ids of the symbolic columns, in x order.
   std::vector<unsigned> SymbolicVars;
+  /// Coefficient rows an earlier build into this object held but the
+  /// current problem does not use (a dropped equation or bound), kept
+  /// for a later build to take. Not part of the problem.
+  std::vector<std::vector<int64_t>> SpareRows;
 };
 
 /// Builds the dependence problem for references \p A and \p B of
@@ -51,6 +55,16 @@ struct BuiltProblem {
 std::optional<BuiltProblem> buildProblem(const Program &Prog,
                                          const ArrayReference &A,
                                          const ArrayReference &B);
+
+/// The same build, written into \p Out: the problem equals the one the
+/// form above returns, but the storage an earlier build left in \p Out
+/// (equation and bound rows, the Lo/Hi slots, SymbolicVars) is reused,
+/// so building pair after pair into one object allocates only when a
+/// problem is larger than every one before it. Returns false when the
+/// pair is unanalyzable; \p Out then holds no meaningful problem but
+/// stays reusable.
+bool buildProblem(const Program &Prog, const ArrayReference &A,
+                  const ArrayReference &B, BuiltProblem &Out);
 
 /// What the const stage needs of a pair whose built problem would have
 /// only constant equations (paper section 4).

@@ -51,6 +51,13 @@ public:
       : P(P), T(std::make_shared<ReferenceTables>()) {}
 
   std::vector<ArrayReference> run() {
+    // Sized once, so the walk never moves a reference.
+    size_t NumRefs = 0, NumSubs = 0;
+    count(P.body(), NumRefs, NumSubs);
+    Out.reserve(NumRefs);
+    Pending.reserve(NumRefs);
+    T->Subs.reserve(NumSubs);
+    SubTerms.reserve(NumSubs);
     collectFrom(P.body());
     return finish();
   }
@@ -86,6 +93,12 @@ private:
   /// The current statement's array reads, in slot order.
   std::vector<const Expr *> Reads;
 
+  /// Adds the references under \p Body, and their subscripts, to
+  /// \p NumRefs and \p NumSubs.
+  void count(const std::vector<StmtPtr> &Body, size_t &NumRefs,
+             size_t &NumSubs);
+  /// Sets Reads to \p A's array reads, in slot order.
+  void collectReads(const AssignStmt &A);
   void collectFrom(const std::vector<StmtPtr> &Body);
   void addRef(const AssignStmt &A, unsigned ArrayId, int Slot,
               std::span<const Expr *const> Subscripts);
@@ -157,6 +170,33 @@ void Collector::addRef(const AssignStmt &A, unsigned ArrayId, int Slot,
   }
 }
 
+void Collector::collectReads(const AssignStmt &A) {
+  Reads.clear();
+  if (A.isArrayLhs())
+    for (const Expr *Sub : A.lhsSubscripts())
+      Sub->collectArrayReads(Reads);
+  A.rhs()->collectArrayReads(Reads);
+}
+
+void Collector::count(const std::vector<StmtPtr> &Body, size_t &NumRefs,
+                      size_t &NumSubs) {
+  for (const StmtPtr &S : Body) {
+    if (S->kind() == StmtKind::Loop) {
+      count(asLoop(*S).body(), NumRefs, NumSubs);
+      continue;
+    }
+    const AssignStmt &A = asAssign(*S);
+    if (A.isArrayLhs()) {
+      ++NumRefs;
+      NumSubs += A.lhsSubscripts().size();
+    }
+    collectReads(A);
+    NumRefs += Reads.size();
+    for (const Expr *Read : Reads)
+      NumSubs += Read->subscripts().size();
+  }
+}
+
 void Collector::collectFrom(const std::vector<StmtPtr> &Body) {
   for (const StmtPtr &S : Body) {
     if (S->kind() == StmtKind::Loop) {
@@ -185,11 +225,7 @@ void Collector::collectFrom(const std::vector<StmtPtr> &Body) {
     const AssignStmt &A = asAssign(*S);
     if (A.isArrayLhs())
       addRef(A, A.lhsArray(), -1, A.lhsSubscripts());
-    Reads.clear();
-    if (A.isArrayLhs())
-      for (const Expr *Sub : A.lhsSubscripts())
-        Sub->collectArrayReads(Reads);
-    A.rhs()->collectArrayReads(Reads);
+    collectReads(A);
     for (unsigned I = 0; I < Reads.size(); ++I)
       addRef(A, Reads[I]->arrayId(), static_cast<int>(I),
              Reads[I]->subscripts());

@@ -163,12 +163,31 @@ const MemoKey &DependenceCache::scratchKey(const DependenceProblem &P) const {
 }
 
 void DependenceCache::makeKey(const DependenceProblem &P, MemoKey &K) const {
+  K.Words.clear();
+  K.CommonMap.clear();
+  appendKey(P, K.Words, K.CommonMap, K);
+}
+
+size_t DependenceCache::makeKey(const DependenceProblem &P,
+                                MemoKeyPool &Pool) const {
+  MemoKeyPool::Stored &S = Pool.Keys.emplace_back();
+  S.WordsAt = static_cast<uint32_t>(Pool.Words.size());
+  S.CommonAt = static_cast<uint32_t>(Pool.CommonMaps.size());
+  appendKey(P, Pool.Words, Pool.CommonMaps, S.Fields);
+  S.NumWords = static_cast<uint32_t>(Pool.Words.size() - S.WordsAt);
+  S.NumCommonMap = static_cast<uint32_t>(Pool.CommonMaps.size() - S.CommonAt);
+  return Pool.Keys.size() - 1;
+}
+
+void DependenceCache::appendKey(const DependenceProblem &P,
+                                std::vector<int64_t> &Words,
+                                std::vector<std::optional<unsigned>> &CommonMap,
+                                MemoKeyFields &K) const {
   assert(P.wellFormed() && "keying a malformed problem");
   K.NumLoopsA = P.NumLoopsA;
   K.NumLoopsB = P.NumLoopsB;
   K.NumCommon = P.NumCommon;
   K.Swapped = K.NoBoundsSwapped = false;
-  K.CommonMap.clear();
 
   // The improved scheme keys the problem with its unused columns left
   // out (DependenceProblem::withUnusedLoopsRemoved, without the copy).
@@ -186,10 +205,11 @@ void DependenceCache::makeKey(const DependenceProblem &P, MemoKey &K) const {
       V.NumLoopsA += Kept(L);
     for (unsigned L = 0; L < P.NumLoopsB; ++L)
       V.NumLoopsB += Kept(P.NumLoopsA + L);
-    K.CommonMap.assign(P.NumCommon, std::nullopt);
+    const size_t MapAt = CommonMap.size();
+    CommonMap.resize(MapAt + P.NumCommon, std::nullopt);
     for (unsigned C = 0; C < P.NumCommon; ++C)
       if (Kept(P.xOfCommonA(C)))
-        K.CommonMap[C] = V.NumCommon++;
+        CommonMap[MapAt + C] = V.NumCommon++;
   } else {
     for (unsigned J = 0; J < P.numX(); ++J)
       Cols.push_back(J);
@@ -201,26 +221,28 @@ void DependenceCache::makeKey(const DependenceProblem &P, MemoKey &K) const {
   V.NumSymbolic =
       static_cast<unsigned>(Cols.size()) - V.NumLoopsA - V.NumLoopsB;
 
-  K.Words.resize(serializedSize(P, V));
+  const size_t At = Words.size();
+  Words.resize(At + serializedSize(P, V));
+  const std::span<int64_t> Key = std::span<int64_t>(Words).subspan(At);
   K.NoBoundsLen =
-      serializeView(P, V, Opts.CanonicalizeEquations, K.Words.data());
+      serializeView(P, V, Opts.CanonicalizeEquations, Key.data());
   if (Opts.SymmetricKey) {
     std::vector<int64_t> &Other = Scratch.Other;
-    Other.resize(K.Words.size());
+    Other.resize(Key.size());
     serializeView(P, V.swapped(Scratch.SwappedCols),
                   Opts.CanonicalizeEquations, Other.data());
-    if (Other < K.Words) {
+    if (std::ranges::lexicographical_compare(Other, Key)) {
       K.NoBoundsSwapped = !std::equal(Other.begin(),
                                       Other.begin() + K.NoBoundsLen,
-                                      K.Words.begin());
-      K.Words.assign(Other.begin(), Other.end());
+                                      Key.begin());
+      std::ranges::copy(Other, Key.begin());
       K.Swapped = true;
     }
   }
   std::tie(K.Hash, K.NoBoundsHash) =
       Opts.Hash == MemoHashKind::PaperLiteral
-          ? paperHashWordsAndPrefix(K.Words, K.NoBoundsLen)
-          : hashWordsAndPrefix(K.Words, K.NoBoundsLen);
+          ? paperHashWordsAndPrefix(Key, K.NoBoundsLen)
+          : hashWordsAndPrefix(Key, K.NoBoundsLen);
 }
 
 std::vector<int64_t>
@@ -235,7 +257,7 @@ DependenceCache::keyFor(const DependenceProblem &P, bool IncludeBounds,
 template <typename ResultT>
 std::optional<ResultT>
 DependenceCache::find(Table<Entry<ResultT>> Shard::*Which,
-                      const MemoKey &K) {
+                      const MemoKeyRef &K) {
   Shard &S = shardFor(K.Hash);
   std::lock_guard<std::mutex> Lock(S.Mutex);
   auto It = (S.*Which).find(K.full());
@@ -248,7 +270,7 @@ DependenceCache::find(Table<Entry<ResultT>> Shard::*Which,
 
 template <typename ResultT>
 void DependenceCache::insert(Table<Entry<ResultT>> Shard::*Which,
-                             const MemoKey &K, ResultT Stored,
+                             const MemoKeyRef &K, ResultT Stored,
                              uint64_t Tag) {
   Shard &S = shardFor(K.Hash);
   std::lock_guard<std::mutex> Lock(S.Mutex);
@@ -258,14 +280,14 @@ void DependenceCache::insert(Table<Entry<ResultT>> Shard::*Which,
   // discipline: it labels the entry that won.
   auto It = T.find(K.full());
   if (It == T.end())
-    It = T.emplace(StoredKey{K.Words, K.Hash},
+    It = T.emplace(StoredKey{{K.Words.begin(), K.Words.end()}, K.Hash},
                    Entry<ResultT>{std::move(Stored), 0, Tag})
              .first;
   if (Opts.TrackRecency)
     It->second.Use = UseTick.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::optional<CascadeResult> DependenceCache::lookupFull(const MemoKey &K) {
+std::optional<CascadeResult> DependenceCache::lookupFull(const MemoKeyRef &K) {
   FullQueries.fetch_add(1, std::memory_order_relaxed);
   std::optional<CascadeResult> R = find(&Shard::Full, K);
   if (!R)
@@ -276,7 +298,7 @@ std::optional<CascadeResult> DependenceCache::lookupFull(const MemoKey &K) {
   return R;
 }
 
-void DependenceCache::insertFull(const MemoKey &K, const CascadeResult &R,
+void DependenceCache::insertFull(const MemoKeyRef &K, const CascadeResult &R,
                                  uint64_t Tag) {
   CascadeResult Stored;
   Stored.Answer = R.Answer;
@@ -294,7 +316,7 @@ void DependenceCache::insertFull(const MemoKey &K, const CascadeResult &R,
 }
 
 std::optional<DirectionResult>
-DependenceCache::lookupDirections(const MemoKey &K) {
+DependenceCache::lookupDirections(const MemoKeyRef &K) {
   DirQueries.fetch_add(1, std::memory_order_relaxed);
   std::optional<DirectionResult> R = find(&Shard::Directions, K);
   if (!R)
@@ -306,7 +328,7 @@ DependenceCache::lookupDirections(const MemoKey &K) {
     return R;
   // Improved-key entries are stored in the reduced problem's common-loop
   // coordinates; expand to this caller's loops, '*' for removed ones.
-  const std::vector<std::optional<unsigned>> &CommonMap = K.CommonMap;
+  const std::span<const std::optional<unsigned>> CommonMap = K.CommonMap;
   DirectionResult Expanded = *R;
   Expanded.Distances.assign(K.NumCommon, std::nullopt);
   Expanded.Vectors.clear();
@@ -323,14 +345,14 @@ DependenceCache::lookupDirections(const MemoKey &K) {
   return Expanded;
 }
 
-void DependenceCache::insertDirections(const MemoKey &K,
+void DependenceCache::insertDirections(const MemoKeyRef &K,
                                        const DirectionResult &R,
                                        uint64_t Tag) {
   DirectionResult Stored = R;
   if (Opts.ImprovedKey) {
     // Shrink to the reduced problem's coordinates so entries are
     // independent of the surrounding unused loops.
-    const std::vector<std::optional<unsigned>> &CommonMap = K.CommonMap;
+    const std::span<const std::optional<unsigned>> CommonMap = K.CommonMap;
     unsigned ReducedCommon = 0;
     for (const std::optional<unsigned> &C : CommonMap)
       ReducedCommon += C.has_value();
@@ -378,7 +400,7 @@ uint64_t DependenceCache::invalidateFingerprints(
   return Removed;
 }
 
-std::optional<bool> DependenceCache::lookupGcdSolvable(const MemoKey &K) {
+std::optional<bool> DependenceCache::lookupGcdSolvable(const MemoKeyRef &K) {
   GcdQueries.fetch_add(1, std::memory_order_relaxed);
   Shard &S = shardFor(K.NoBoundsHash);
   bool Solvable;
@@ -393,7 +415,7 @@ std::optional<bool> DependenceCache::lookupGcdSolvable(const MemoKey &K) {
   return Solvable;
 }
 
-void DependenceCache::insertGcdSolvable(const MemoKey &K, bool Solvable) {
+void DependenceCache::insertGcdSolvable(const MemoKeyRef &K, bool Solvable) {
   Shard &S = shardFor(K.NoBoundsHash);
   std::lock_guard<std::mutex> Lock(S.Mutex);
   if (S.Gcd.find(K.noBounds()) == S.Gcd.end())

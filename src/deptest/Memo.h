@@ -19,10 +19,11 @@
 /// A problem's key is computed once (makeKey) and then handed to every
 /// lookup and insert for that problem: the words, both table hashes
 /// and the scheme's remapping facts travel together in a MemoKey, so no
-/// call re-serializes the problem or re-hashes the words. The tables
-/// find entries through a (words, hash) view, so a lookup allocates
-/// nothing. The problem-taking calls are wrappers that make the key
-/// first.
+/// call re-serializes the problem or re-hashes the words. A caller that
+/// keeps many keys appends them to a MemoKeyPool instead; the calls take
+/// either through a MemoKeyRef. The tables find entries through a
+/// (words, hash) view, so a lookup allocates nothing. The
+/// problem-taking calls are wrappers that make the key first.
 ///
 /// The cache is safe for concurrent lookup/insert: the tables are split
 /// into independently-locked shards selected by the memo hash of the
@@ -109,6 +110,26 @@ struct MemoKeyViewHash {
   }
 };
 
+/// What makeKey computes of a key besides its words and common-loop
+/// map: the prefix length, the hashes, the orientation and the keyed
+/// problem's shape.
+struct MemoKeyFields {
+  /// Words[0, NoBoundsLen) is the without-bounds key.
+  size_t NoBoundsLen = 0;
+  /// Table hashes (MemoOptions::Hash) of Words and of its prefix.
+  uint64_t Hash = 0;
+  uint64_t NoBoundsHash = 0;
+  /// The symmetric scheme keyed the (B,A) orientation: of the full key,
+  /// and of the no-bounds key taken alone (which can tie where the full
+  /// key does not).
+  bool Swapped = false;
+  bool NoBoundsSwapped = false;
+  /// The keyed problem's shape, for remapping witnesses and directions.
+  unsigned NumLoopsA = 0;
+  unsigned NumLoopsB = 0;
+  unsigned NumCommon = 0;
+};
+
 /// One problem's canonical memo key under one cache's options, made by
 /// DependenceCache::makeKey in one pass over the problem.
 ///
@@ -119,30 +140,62 @@ struct MemoKeyViewHash {
 /// analyzer's determinism argument rests on it: equal full keys imply
 /// equal no-bounds keys. A key is only meaningful to caches with the
 /// same MemoOptions key and hash settings as the one that made it.
-struct MemoKey {
+struct MemoKey : MemoKeyFields {
   std::vector<int64_t> Words;
-  size_t NoBoundsLen = 0;
-  /// Table hashes (MemoOptions::Hash) of Words and of its prefix.
-  uint64_t Hash = 0;
-  uint64_t NoBoundsHash = 0;
-  /// The symmetric scheme keyed the (B,A) orientation: of the full key,
-  /// and of the no-bounds key taken alone (which can tie where the full
-  /// key does not).
-  bool Swapped = false;
-  bool NoBoundsSwapped = false;
   /// Improved scheme: the keyed problem's common loop -> common loop of
   /// the reduced problem, std::nullopt for a removed one.
   std::vector<std::optional<unsigned>> CommonMap;
-  /// The keyed problem's shape, for remapping witnesses and directions.
-  unsigned NumLoopsA = 0;
-  unsigned NumLoopsB = 0;
-  unsigned NumCommon = 0;
 
   MemoKeyView full() const { return {Words, Hash}; }
   MemoKeyView noBounds() const {
     return {std::span<const int64_t>(Words.data(), NoBoundsLen),
             NoBoundsHash};
   }
+};
+
+/// A memo key as the lookups and inserts read it: a MemoKey's fields,
+/// with its words and common-loop map wherever they are stored (a
+/// MemoKey or a MemoKeyPool). Valid while that storage is.
+struct MemoKeyRef : MemoKeyFields {
+  std::span<const int64_t> Words;
+  std::span<const std::optional<unsigned>> CommonMap;
+
+  MemoKeyRef(const MemoKeyFields &F, std::span<const int64_t> W,
+             std::span<const std::optional<unsigned>> Map)
+      : MemoKeyFields(F), Words(W), CommonMap(Map) {}
+  MemoKeyRef(const MemoKey &K) : MemoKeyRef(K, K.Words, K.CommonMap) {}
+
+  MemoKeyView full() const { return {Words, Hash}; }
+  MemoKeyView noBounds() const {
+    return {Words.first(NoBoundsLen), NoBoundsHash};
+  }
+};
+
+/// Keys stored back to back: every key's words in one vector and every
+/// common-loop map in another, so keeping many keys costs a few growing
+/// vectors rather than one or two heap blocks per key. Filled by
+/// DependenceCache::makeKey; a key's index is its order of making.
+class MemoKeyPool {
+public:
+  /// The key made with index \p I.
+  MemoKeyRef operator[](size_t I) const {
+    const Stored &K = Keys[I];
+    return {K.Fields,
+            std::span<const int64_t>(Words).subspan(K.WordsAt, K.NumWords),
+            std::span<const std::optional<unsigned>>(CommonMaps)
+                .subspan(K.CommonAt, K.NumCommonMap)};
+  }
+
+private:
+  friend class DependenceCache;
+  struct Stored {
+    MemoKeyFields Fields;
+    uint32_t WordsAt = 0, NumWords = 0;
+    uint32_t CommonAt = 0, NumCommonMap = 0;
+  };
+  std::vector<Stored> Keys;
+  std::vector<int64_t> Words;
+  std::vector<std::optional<unsigned>> CommonMaps;
 };
 
 /// What DependenceCache::loadFromFile saw, for warm-start reporting.
@@ -173,23 +226,25 @@ public:
   MemoKey makeKey(const DependenceProblem &P) const;
   /// The same, written into \p K and reusing its storage.
   void makeKey(const DependenceProblem &P, MemoKey &K) const;
+  /// The same, appended to \p Pool; returns the key's index there.
+  size_t makeKey(const DependenceProblem &P, MemoKeyPool &Pool) const;
 
   /// Full-answer table (bounds included in the key). \p Tag optionally
   /// labels the entry with a content fingerprint (the analyzer passes
   /// its pair fingerprint); 0 means untagged. First-insert-wins keeps
   /// the first tag on a duplicate key.
-  std::optional<CascadeResult> lookupFull(const MemoKey &K);
-  void insertFull(const MemoKey &K, const CascadeResult &R,
+  std::optional<CascadeResult> lookupFull(const MemoKeyRef &K);
+  void insertFull(const MemoKeyRef &K, const CascadeResult &R,
                   uint64_t Tag = 0);
 
   /// Direction-vector table (bounds included in the key).
-  std::optional<DirectionResult> lookupDirections(const MemoKey &K);
-  void insertDirections(const MemoKey &K, const DirectionResult &R,
+  std::optional<DirectionResult> lookupDirections(const MemoKeyRef &K);
+  void insertDirections(const MemoKeyRef &K, const DirectionResult &R,
                         uint64_t Tag = 0);
 
   /// GCD-solvability table (bounds excluded from the key).
-  std::optional<bool> lookupGcdSolvable(const MemoKey &K);
-  void insertGcdSolvable(const MemoKey &K, bool Solvable);
+  std::optional<bool> lookupGcdSolvable(const MemoKeyRef &K);
+  void insertGcdSolvable(const MemoKeyRef &K, bool Solvable);
 
   /// The same calls keyed by a problem: each makes the key, then
   /// delegates.
@@ -323,6 +378,11 @@ private:
   /// \p P's key, made into this thread's reusable key (valid until the
   /// thread's next scratchKey call), for the problem-taking calls.
   const MemoKey &scratchKey(const DependenceProblem &P) const;
+  /// The body of every makeKey: appends \p P's key words to \p Words
+  /// and its common-loop map to \p CommonMap, and sets \p K.
+  void appendKey(const DependenceProblem &P, std::vector<int64_t> &Words,
+                 std::vector<std::optional<unsigned>> &CommonMap,
+                 MemoKeyFields &K) const;
   /// The table hash of \p Words under MemoOptions::Hash.
   uint64_t hashOf(std::span<const int64_t> Words) const;
   Shard &shardFor(uint64_t Hash) {
@@ -331,9 +391,9 @@ private:
   /// Lookup/insert bodies shared by the full and direction tables.
   template <typename ResultT>
   std::optional<ResultT> find(Table<Entry<ResultT>> Shard::*Which,
-                              const MemoKey &K);
+                              const MemoKeyRef &K);
   template <typename ResultT>
-  void insert(Table<Entry<ResultT>> Shard::*Which, const MemoKey &K,
+  void insert(Table<Entry<ResultT>> Shard::*Which, const MemoKeyRef &K,
               ResultT Stored, uint64_t Tag);
 
   MemoOptions Opts;

@@ -326,6 +326,152 @@ TEST(Builder, MatchesReferenceOnRandomPrograms) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Building into reused storage
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Which storage transitions a run of reused builds went through.
+struct ReuseSeen {
+  bool NestShrankThenGrew = false;
+  bool BoundDisengaged = false;
+  bool OverflowThenValid = false;
+};
+
+/// Builds every candidate pair of \p Prog, in enumeration order, into
+/// \p Reused (kept across calls and programs) and holds each result to
+/// a fresh buildProblem, field for field.
+void expectReusedBuildsMatchFresh(const Program &Prog, BuiltProblem &Reused,
+                                  ReuseSeen &Seen, const std::string &What) {
+  std::vector<ArrayReference> Refs = collectReferences(Prog);
+  // The state the previous build left: its loop-variable count, whether
+  // the count had shrunk before, and whether it overflowed.
+  size_t PrevVars = Reused.Problem.numLoopVars();
+  bool Shrank = false, PrevOverflowed = false;
+  for (unsigned I = 0; I < Refs.size(); ++I)
+    for (unsigned J = I; J < Refs.size(); ++J) {
+      const ArrayReference &A = Refs[I], &B = Refs[J];
+      if (A.ArrayId != B.ArrayId || (!A.IsWrite && !B.IsWrite))
+        continue;
+      std::string Where = What + ": pair (" + std::to_string(I) + ", " +
+                          std::to_string(J) + ")";
+      std::vector<bool> WasEngaged;
+      for (const std::optional<XAffine> &Bound : Reused.Problem.Lo)
+        WasEngaged.push_back(Bound.has_value());
+      const bool Ok = buildProblem(Prog, A, B, Reused);
+      std::optional<BuiltProblem> Fresh = buildProblem(Prog, A, B);
+      ASSERT_EQ(Ok, Fresh.has_value()) << Where;
+      // A pair the summaries accept but the builder rejects overflowed.
+      const bool Overflowed =
+          !Ok && !A.Unanalyzable && !B.Unanalyzable &&
+          A.Subscripts.size() == B.Subscripts.size();
+      if (!Ok) {
+        PrevOverflowed = PrevOverflowed || Overflowed;
+        continue;
+      }
+      const DependenceProblem &G = Reused.Problem, &W = Fresh->Problem;
+      EXPECT_EQ(G.NumLoopsA, W.NumLoopsA) << Where;
+      EXPECT_EQ(G.NumLoopsB, W.NumLoopsB) << Where;
+      EXPECT_EQ(G.NumCommon, W.NumCommon) << Where;
+      EXPECT_EQ(G.NumSymbolic, W.NumSymbolic) << Where;
+      EXPECT_EQ(G.Equations, W.Equations) << Where;
+      EXPECT_EQ(G.Lo, W.Lo) << Where;
+      EXPECT_EQ(G.Hi, W.Hi) << Where;
+      EXPECT_EQ(Reused.Exact, Fresh->Exact) << Where;
+      EXPECT_EQ(Reused.SymbolicVars, Fresh->SymbolicVars) << Where;
+      EXPECT_TRUE(G.wellFormed()) << Where;
+
+      const size_t Vars = G.numLoopVars();
+      Seen.NestShrankThenGrew = Seen.NestShrankThenGrew ||
+                                (Shrank && Vars > PrevVars);
+      Shrank = Shrank || Vars < PrevVars;
+      PrevVars = Vars;
+      for (size_t L = 0; L < std::min(Vars, WasEngaged.size()); ++L)
+        Seen.BoundDisengaged =
+            Seen.BoundDisengaged || (WasEngaged[L] && !G.Lo[L]);
+      Seen.OverflowThenValid = Seen.OverflowThenValid || PrevOverflowed;
+      PrevOverflowed = false;
+    }
+}
+
+} // namespace
+
+// One BuiltProblem takes every pair of the suite, a batch of random
+// programs and three targeted programs in turn; each build equals a
+// fresh one. The targeted programs make sure the run covers a nest that
+// shrinks and then grows again, a bound slot that was engaged for the
+// previous pair and is not for the next, and a pair rejected for
+// overflow partway through its build followed by a valid one.
+TEST(Builder, ReusedStorageMatchesFreshBuild) {
+  BuiltProblem Reused;
+  ReuseSeen Seen;
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions()))
+    expectReusedBuildsMatchFresh(mustParse(Source), Reused, Seen, Name);
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    SplitRng Rng(Seed);
+    std::string Source = generateRandomProgram(Rng);
+    for (const bool Prepass : {true, false})
+      expectReusedBuildsMatchFresh(
+          mustParse(Source, Prepass), Reused, Seen,
+          "seed " + std::to_string(Seed) + (Prepass ? "" : " (no prepass)"));
+  }
+
+  // Two, one, then two enclosing loops per side.
+  expectReusedBuildsMatchFresh(mustParse(R"(program s
+  array a[100][100]
+  array b[100]
+  array c[100][100]
+  for i = 1 to 10 do
+    for j = 1 to 10 do
+      a[i][j] = a[i - 1][j]
+    end
+  end
+  for k = 1 to 10 do
+    b[k] = b[k + 1]
+  end
+  for i = 1 to 10 do
+    for j = 1 to i do
+      c[i][j] = c[j][i]
+    end
+  end
+end
+)"),
+                               Reused, Seen, "shrink then grow");
+  // The second nest's lower bound names a scalar the prepass did not
+  // remove, so its slot is disengaged right after the first nest's.
+  expectReusedBuildsMatchFresh(mustParse(R"(program s
+  array a[100]
+  read n
+  k = 3
+  for i = 1 to 10 do
+    a[i] = a[i + 1]
+  end
+  for j = k to n do
+    a[j] = a[j + 2]
+  end
+end
+)",
+                                         /*Prepass=*/false),
+                               Reused, Seen, "bound disengaged");
+  // a[MAX] against a[-1] overflows in the equation, after the bounds
+  // were written; b's pairs follow.
+  expectReusedBuildsMatchFresh(mustParse(R"(program s
+  array a[100]
+  array b[100][100]
+  for i = 1 to 10 do
+    a[9223372036854775807] = a[0 - 1]
+    b[i][2] = b[i + 1][3]
+  end
+end
+)"),
+                               Reused, Seen, "overflow then valid");
+  EXPECT_TRUE(Seen.NestShrankThenGrew);
+  EXPECT_TRUE(Seen.BoundDisengaged);
+  EXPECT_TRUE(Seen.OverflowThenValid);
+}
+
 // A bound whose conversion fails partway still allocates the symbolic
 // columns of the terms before the failing one: here n's column survives
 // although the bound n + k (k an unremoved scalar) is dropped.

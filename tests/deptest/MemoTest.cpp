@@ -656,7 +656,8 @@ std::vector<DependenceProblem> keyCorpus() {
 // word for word, with the same swap flags; the no-bounds key is a
 // prefix of the full key (the analyzer's determinism grouping relies on
 // it); the hashes are the table hash of those words; and the improved
-// scheme's common-loop map is withUnusedLoopsRemoved's.
+// scheme's common-loop map is withUnusedLoopsRemoved's. Every key made
+// into one shared MemoKeyPool reads back as the key made alone.
 TEST(MemoKey, OnePassKeyMatchesReferenceKey) {
   const std::vector<DependenceProblem> Corpus = keyCorpus();
   ASSERT_GT(Corpus.size(), 1000u);
@@ -673,6 +674,7 @@ TEST(MemoKey, OnePassKeyMatchesReferenceKey) {
         return Hash == MemoHashKind::PaperLiteral ? paperHashWords(W)
                                                   : hashWords(W);
       };
+      MemoKeyPool Pool;
       for (size_t I = 0; I < Corpus.size(); ++I) {
         const DependenceProblem &P = Corpus[I];
         std::string Where = "scheme " + std::to_string(Scheme) +
@@ -708,6 +710,26 @@ TEST(MemoKey, OnePassKeyMatchesReferenceKey) {
         EXPECT_EQ(Cache.keyFor(P, /*IncludeBounds=*/false, Swapped),
                   NoBounds);
         EXPECT_EQ(Swapped, WantNbSwapped) << Where;
+        EXPECT_EQ(Cache.makeKey(P, Pool), I) << Where;
+      }
+      // Read back only now, after every append has grown the pool.
+      for (size_t I = 0; I < Corpus.size(); ++I) {
+        const MemoKey K = Cache.makeKey(Corpus[I]);
+        const MemoKeyRef R = Pool[I];
+        std::string Where = "scheme " + std::to_string(Scheme) +
+                            " hash " + std::to_string(int(Hash)) +
+                            " pooled problem " + std::to_string(I);
+        ASSERT_TRUE(std::ranges::equal(R.Words, K.Words)) << Where;
+        EXPECT_TRUE(std::ranges::equal(R.CommonMap, K.CommonMap)) << Where;
+        EXPECT_EQ(R.NoBoundsLen, K.NoBoundsLen) << Where;
+        EXPECT_EQ(R.Hash, K.Hash) << Where;
+        EXPECT_EQ(R.NoBoundsHash, K.NoBoundsHash) << Where;
+        EXPECT_EQ(R.Swapped, K.Swapped) << Where;
+        EXPECT_EQ(R.NoBoundsSwapped, K.NoBoundsSwapped) << Where;
+        EXPECT_EQ(R.NumLoopsA, K.NumLoopsA) << Where;
+        EXPECT_EQ(R.NumLoopsB, K.NumLoopsB) << Where;
+        EXPECT_EQ(R.NumCommon, K.NumCommon) << Where;
+        EXPECT_TRUE(R.noBounds() == K.noBounds()) << Where;
       }
     }
 }
