@@ -865,7 +865,7 @@ bool edda::tileLoops(Program &Prog, LoopStmt &Outer, int64_t TileSize) {
 
   auto freshVar = [&Prog](const std::string &Base) {
     std::string Name = Base;
-    while (Prog.lookupVar(Name) || Prog.lookupArray(Name))
+    while (Prog.lookupSymbol(Name))
       Name += "t";
     return Prog.addVar(Name, VarKind::Loop);
   };

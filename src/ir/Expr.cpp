@@ -245,14 +245,21 @@ const Expr *ExprArena::intern(ExprKind Kind, int64_t Value, const Expr *Lhs,
     N->Subs = Copy;
     N->NumSubs = static_cast<uint32_t>(Subs.size());
     N->HasArrayRead = true;
-    for (const Expr *S : Subs)
+    unsigned Tallest = 0;
+    for (const Expr *S : Subs) {
       N->VarMask |= S->VarMask;
+      Tallest = std::max(Tallest, S->height());
+    }
+    N->Height = static_cast<uint16_t>(std::min(Tallest + 1, Expr::MaxHeight));
     break;
   }
-  default:
+  default: {
     N->HasArrayRead = Lhs->HasArrayRead || (Rhs && Rhs->HasArrayRead);
     N->VarMask = Lhs->VarMask | (Rhs ? Rhs->VarMask : 0);
+    unsigned Tallest = std::max(Lhs->height(), Rhs ? Rhs->height() : 0);
+    N->Height = static_cast<uint16_t>(std::min(Tallest + 1, Expr::MaxHeight));
     break;
+  }
   }
   N->Affine = affineOf(Kind, Value, Lhs, Rhs);
   Table[Slot] = N;

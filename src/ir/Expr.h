@@ -35,6 +35,12 @@
 
 namespace edda {
 
+/// Most levels a source expression tree may have (a leaf is one level).
+/// The parser rejects taller trees, and the prepass binds no scalar to a
+/// taller one, so that recursive walks of a program's trees stay well
+/// within a thread's stack.
+constexpr unsigned MaxExprHeight = 500;
+
 class Expr;
 class ExprArena;
 
@@ -179,6 +185,11 @@ public:
   /// True if any ArrayRead node occurs in the tree.
   bool containsArrayRead() const { return HasArrayRead; }
 
+  /// Levels in the tree: 1 for a leaf, one more than the tallest operand
+  /// or subscript otherwise. Saturates at MaxHeight.
+  unsigned height() const { return Height; }
+  static constexpr unsigned MaxHeight = UINT16_MAX;
+
   /// Collects the ids of all variables referenced, in first-seen order.
   void collectVars(std::vector<unsigned> &Out) const;
 
@@ -200,6 +211,7 @@ private:
 
   ExprKind Kind = ExprKind::Const;
   bool HasArrayRead = false;
+  uint16_t Height = 1;
   uint32_t NumSubs = 0;
   int64_t Value = 0; ///< Constant value, or variable/array id for leaves.
   /// Structural hash: equal structures hash equal in every arena.

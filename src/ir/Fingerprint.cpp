@@ -15,16 +15,6 @@ using namespace edda;
 
 namespace {
 
-// FNV-1a over the name bytes; names are the id-independent identity.
-uint64_t hashName(const std::string &Name) {
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Name) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 // Distinct seeds per node class so a Const(0) leaf, an empty chain and
 // an empty body cannot collide structurally.
 enum : uint64_t {
@@ -52,7 +42,7 @@ uint64_t edda::fingerprintExpr(const Program &P, const Expr *E) {
     const VarInfo &V = P.var(E->varId());
     return hashCombine(hashCombine(SeedVar,
                                    static_cast<uint64_t>(V.Kind)),
-                       hashName(V.Name));
+                       V.NameHash);
   }
   case ExprKind::Add:
     return hashCombine(hashCombine(SeedAdd, fingerprintExpr(P, E->lhs())),
@@ -75,7 +65,7 @@ uint64_t edda::fingerprintExpr(const Program &P, const Expr *E) {
 uint64_t edda::fingerprintArrayAccess(
     const Program &P, unsigned ArrayId,
     std::span<const Expr *const> Subscripts) {
-  uint64_t H = hashCombine(SeedArrayRead, hashName(P.array(ArrayId).Name));
+  uint64_t H = hashCombine(SeedArrayRead, P.array(ArrayId).NameHash);
   for (const Expr *Sub : Subscripts)
     H = hashCombine(H, fingerprintExpr(P, Sub));
   return H;
@@ -85,7 +75,7 @@ uint64_t edda::emptyLoopChain() { return SeedLoopChain; }
 
 uint64_t edda::extendLoopChain(const Program &P, uint64_t Chain,
                                const LoopStmt &L) {
-  uint64_t H = hashCombine(Chain, hashName(P.var(L.varId()).Name));
+  uint64_t H = hashCombine(Chain, P.var(L.varId()).NameHash);
   H = hashCombine(H, fingerprintExpr(P, L.lo()));
   H = hashCombine(H, fingerprintExpr(P, L.hi()));
   return hashCombine(H, static_cast<uint64_t>(L.step()));
@@ -96,16 +86,16 @@ uint64_t edda::fingerprintStmt(const Program &P, const Stmt &S) {
     const AssignStmt &A = asAssign(S);
     uint64_t H = SeedAssign;
     if (A.isArrayLhs()) {
-      H = hashCombine(H, hashName(P.array(A.lhsArray()).Name));
+      H = hashCombine(H, P.array(A.lhsArray()).NameHash);
       for (const Expr *Sub : A.lhsSubscripts())
         H = hashCombine(H, fingerprintExpr(P, Sub));
     } else {
-      H = hashCombine(H, hashName(P.var(A.lhsScalar()).Name));
+      H = hashCombine(H, P.var(A.lhsScalar()).NameHash);
     }
     return hashCombine(H, fingerprintExpr(P, A.rhs()));
   }
   const LoopStmt &L = asLoop(S);
-  uint64_t H = hashCombine(SeedLoop, hashName(P.var(L.varId()).Name));
+  uint64_t H = hashCombine(SeedLoop, P.var(L.varId()).NameHash);
   H = hashCombine(H, fingerprintExpr(P, L.lo()));
   H = hashCombine(H, fingerprintExpr(P, L.hi()));
   H = hashCombine(H, static_cast<uint64_t>(L.step()));

@@ -8,7 +8,7 @@
 /// \file
 /// Stable 64-bit content fingerprints for expressions, statements, and
 /// enclosing loop-bound chains. Fingerprints hash variable and array
-/// *names* (resolved through the program's symbol tables) rather than
+/// *names* (the hashName each symbol-table entry keeps) rather than
 /// numeric ids, so the fingerprint of a statement survives a
 /// print -> edit -> re-parse round trip even when the edit shifts every
 /// id after the insertion point. This is what makes them usable as

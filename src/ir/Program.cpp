@@ -7,7 +7,7 @@
 
 #include "ir/Program.h"
 
-#include <functional>
+#include <algorithm>
 
 using namespace edda;
 
@@ -34,8 +34,7 @@ StmtPtr LoopStmt::clone() const {
 Program::Program(const Program &RHS)
     : Name(RHS.Name),
       Exprs(RHS.Exprs ? std::make_shared<ExprArena>(RHS.Exprs) : nullptr),
-      Vars(RHS.Vars), Arrays(RHS.Arrays), VarIndex(RHS.VarIndex),
-      ArrayIndex(RHS.ArrayIndex) {
+      Vars(RHS.Vars), Arrays(RHS.Arrays), Symbols(RHS.Symbols) {
   Body.reserve(RHS.Body.size());
   for (const StmtPtr &S : RHS.Body)
     Body.push_back(S->clone());
@@ -49,36 +48,75 @@ Program &Program::operator=(const Program &RHS) {
   return *this;
 }
 
-unsigned Program::addVar(std::string VarName, VarKind Kind) {
-  assert(!lookupVar(VarName) && "duplicate variable name");
+unsigned Program::addVar(std::string VarName, VarKind Kind,
+                         uint64_t NameHash) {
+  assert(NameHash == hashName(VarName) && "stale name hash");
+  assert(!lookupSymbol(VarName, NameHash) && "duplicate name");
   unsigned Id = static_cast<unsigned>(Vars.size());
-  VarIndex.emplace(VarName, Id);
-  Vars.push_back(VarInfo{std::move(VarName), Kind});
+  insertSymbol(NameHash, 2 * Id + 1);
+  Vars.push_back(VarInfo{std::move(VarName), Kind, NameHash});
   return Id;
 }
 
 unsigned Program::addArray(std::string ArrayName,
-                           std::vector<int64_t> Extents) {
-  assert(!lookupArray(ArrayName) && "duplicate array name");
+                           std::vector<int64_t> Extents, uint64_t NameHash) {
+  assert(NameHash == hashName(ArrayName) && "stale name hash");
+  assert(!lookupSymbol(ArrayName, NameHash) && "duplicate name");
   unsigned Id = static_cast<unsigned>(Arrays.size());
-  ArrayIndex.emplace(ArrayName, Id);
-  Arrays.push_back(ArrayInfo{std::move(ArrayName), std::move(Extents)});
+  insertSymbol(NameHash, 2 * Id + 2);
+  Arrays.push_back(
+      ArrayInfo{std::move(ArrayName), std::move(Extents), NameHash});
   return Id;
 }
 
-std::optional<unsigned> Program::lookupVar(std::string_view VarName) const {
-  auto It = VarIndex.find(VarName);
-  if (It == VarIndex.end())
-    return std::nullopt;
-  return It->second;
+namespace {
+
+/// The slot a probe for \p Hash starts at. FNV-1a's high bits mix every
+/// byte of the name; its low bits alone do not.
+size_t homeSlot(uint64_t Hash, size_t Mask) {
+  return static_cast<size_t>(Hash ^ (Hash >> 32)) & Mask;
 }
 
-std::optional<unsigned>
-Program::lookupArray(std::string_view ArrayName) const {
-  auto It = ArrayIndex.find(ArrayName);
-  if (It == ArrayIndex.end())
-    return std::nullopt;
-  return It->second;
+} // namespace
+
+void Program::insertSymbol(uint64_t NameHash, uint32_t Tag) {
+  auto Place = [this](uint64_t Hash, uint32_t SlotTag) {
+    const size_t Mask = Symbols.size() - 1;
+    size_t I = homeSlot(Hash, Mask);
+    while (Symbols[I].Tag != 0)
+      I = (I + 1) & Mask;
+    Symbols[I] = SymbolSlot{Hash, SlotTag};
+  };
+  // Grow to keep the table at most half full, this symbol included.
+  if (2 * (Vars.size() + Arrays.size() + 1) > Symbols.size()) {
+    std::vector<SymbolSlot> Old = std::move(Symbols);
+    Symbols.assign(std::max<size_t>(32, 2 * Old.size()), SymbolSlot{0, 0});
+    for (const SymbolSlot &S : Old)
+      if (S.Tag != 0)
+        Place(S.Hash, S.Tag);
+  }
+  Place(NameHash, Tag);
+}
+
+Symbol Program::lookupSymbol(std::string_view SymbolName,
+                             uint64_t NameHash) const {
+  if (Symbols.empty())
+    return {};
+  const size_t Mask = Symbols.size() - 1;
+  for (size_t I = homeSlot(NameHash, Mask);; I = (I + 1) & Mask) {
+    const SymbolSlot &S = Symbols[I];
+    if (S.Tag == 0)
+      return {};
+    if (S.Hash != NameHash)
+      continue;
+    const unsigned Id = (S.Tag - 1) / 2;
+    if ((S.Tag - 1) % 2 == 0) {
+      if (Vars[Id].Name == SymbolName)
+        return {SymbolKind::Var, Id};
+    } else if (Arrays[Id].Name == SymbolName) {
+      return {SymbolKind::Array, Id};
+    }
+  }
 }
 
 namespace {

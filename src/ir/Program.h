@@ -19,14 +19,14 @@
 #define EDDA_IR_PROGRAM_H
 
 #include "ir/Expr.h"
+#include "support/Hashing.h"
 
 #include <cassert>
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace edda {
@@ -42,6 +42,8 @@ enum class VarKind {
 struct VarInfo {
   std::string Name;
   VarKind Kind;
+  /// hashName(Name), kept so that lookups and fingerprints never rehash.
+  uint64_t NameHash;
 };
 
 /// Symbol-table entry for an array.
@@ -50,8 +52,22 @@ struct ArrayInfo {
   /// Declared extent per dimension; 0 means unknown. Extents are only
   /// used for diagnostics — dependence testing relies on loop bounds.
   std::vector<int64_t> Extents;
+  /// hashName(Name), kept so that lookups and fingerprints never rehash.
+  uint64_t NameHash;
 
   unsigned rank() const { return static_cast<unsigned>(Extents.size()); }
+};
+
+/// What a declared name denotes.
+enum class SymbolKind : uint8_t { None, Var, Array };
+
+/// A name's entry in a program's symbol table: its kind and its id in
+/// that kind's id space. Kind is None for an undeclared name.
+struct Symbol {
+  SymbolKind Kind = SymbolKind::None;
+  unsigned Id = 0;
+
+  explicit operator bool() const { return Kind != SymbolKind::None; }
 };
 
 class Stmt;
@@ -230,12 +246,22 @@ public:
   const std::string &name() const { return Name; }
 
   /// Registers a variable; names must be unique across variables and
-  /// arrays. Returns the new id.
-  unsigned addVar(std::string VarName, VarKind Kind);
+  /// arrays. Returns the new id. \p NameHash, when given, is
+  /// hashName(VarName) computed by the caller.
+  unsigned addVar(std::string VarName, VarKind Kind) {
+    uint64_t Hash = hashName(VarName);
+    return addVar(std::move(VarName), Kind, Hash);
+  }
+  unsigned addVar(std::string VarName, VarKind Kind, uint64_t NameHash);
 
   /// Registers an array; returns the new id (a separate id space from
   /// variables).
-  unsigned addArray(std::string ArrayName, std::vector<int64_t> Extents);
+  unsigned addArray(std::string ArrayName, std::vector<int64_t> Extents) {
+    uint64_t Hash = hashName(ArrayName);
+    return addArray(std::move(ArrayName), std::move(Extents), Hash);
+  }
+  unsigned addArray(std::string ArrayName, std::vector<int64_t> Extents,
+                    uint64_t NameHash);
 
   unsigned numVars() const { return static_cast<unsigned>(Vars.size()); }
   unsigned numArrays() const {
@@ -258,8 +284,25 @@ public:
     Vars[Id].Kind = Kind;
   }
 
-  std::optional<unsigned> lookupVar(std::string_view VarName) const;
-  std::optional<unsigned> lookupArray(std::string_view ArrayName) const;
+  /// What \p Name is declared as, with one probe of the symbol table.
+  /// \p NameHash is hashName(Name).
+  Symbol lookupSymbol(std::string_view Name, uint64_t NameHash) const;
+  Symbol lookupSymbol(std::string_view Name) const {
+    return lookupSymbol(Name, hashName(Name));
+  }
+
+  std::optional<unsigned> lookupVar(std::string_view VarName) const {
+    Symbol S = lookupSymbol(VarName);
+    if (S.Kind != SymbolKind::Var)
+      return std::nullopt;
+    return S.Id;
+  }
+  std::optional<unsigned> lookupArray(std::string_view ArrayName) const {
+    Symbol S = lookupSymbol(ArrayName);
+    if (S.Kind != SymbolKind::Array)
+      return std::nullopt;
+    return S.Id;
+  }
 
   std::vector<StmtPtr> &body() { return Body; }
   const std::vector<StmtPtr> &body() const { return Body; }
@@ -281,18 +324,19 @@ private:
   std::vector<VarInfo> Vars;
   std::vector<ArrayInfo> Arrays;
   std::vector<StmtPtr> Body;
-  /// Hashes a name as a string view, so a lookup builds no string.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view S) const {
-      return std::hash<std::string_view>{}(S);
-    }
+  /// One slot of the symbol table: a name's hash and its kind-tagged id,
+  /// Tag = 2 * Id + (1 if an array) + 1; Tag 0 marks an empty slot.
+  struct SymbolSlot {
+    uint64_t Hash;
+    uint32_t Tag;
   };
-  using NameIndex =
-      std::unordered_map<std::string, unsigned, NameHash, std::equal_to<>>;
-  /// Name -> id indexes (programs can hold thousands of symbols).
-  NameIndex VarIndex;
-  NameIndex ArrayIndex;
+  /// The symbol table over variables and arrays both (programs can hold
+  /// thousands of symbols): open-addressed with linear probing, a power
+  /// of two in size and at most half full. A flat vector, so copying a
+  /// program copies it in one piece.
+  std::vector<SymbolSlot> Symbols;
+
+  void insertSymbol(uint64_t NameHash, uint32_t Tag);
 };
 
 } // namespace edda

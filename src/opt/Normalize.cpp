@@ -46,7 +46,7 @@ void normalizeBody(Program &P, std::vector<StmtPtr> &Body) {
     std::string BaseName = P.var(L.varId()).Name + "__n";
     std::string Name = BaseName;
     unsigned Suffix = 0;
-    while (P.lookupVar(Name) || P.lookupArray(Name))
+    while (P.lookupSymbol(Name))
       Name = BaseName + std::to_string(++Suffix);
     unsigned NormVar = P.addVar(Name, VarKind::Loop);
 

@@ -44,13 +44,20 @@ const Expr *ScalarBindings::lookup(unsigned VarId) const {
 }
 
 bool ScalarBindings::isRememberable(const Expr *E) const {
-  if (E->containsArrayRead())
+  if (E->containsArrayRead() || E->height() > MaxExprHeight)
     return false;
   // Every variable must be a symbolic constant or an in-scope loop
-  // variable.
-  auto Ok = [this](const Expr *N, auto &Self) -> bool {
+  // variable. The walk reads the binding as a tree and gives up past
+  // MaxExprHeight nodes that hold a variable: with a larger binding a
+  // chain of assignments would compose one tree per link (x = x * i
+  // grows it by a level, x = x * x doubles it), and every later
+  // substitution and walk would pay for that.
+  unsigned Budget = MaxExprHeight;
+  auto Ok = [this, &Budget](const Expr *N, auto &Self) -> bool {
     if (!N->varMask())
       return true;
+    if (Budget-- == 0)
+      return false;
     switch (N->kind()) {
     case ExprKind::Var: {
       unsigned V = N->varId();

@@ -9,11 +9,13 @@
 /// The known values of scalars at the current point of a preorder walk
 /// over a program, under the conservative rules scalar propagation and
 /// induction-variable substitution share: a binding is remembered only
-/// when its expression reads no array and mentions only symbolic
-/// constants and in-scope loop variables; it is forgotten when a variable
-/// it mentions changes; scalars a loop body assigns have no binding
-/// inside the loop; and bindings made inside a loop do not survive it
-/// (the body may run zero times).
+/// when its expression reads no array, mentions only symbolic constants
+/// and in-scope loop variables, and is at most MaxExprHeight levels tall
+/// with at most MaxExprHeight nodes that hold a variable (so that no
+/// chain of assignments composes trees without bound); it is forgotten
+/// when a variable it mentions changes; scalars a loop body assigns have
+/// no binding inside the loop; and bindings made inside a loop do not
+/// survive it (the body may run zero times).
 ///
 /// Which scalars each loop body assigns comes from one preorder walk made
 /// up front into a flat vector, each loop owning a [begin, end) range of

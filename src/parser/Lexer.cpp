@@ -7,8 +7,10 @@
 
 #include "parser/Lexer.h"
 
-#include "support/IntMath.h"
+#include "support/Hashing.h"
 
+#include <array>
+#include <cstring>
 
 using namespace edda;
 
@@ -62,115 +64,149 @@ const char *edda::tokenKindName(TokenKind Kind) {
 
 namespace {
 
-TokenKind keywordKind(std::string_view Word) {
-  switch (Word.front()) {
-  case 'a':
-    return Word == "array" ? TokenKind::KwArray : TokenKind::Identifier;
-  case 'd':
-    return Word == "do" ? TokenKind::KwDo : TokenKind::Identifier;
-  case 'e':
-    return Word == "end" ? TokenKind::KwEnd : TokenKind::Identifier;
-  case 'f':
-    return Word == "for" ? TokenKind::KwFor : TokenKind::Identifier;
-  case 'p':
-    if (Word == "program")
-      return TokenKind::KwProgram;
-    return Word == "param" ? TokenKind::KwParam : TokenKind::Identifier;
-  case 'r':
-    return Word == "read" ? TokenKind::KwRead : TokenKind::Identifier;
-  case 's':
-    return Word == "step" ? TokenKind::KwStep : TokenKind::Identifier;
-  case 't':
-    return Word == "to" ? TokenKind::KwTo : TokenKind::Identifier;
-  default:
-    return TokenKind::Identifier;
-  }
+struct Keyword {
+  std::string_view Text;
+  TokenKind Kind;
+};
+
+constexpr Keyword Keywords[] = {
+    {"program", TokenKind::KwProgram}, {"end", TokenKind::KwEnd},
+    {"for", TokenKind::KwFor},         {"to", TokenKind::KwTo},
+    {"step", TokenKind::KwStep},       {"do", TokenKind::KwDo},
+    {"array", TokenKind::KwArray},     {"read", TokenKind::KwRead},
+    {"param", TokenKind::KwParam}};
+
+/// A word's slot in KeywordTable, from the hash the lexer computes while
+/// scanning it; no two keywords share a slot.
+constexpr size_t keywordSlot(uint64_t NameHash) { return (NameHash >> 3) & 15; }
+
+constexpr std::array<Keyword, 16> makeKeywordTable() {
+  std::array<Keyword, 16> Table{};
+  for (const Keyword &K : Keywords)
+    Table[keywordSlot(hashName(K.Text))] = K;
+  return Table;
 }
 
-// ASCII classes: LoopLang source is ASCII, and the lexer must not vary
-// with the C locale.
-bool isDigit(char C) { return C >= '0' && C <= '9'; }
-bool isIdentStart(char C) {
-  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
-}
-bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
+/// Each keyword in its slot; empty slots have empty text, which matches
+/// no word.
+constexpr std::array<Keyword, 16> KeywordTable = makeKeywordTable();
 
-TokenKind punctuationKind(char C) {
-  switch (C) {
-  case '+':
-    return TokenKind::Plus;
-  case '-':
-    return TokenKind::Minus;
-  case '*':
-    return TokenKind::Star;
-  case '(':
-    return TokenKind::LParen;
-  case ')':
-    return TokenKind::RParen;
-  case '[':
-    return TokenKind::LBracket;
-  case ']':
-    return TokenKind::RBracket;
-  case '=':
-    return TokenKind::Equals;
-  default:
-    return TokenKind::Invalid;
-  }
+static_assert(
+    [] {
+      size_t Filled = 0;
+      for (const Keyword &K : KeywordTable)
+        Filled += !K.Text.empty();
+      return Filled == std::size(Keywords);
+    }(),
+    "two keywords share a slot of KeywordTable");
+
+/// Byte classes. LoopLang source is ASCII, and the lexer must not vary
+/// with the C locale. A byte that is a token by itself (punctuation, or
+/// any byte LoopLang does not use, which makes an Invalid token) has
+/// class ClsSingle plus its token kind. Identifier and digit bytes come
+/// first, so that "may continue an identifier" is one comparison.
+enum ByteClass : uint8_t {
+  ClsIdent,   ///< a-z, A-Z, '_'.
+  ClsDigit,   ///< 0-9.
+  ClsBlank,   ///< ' ', '\t', '\r'.
+  ClsNewline, ///< '\n'.
+  ClsComment, ///< '#'.
+  ClsSingle,  ///< Plus a TokenKind: a one-byte token of that kind.
+};
+
+constexpr uint8_t singleByte(TokenKind Kind) {
+  return ClsSingle + static_cast<uint8_t>(Kind);
+}
+
+constexpr std::array<uint8_t, 256> makeByteClasses() {
+  std::array<uint8_t, 256> Classes{};
+  for (uint8_t &Cls : Classes)
+    Cls = singleByte(TokenKind::Invalid);
+  for (int C = 'a'; C <= 'z'; ++C)
+    Classes[C] = ClsIdent;
+  for (int C = 'A'; C <= 'Z'; ++C)
+    Classes[C] = ClsIdent;
+  Classes['_'] = ClsIdent;
+  for (int C = '0'; C <= '9'; ++C)
+    Classes[C] = ClsDigit;
+  Classes[' '] = Classes['\t'] = Classes['\r'] = ClsBlank;
+  Classes['\n'] = ClsNewline;
+  Classes['#'] = ClsComment;
+  Classes['+'] = singleByte(TokenKind::Plus);
+  Classes['-'] = singleByte(TokenKind::Minus);
+  Classes['*'] = singleByte(TokenKind::Star);
+  Classes['('] = singleByte(TokenKind::LParen);
+  Classes[')'] = singleByte(TokenKind::RParen);
+  Classes['['] = singleByte(TokenKind::LBracket);
+  Classes[']'] = singleByte(TokenKind::RBracket);
+  Classes['='] = singleByte(TokenKind::Equals);
+  return Classes;
+}
+
+constexpr std::array<uint8_t, 256> ByteClasses = makeByteClasses();
+
+uint8_t byteClass(char C) {
+  return ByteClasses[static_cast<unsigned char>(C)];
 }
 
 } // namespace
 
-Token Lexer::next() {
+void Lexer::next(Token &Tok) {
+  const char *Data = Source.data();
   const size_t Size = Source.size();
-  // Skip whitespace and '#' line comments.
-  while (Pos < Size) {
-    char C = Source[Pos];
-    if (C == '\n') {
-      ++Pos;
-      ++Line;
-      Column = 1;
-    } else if (C == ' ' || C == '\t' || C == '\r') {
-      ++Pos;
-      ++Column;
-    } else if (C == '#') {
-      size_t End = Source.find('\n', Pos);
-      End = End == std::string_view::npos ? Size : End;
-      Column += static_cast<unsigned>(End - Pos);
-      Pos = End;
-    } else {
-      break;
+  uint8_t Cls;
+  // Skip blanks, newlines and '#' line comments.
+  for (;; ++Pos) {
+    if (Pos == Size) {
+      Tok = Token();
+      Tok.Line = Line;
+      Tok.Column = static_cast<unsigned>(Pos - LineStart + 1);
+      return; // Eof
     }
+    Cls = byteClass(Data[Pos]);
+    if (Cls == ClsBlank)
+      continue;
+    if (Cls == ClsNewline) {
+      ++Line;
+      LineStart = Pos + 1;
+      continue;
+    }
+    if (Cls != ClsComment)
+      break;
+    // Resume on the comment's line end (the loop steps onto it), or at
+    // the end of the input.
+    const void *Newline = std::memchr(Data + Pos, '\n', Size - Pos);
+    Pos = (Newline ? static_cast<const char *>(Newline) - Data : Size) - 1;
   }
 
-  Token Tok;
   Tok.Line = Line;
-  Tok.Column = Column;
-  if (Pos == Size)
-    return Tok; // Eof
-
-  char C = Source[Pos];
+  Tok.Column = static_cast<unsigned>(Pos - LineStart + 1);
+  Tok.IntValue = 0;
+  Tok.NameHash = 0;
   size_t End = Pos + 1;
-  if (isDigit(C)) {
-    while (End < Size && isDigit(Source[End]))
-      ++End;
-    Tok.Kind = TokenKind::Integer;
-    // Overflow-checked decimal accumulation.
-    CheckedInt Value(0);
-    for (size_t I = Pos; I < End; ++I)
-      Value = Value * 10 + (Source[I] - '0');
-    if (Value.valid())
-      Tok.IntValue = Value.get();
-    else
-      Tok.Kind = TokenKind::Invalid;
-  } else if (isIdentStart(C)) {
-    while (End < Size && isIdentChar(Source[End]))
-      ++End;
-    Tok.Kind = keywordKind(Source.substr(Pos, End - Pos));
+  if (Cls == ClsIdent) {
+    uint64_t Hash =
+        extendNameHash(NameHashSeed, static_cast<unsigned char>(Data[Pos]));
+    for (; End < Size && byteClass(Data[End]) <= ClsDigit; ++End)
+      Hash = extendNameHash(Hash, static_cast<unsigned char>(Data[End]));
+    const Keyword &K = KeywordTable[keywordSlot(Hash)];
+    Tok.Kind = K.Text == std::string_view(Data + Pos, End - Pos)
+                   ? K.Kind
+                   : TokenKind::Identifier;
+    Tok.NameHash = Hash;
+  } else if (Cls == ClsDigit) {
+    // Accumulate with overflow checks: the literal is valid exactly when
+    // it is at most INT64_MAX, since the running value only grows.
+    int64_t Value = Data[Pos] - '0';
+    bool Overflow = false;
+    for (; End < Size && byteClass(Data[End]) == ClsDigit; ++End)
+      Overflow |= __builtin_mul_overflow(Value, 10, &Value) ||
+                  __builtin_add_overflow(Value, Data[End] - '0', &Value);
+    Tok.Kind = Overflow ? TokenKind::Invalid : TokenKind::Integer;
+    Tok.IntValue = Overflow ? 0 : Value;
   } else {
-    Tok.Kind = punctuationKind(C);
+    Tok.Kind = static_cast<TokenKind>(Cls - ClsSingle);
   }
-  Tok.Text = Source.substr(Pos, End - Pos);
-  Column += static_cast<unsigned>(End - Pos);
+  Tok.Text = std::string_view(Data + Pos, End - Pos);
   Pos = End;
-  return Tok;
 }

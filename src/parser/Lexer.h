@@ -9,6 +9,12 @@
 /// Tokenizer for LoopLang, the mini-Fortran-like input language of the
 /// dependence analyzer. Line comments start with '#'.
 ///
+/// The lexer classifies each byte with one 256-entry table, skips blank
+/// runs and comments in tight loops, derives a token's column from the
+/// offset of its line's start, and hashes each identifier (hashName) in
+/// the same pass that scans it, so the parser resolves the name with one
+/// symbol-table probe and never hashes it again.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EDDA_PARSER_LEXER_H
@@ -54,10 +60,12 @@ const char *tokenKindName(TokenKind Kind);
 /// One lexed token. Text points into the lexer's source buffer.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
+  unsigned Line = 1;   ///< 1-based.
+  unsigned Column = 1; ///< 1-based, in bytes.
   std::string_view Text;
   int64_t IntValue = 0; ///< Set for Integer tokens.
-  unsigned Line = 1;    ///< 1-based.
-  unsigned Column = 1;  ///< 1-based.
+  /// hashName(Text), set for Identifier and keyword tokens.
+  uint64_t NameHash = 0;
 };
 
 /// Streams the tokens of a LoopLang source buffer, one per next() call,
@@ -69,13 +77,22 @@ public:
   /// The next token. Invalid characters and out-of-range integers produce
   /// Invalid tokens; the parser reports them. At the end of the input
   /// every call returns Eof.
-  Token next();
+  Token next() {
+    Token Tok;
+    next(Tok);
+    return Tok;
+  }
+
+  /// The same, written over \p Tok in place: the parser's lookahead is
+  /// never copied.
+  void next(Token &Tok);
 
 private:
   std::string_view Source;
   size_t Pos = 0;
   unsigned Line = 1;
-  unsigned Column = 1;
+  /// Offset of the current line's first byte.
+  size_t LineStart = 0;
 };
 
 } // namespace edda

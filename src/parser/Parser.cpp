@@ -10,6 +10,7 @@
 #include "parser/Lexer.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 using namespace edda;
 
@@ -30,7 +31,9 @@ constexpr size_t MaxReserveBytes = size_t(64) << 20;
 class ParserImpl {
 public:
   explicit ParserImpl(std::string_view Source)
-      : Lex(Source), Cur(Lex.next()), SourceBytes(Source.size()) {}
+      : Lex(Source), SourceBytes(Source.size()) {
+    Lex.next(Cur);
+  }
 
   ParseResult run();
 
@@ -47,39 +50,83 @@ private:
   /// Subscripts parsed but not yet made into a node or statement; the
   /// innermost array access's are on top.
   std::vector<const Expr *> SubStack;
+  /// Parentheses, unary minus signs and subscripts open around the
+  /// current token.
+  unsigned ExprDepth = 0;
 
-  const Token &peek() const { return Cur; }
-  Token get() {
-    Token Tok = Cur;
+  bool check(TokenKind Kind) const { return Cur.Kind == Kind; }
+
+  /// Moves to the next token; at the end of the input, stays on Eof.
+  void advance() {
     if (Cur.Kind != TokenKind::Eof)
-      Cur = Lex.next();
-    return Tok;
+      Lex.next(Cur);
   }
-
-  bool check(TokenKind Kind) const { return peek().Kind == Kind; }
 
   bool accept(TokenKind Kind) {
     if (!check(Kind))
       return false;
-    get();
+    advance();
     return true;
   }
 
   bool expect(TokenKind Kind, const char *Context) {
     if (accept(Kind))
       return true;
-    error(std::string("expected ") + tokenKindName(Kind) + " " + Context +
-          ", found " + tokenKindName(peek().Kind));
+    errorExpected(Kind, Context);
     return false;
   }
 
-  void error(std::string Message) {
-    Diags.push_back(
-        Diagnostic{peek().Line, peek().Column, std::move(Message)});
+  // The diagnostic helpers are kept out of line, so that the recursive
+  // parse functions hold no message temporaries: their frame size is
+  // what sets how much stack the nesting bounds allow a parse to use.
+
+  /// Reports the concatenation of \p Parts at the current token.
+  [[gnu::noinline, gnu::cold]] void
+  error(std::initializer_list<std::string_view> Parts) {
+    std::string Message;
+    for (std::string_view Part : Parts)
+      Message += Part;
+    Diags.push_back(Diagnostic{Cur.Line, Cur.Column, std::move(Message)});
   }
 
-  void errorAt(const Token &Tok, std::string Message) {
-    Diags.push_back(Diagnostic{Tok.Line, Tok.Column, std::move(Message)});
+  /// Reports "<Prefix><N><Suffix>" at the current token.
+  [[gnu::noinline, gnu::cold]] void error(std::string_view Prefix, size_t N,
+                                          std::string_view Suffix) {
+    error({Prefix, std::to_string(N), Suffix});
+  }
+
+  [[gnu::noinline, gnu::cold]] void errorRank(unsigned ArrayId,
+                                              size_t Given) {
+    const ArrayInfo &A = Prog.array(ArrayId);
+    error({"array '", A.Name, "' has rank ", std::to_string(A.rank()),
+           " but ", std::to_string(Given), " subscripts were given"});
+  }
+
+  [[gnu::noinline, gnu::cold]] void errorExpected(TokenKind Kind,
+                                                  const char *Context) {
+    error({"expected ", tokenKindName(Kind), " ", Context, ", found ",
+           tokenKindName(Cur.Kind)});
+  }
+
+  /// Opens one level of expression nesting, or reports that there are
+  /// already MaxExprNesting levels open. Every successful call is paired
+  /// with a leaveNesting() once the nested expression is parsed.
+  bool enterNesting() {
+    if (ExprDepth == MaxExprNesting) {
+      error("expression nests deeper than ", MaxExprNesting, " levels");
+      return false;
+    }
+    ++ExprDepth;
+    return true;
+  }
+  void leaveNesting() { --ExprDepth; }
+
+  /// \p E, or null with a diagnostic when its tree is too tall.
+  const Expr *bounded(const Expr *E) {
+    if (E->height() <= MaxExprHeight)
+      return E;
+    error("expression tree is taller than ", MaxExprHeight, " levels");
+    return nullptr;
   }
 
   bool parseDecls();
@@ -103,11 +150,12 @@ ParseResult ParserImpl::run() {
     return Result;
   }
   if (!check(TokenKind::Identifier)) {
-    error("expected program name");
+    error({"expected program name"});
     Result.Diags = std::move(Diags);
     return Result;
   }
-  Prog = Program(std::string(get().Text));
+  Prog = Program(std::string(Cur.Text));
+  advance();
   // Room for the whole parse in one chunk: the suite's programs take
   // 1.4-3 bytes of nodes per byte of source. The chunk is sized like the
   // former batch lexer's token vector (about 15 bytes per source byte),
@@ -136,66 +184,73 @@ bool ParserImpl::parseDecls() {
   while (true) {
     if (accept(TokenKind::KwArray)) {
       if (!check(TokenKind::Identifier)) {
-        error("expected array name");
+        error({"expected array name"});
         return false;
       }
-      std::string_view Name = get().Text;
-      if (Prog.lookupArray(Name) || Prog.lookupVar(Name)) {
-        error("redeclaration of '" + std::string(Name) + "'");
+      const std::string_view Name = Cur.Text;
+      const uint64_t Hash = Cur.NameHash;
+      advance();
+      if (Prog.lookupSymbol(Name, Hash)) {
+        error({"redeclaration of '", Name, "'"});
         return false;
       }
       std::vector<int64_t> Extents;
       while (accept(TokenKind::LBracket)) {
         if (!check(TokenKind::Integer)) {
-          error("expected integer array extent");
+          error({"expected integer array extent"});
           return false;
         }
-        Extents.push_back(get().IntValue);
+        Extents.push_back(Cur.IntValue);
+        advance();
         if (!expect(TokenKind::RBracket, "after array extent"))
           return false;
       }
       if (Extents.empty()) {
-        error("array '" + std::string(Name) +
-              "' needs at least one dimension");
+        error({"array '", Name, "' needs at least one dimension"});
         return false;
       }
-      Prog.addArray(std::string(Name), std::move(Extents));
+      Prog.addArray(std::string(Name), std::move(Extents), Hash);
       continue;
     }
     if (accept(TokenKind::KwRead)) {
       if (!check(TokenKind::Identifier)) {
-        error("expected variable name after 'read'");
+        error({"expected variable name after 'read'"});
         return false;
       }
-      std::string_view Name = get().Text;
-      if (Prog.lookupArray(Name) || Prog.lookupVar(Name)) {
-        error("redeclaration of '" + std::string(Name) + "'");
+      const std::string_view Name = Cur.Text;
+      const uint64_t Hash = Cur.NameHash;
+      advance();
+      if (Prog.lookupSymbol(Name, Hash)) {
+        error({"redeclaration of '", Name, "'"});
         return false;
       }
-      Prog.addVar(std::string(Name), VarKind::Symbolic);
+      Prog.addVar(std::string(Name), VarKind::Symbolic, Hash);
       continue;
     }
     if (accept(TokenKind::KwParam)) {
       if (!check(TokenKind::Identifier)) {
-        error("expected variable name after 'param'");
+        error({"expected variable name after 'param'"});
         return false;
       }
-      std::string_view Name = get().Text;
-      if (Prog.lookupArray(Name) || Prog.lookupVar(Name)) {
-        error("redeclaration of '" + std::string(Name) + "'");
+      const std::string_view Name = Cur.Text;
+      const uint64_t Hash = Cur.NameHash;
+      advance();
+      if (Prog.lookupSymbol(Name, Hash)) {
+        error({"redeclaration of '", Name, "'"});
         return false;
       }
       if (!expect(TokenKind::Equals, "in param declaration"))
         return false;
       bool Negative = accept(TokenKind::Minus);
       if (!check(TokenKind::Integer)) {
-        error("expected integer param value");
+        error({"expected integer param value"});
         return false;
       }
-      int64_t Value = get().IntValue;
+      int64_t Value = Cur.IntValue;
+      advance();
       if (Negative)
         Value = -Value;
-      unsigned Id = Prog.addVar(std::string(Name), VarKind::Scalar);
+      unsigned Id = Prog.addVar(std::string(Name), VarKind::Scalar, Hash);
       // A param is sugar for an initializing scalar assignment; constant
       // propagation folds it away.
       Prog.body().push_back(
@@ -216,8 +271,7 @@ bool ParserImpl::parseStmts(std::vector<StmtPtr> &Out) {
     else if (check(TokenKind::Identifier))
       S = parseAssign();
     else {
-      error(std::string("expected a statement, found ") +
-            tokenKindName(peek().Kind));
+      error({"expected a statement, found ", tokenKindName(Cur.Kind)});
       return false;
     }
     if (!S)
@@ -227,31 +281,37 @@ bool ParserImpl::parseStmts(std::vector<StmtPtr> &Out) {
 }
 
 StmtPtr ParserImpl::parseLoop() {
-  expect(TokenKind::KwFor, "at loop start");
-  if (!check(TokenKind::Identifier)) {
-    error("expected loop variable name");
+  if (ActiveLoopVars.size() == MaxLoopDepth) {
+    error("loops nest deeper than ", MaxLoopDepth, " levels");
     return nullptr;
   }
-  std::string_view Name = get().Text;
-  if (Prog.lookupArray(Name)) {
-    error("'" + std::string(Name) + "' is an array, not a loop variable");
+  advance(); // 'for'
+  if (!check(TokenKind::Identifier)) {
+    error({"expected loop variable name"});
+    return nullptr;
+  }
+  const std::string_view Name = Cur.Text;
+  const uint64_t Hash = Cur.NameHash;
+  advance();
+  const Symbol Sym = Prog.lookupSymbol(Name, Hash);
+  if (Sym.Kind == SymbolKind::Array) {
+    error({"'", Name, "' is an array, not a loop variable"});
     return nullptr;
   }
   unsigned VarId;
-  if (std::optional<unsigned> Existing = Prog.lookupVar(Name)) {
-    if (Prog.var(*Existing).Kind != VarKind::Loop) {
-      error("'" + std::string(Name) + "' is not usable as a loop variable");
+  if (Sym.Kind == SymbolKind::Var) {
+    if (Prog.var(Sym.Id).Kind != VarKind::Loop) {
+      error({"'", Name, "' is not usable as a loop variable"});
       return nullptr;
     }
-    if (std::find(ActiveLoopVars.begin(), ActiveLoopVars.end(),
-                  *Existing) != ActiveLoopVars.end()) {
-      error("loop variable '" + std::string(Name) +
-            "' reused by an enclosing loop");
+    if (std::find(ActiveLoopVars.begin(), ActiveLoopVars.end(), Sym.Id) !=
+        ActiveLoopVars.end()) {
+      error({"loop variable '", Name, "' reused by an enclosing loop"});
       return nullptr;
     }
-    VarId = *Existing;
+    VarId = Sym.Id;
   } else {
-    VarId = Prog.addVar(std::string(Name), VarKind::Loop);
+    VarId = Prog.addVar(std::string(Name), VarKind::Loop, Hash);
   }
 
   if (!expect(TokenKind::Equals, "after loop variable"))
@@ -265,7 +325,7 @@ StmtPtr ParserImpl::parseLoop() {
   if (!Hi)
     return nullptr;
   if (Lo->containsArrayRead() || Hi->containsArrayRead()) {
-    error("array reads are not allowed in loop bounds");
+    error({"array reads are not allowed in loop bounds"});
     return nullptr;
   }
 
@@ -273,14 +333,15 @@ StmtPtr ParserImpl::parseLoop() {
   if (accept(TokenKind::KwStep)) {
     bool Negative = accept(TokenKind::Minus);
     if (!check(TokenKind::Integer)) {
-      error("expected integer loop step");
+      error({"expected integer loop step"});
       return nullptr;
     }
-    Step = get().IntValue;
+    Step = Cur.IntValue;
+    advance();
     if (Negative)
       Step = -Step;
     if (Step == 0) {
-      error("loop step must be nonzero");
+      error({"loop step must be nonzero"});
       return nullptr;
     }
   }
@@ -299,10 +360,13 @@ StmtPtr ParserImpl::parseLoop() {
 }
 
 StmtPtr ParserImpl::parseAssign() {
-  std::string_view Name = get().Text;
+  const std::string_view Name = Cur.Text;
+  const uint64_t Hash = Cur.NameHash;
+  advance();
+  const Symbol Sym = Prog.lookupSymbol(Name, Hash);
 
-  if (std::optional<unsigned> ArrayId = Prog.lookupArray(Name)) {
-    std::optional<size_t> First = parseSubscripts(*ArrayId);
+  if (Sym.Kind == SymbolKind::Array) {
+    std::optional<size_t> First = parseSubscripts(Sym.Id);
     if (!First)
       return nullptr;
     std::vector<const Expr *> Subs(SubStack.begin() + *First,
@@ -313,25 +377,25 @@ StmtPtr ParserImpl::parseAssign() {
     const Expr *Rhs = parseExpr();
     if (!Rhs)
       return nullptr;
-    return std::make_unique<AssignStmt>(*ArrayId, std::move(Subs), Rhs);
+    return std::make_unique<AssignStmt>(Sym.Id, std::move(Subs), Rhs);
   }
 
   unsigned VarId;
-  if (std::optional<unsigned> Existing = Prog.lookupVar(Name)) {
-    if (Prog.var(*Existing).Kind == VarKind::Loop &&
-        std::find(ActiveLoopVars.begin(), ActiveLoopVars.end(),
-                  *Existing) != ActiveLoopVars.end()) {
-      error("assignment to active loop variable '" + std::string(Name) +
-            "'");
+  if (Sym.Kind == SymbolKind::Var) {
+    const VarKind Kind = Prog.var(Sym.Id).Kind;
+    if (Kind == VarKind::Loop &&
+        std::find(ActiveLoopVars.begin(), ActiveLoopVars.end(), Sym.Id) !=
+            ActiveLoopVars.end()) {
+      error({"assignment to active loop variable '", Name, "'"});
       return nullptr;
     }
-    if (Prog.var(*Existing).Kind == VarKind::Symbolic) {
-      error("assignment to symbolic variable '" + std::string(Name) + "'");
+    if (Kind == VarKind::Symbolic) {
+      error({"assignment to symbolic variable '", Name, "'"});
       return nullptr;
     }
-    VarId = *Existing;
+    VarId = Sym.Id;
   } else {
-    VarId = Prog.addVar(std::string(Name), VarKind::Scalar);
+    VarId = Prog.addVar(std::string(Name), VarKind::Scalar, Hash);
   }
 
   if (!expect(TokenKind::Equals, "in assignment"))
@@ -350,7 +414,10 @@ std::optional<size_t> ParserImpl::parseSubscripts(unsigned ArrayId) {
   };
   while (accept(TokenKind::LBracket)) {
     // A nested access's subscripts come and go above First.
+    if (!enterNesting())
+      return Fail();
     const Expr *Sub = parseExpr();
+    leaveNesting();
     if (!Sub)
       return Fail();
     SubStack.push_back(Sub);
@@ -358,11 +425,8 @@ std::optional<size_t> ParserImpl::parseSubscripts(unsigned ArrayId) {
       return Fail();
   }
   const size_t Given = SubStack.size() - First;
-  unsigned Rank = Prog.array(ArrayId).rank();
-  if (Given != Rank) {
-    error("array '" + Prog.array(ArrayId).Name + "' has rank " +
-          std::to_string(Rank) + " but " + std::to_string(Given) +
-          " subscripts were given");
+  if (Given != Prog.array(ArrayId).rank()) {
+    errorRank(ArrayId, Given);
     return Fail();
   }
   return First;
@@ -373,51 +437,62 @@ const Expr *ParserImpl::parseExpr() {
   if (!Lhs)
     return nullptr;
   while (true) {
+    // The chain is left-associative and built in this loop, so its
+    // height is bounded here, not by the recursion.
     if (accept(TokenKind::Plus)) {
       const Expr *Rhs = parseTerm();
       if (!Rhs)
         return nullptr;
-      Lhs = Prog.exprs().makeAdd(Lhs, Rhs);
+      Lhs = bounded(Prog.exprs().makeAdd(Lhs, Rhs));
     } else if (accept(TokenKind::Minus)) {
       const Expr *Rhs = parseTerm();
       if (!Rhs)
         return nullptr;
-      Lhs = Prog.exprs().makeSub(Lhs, Rhs);
+      Lhs = bounded(Prog.exprs().makeSub(Lhs, Rhs));
     } else {
       return Lhs;
     }
+    if (!Lhs)
+      return nullptr;
   }
 }
 
 const Expr *ParserImpl::parseTerm() {
   const Expr *Lhs = parseUnary();
-  if (!Lhs)
-    return nullptr;
-  while (accept(TokenKind::Star)) {
+  while (Lhs && accept(TokenKind::Star)) {
     const Expr *Rhs = parseUnary();
     if (!Rhs)
       return nullptr;
-    Lhs = Prog.exprs().makeMul(Lhs, Rhs);
+    Lhs = bounded(Prog.exprs().makeMul(Lhs, Rhs));
   }
   return Lhs;
 }
 
 const Expr *ParserImpl::parseUnary() {
   if (accept(TokenKind::Minus)) {
+    if (!enterNesting())
+      return nullptr;
     const Expr *Operand = parseUnary();
+    leaveNesting();
     if (!Operand)
       return nullptr;
-    return Prog.exprs().makeNeg(Operand);
+    return bounded(Prog.exprs().makeNeg(Operand));
   }
   return parsePrimary();
 }
 
 const Expr *ParserImpl::parsePrimary() {
-  if (check(TokenKind::Integer))
-    return Prog.exprs().makeConst(get().IntValue);
+  if (check(TokenKind::Integer)) {
+    const int64_t Value = Cur.IntValue;
+    advance();
+    return Prog.exprs().makeConst(Value);
+  }
 
   if (accept(TokenKind::LParen)) {
+    if (!enterNesting())
+      return nullptr;
     const Expr *Inner = parseExpr();
+    leaveNesting();
     if (!Inner)
       return nullptr;
     if (!expect(TokenKind::RParen, "to close the parenthesis"))
@@ -426,30 +501,25 @@ const Expr *ParserImpl::parsePrimary() {
   }
 
   if (!check(TokenKind::Identifier)) {
-    error(std::string("expected an expression, found ") +
-          tokenKindName(peek().Kind));
+    error({"expected an expression, found ", tokenKindName(Cur.Kind)});
     return nullptr;
   }
-  Token NameTok = get();
-  std::string_view Name = NameTok.Text;
-
-  if (std::optional<unsigned> ArrayId = Prog.lookupArray(Name)) {
-    std::optional<size_t> First = parseSubscripts(*ArrayId);
-    if (!First)
-      return nullptr;
-    const Expr *Read = Prog.exprs().makeArrayRead(
-        *ArrayId, std::span<const Expr *const>(SubStack).subspan(*First));
-    SubStack.resize(*First);
-    return Read;
-  }
-
-  std::optional<unsigned> VarId = Prog.lookupVar(Name);
-  if (!VarId) {
-    errorAt(NameTok,
-            "use of undeclared variable '" + std::string(Name) + "'");
+  const Symbol Sym = Prog.lookupSymbol(Cur.Text, Cur.NameHash);
+  if (!Sym) {
+    error({"use of undeclared variable '", Cur.Text, "'"});
     return nullptr;
   }
-  return Prog.exprs().makeVar(*VarId);
+  advance();
+  if (Sym.Kind == SymbolKind::Var)
+    return Prog.exprs().makeVar(Sym.Id);
+
+  std::optional<size_t> First = parseSubscripts(Sym.Id);
+  if (!First)
+    return nullptr;
+  const Expr *Read = Prog.exprs().makeArrayRead(
+      Sym.Id, std::span<const Expr *const>(SubStack).subspan(*First));
+  SubStack.resize(*First);
+  return bounded(Read);
 }
 
 } // namespace

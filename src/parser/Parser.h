@@ -28,6 +28,17 @@
 /// propagation folds). Loop variables are declared by their loop and may
 /// be reused by disjoint loops, as in Fortran.
 ///
+/// Fixed language bounds keep the parser's recursion and the trees it
+/// builds within a thread's stack: an expression tree is at most
+/// MaxExprHeight (ir/Expr.h) levels tall, parentheses, unary minus signs
+/// and subscripts nest at most MaxExprNesting deep, and loops nest at
+/// most MaxLoopDepth deep. A program past a bound gets a diagnostic.
+/// Left-associative chains ("i + i + ... + i") are parsed by iteration,
+/// not recursion, so it is their tree height that is bounded. The
+/// prepass binds no scalar to a tree taller than MaxExprHeight, so the
+/// trees it rewrites stay within a small multiple of it (see
+/// opt/ScalarBindings.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EDDA_PARSER_PARSER_H
@@ -41,6 +52,15 @@
 #include <vector>
 
 namespace edda {
+
+/// Most parentheses, unary minus signs and subscripts that may be open
+/// at once. Program::print wraps every operator node in parentheses
+/// (and a negation in a minus sign too), so any tree within
+/// MaxExprHeight prints within this bound and parses back.
+constexpr unsigned MaxExprNesting = 2 * MaxExprHeight;
+
+/// Most loops a statement may be nested in.
+constexpr unsigned MaxLoopDepth = 256;
 
 /// One parse diagnostic, positioned at a source line/column.
 struct Diagnostic {

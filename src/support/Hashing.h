@@ -20,10 +20,29 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace edda {
+
+/// FNV-1a over a name's bytes, the id-independent identity of a symbol:
+/// the lexer computes it while scanning an identifier, the symbol table
+/// keys on it and fingerprints mix it in. The seed is not FNV's standard
+/// offset basis; fingerprints have always used this one, so it stays.
+constexpr uint64_t NameHashSeed = 1469598103934665603ull;
+
+/// Folds one more byte into a running name hash.
+constexpr uint64_t extendNameHash(uint64_t H, unsigned char C) {
+  return (H ^ C) * 1099511628211ull;
+}
+
+constexpr uint64_t hashName(std::string_view Name) {
+  uint64_t H = NameHashSeed;
+  for (char C : Name)
+    H = extendNameHash(H, static_cast<unsigned char>(C));
+  return H;
+}
 
 /// Combine \p Value into the running hash \p Seed (boost-style mixer).
 uint64_t hashCombine(uint64_t Seed, uint64_t Value);

@@ -7,8 +7,11 @@
 
 #include "ir/Program.h"
 
+#include "analysis/Refs.h"
+#include "ir/Fingerprint.h"
 #include "opt/Pipeline.h"
 #include "parser/Parser.h"
+#include "support/Hashing.h"
 #include "workload/Generator.h"
 #include "gtest/gtest.h"
 
@@ -53,6 +56,33 @@ void recordStmts(const std::vector<StmtPtr> &Body,
   }
 }
 
+/// Mixes into \p Digest every fingerprint the IR computes for \p Body:
+/// each statement's, each loop's chain, each array access's and each
+/// right-hand side's.
+void digestFingerprints(const Program &P, const std::vector<StmtPtr> &Body,
+                        uint64_t Chain, uint64_t &Digest) {
+  for (const StmtPtr &S : Body) {
+    Digest = hashCombine(Digest, fingerprintStmt(P, *S));
+    if (S->kind() == StmtKind::Loop) {
+      const LoopStmt &L = asLoop(*S);
+      const uint64_t Inner = extendLoopChain(P, Chain, L);
+      Digest = hashCombine(Digest, Inner);
+      digestFingerprints(P, L.body(), Inner, Digest);
+      continue;
+    }
+    const AssignStmt &A = asAssign(*S);
+    if (A.isArrayLhs())
+      Digest = hashCombine(Digest, fingerprintArrayAccess(
+                                       P, A.lhsArray(), A.lhsSubscripts()));
+    Digest = hashCombine(Digest, fingerprintExpr(P, A.rhs()));
+  }
+}
+
+/// Names "<Prefix>0", "<Prefix>1", ...
+std::string nth(const char *Prefix, unsigned I) {
+  return Prefix + std::to_string(I);
+}
+
 } // namespace
 
 TEST(Program, StructurallyEqualNodesAreOnePointer) {
@@ -87,6 +117,82 @@ TEST(Program, SymbolTables) {
   EXPECT_EQ(P.array(A).rank(), 1u);
   P.setVarKind(N, VarKind::Scalar);
   EXPECT_EQ(P.var(N).Kind, VarKind::Scalar);
+}
+
+TEST(Program, SymbolTableGrowsAndKeepsNamespacesApart) {
+  // Thousands of names force the table through several growths.
+  constexpr unsigned N = 3000;
+  Program P("many");
+  for (unsigned I = 0; I < N; ++I) {
+    EXPECT_EQ(P.addVar(nth("v", I), VarKind::Scalar), I);
+    EXPECT_EQ(P.addArray(nth("a", I), {int64_t(I) + 1}), I);
+  }
+  for (unsigned I = 0; I < N; ++I) {
+    EXPECT_EQ(P.lookupVar(nth("v", I)), std::optional<unsigned>(I));
+    EXPECT_EQ(P.lookupArray(nth("a", I)), std::optional<unsigned>(I));
+    // One name space per kind: a variable is no array, and the reverse.
+    EXPECT_EQ(P.lookupArray(nth("v", I)), std::nullopt);
+    EXPECT_EQ(P.lookupVar(nth("a", I)), std::nullopt);
+    const Symbol S = P.lookupSymbol(nth("a", I));
+    EXPECT_EQ(S.Kind, SymbolKind::Array);
+    EXPECT_EQ(S.Id, I);
+    EXPECT_EQ(P.array(I).NameHash, hashName(nth("a", I)));
+    ASSERT_EQ(P.array(I).Extents.size(), 1u);
+    EXPECT_EQ(P.array(I).Extents[0], int64_t(I) + 1);
+  }
+  EXPECT_FALSE(P.lookupSymbol("v3000"));
+  EXPECT_FALSE(P.lookupSymbol(""));
+}
+
+TEST(Program, CopyKeepsSymbolsAndGrowsApart) {
+  Program P("source");
+  for (unsigned I = 0; I < 100; ++I) {
+    P.addVar(nth("v", I), VarKind::Loop);
+    P.addArray(nth("a", I), {10, int64_t(I)});
+  }
+  Program Copy(P);
+  for (unsigned I = 0; I < 100; ++I) {
+    EXPECT_EQ(Copy.lookupVar(nth("v", I)), std::optional<unsigned>(I));
+    EXPECT_EQ(Copy.lookupArray(nth("a", I)), std::optional<unsigned>(I));
+    EXPECT_EQ(Copy.array(I).Extents[1], int64_t(I));
+  }
+  // Names added to the copy, past the growths they cause, stay there.
+  for (unsigned I = 0; I < 1000; ++I) {
+    Copy.addVar(nth("w", I), VarKind::Scalar);
+    Copy.addArray(nth("b", I), {7});
+  }
+  EXPECT_EQ(Copy.lookupVar("w999"), std::optional<unsigned>(1099));
+  EXPECT_EQ(Copy.lookupArray("b0"), std::optional<unsigned>(100));
+  EXPECT_EQ(P.numVars(), 100u);
+  EXPECT_EQ(P.numArrays(), 100u);
+  for (unsigned I = 0; I < 1000; ++I) {
+    EXPECT_FALSE(P.lookupSymbol(nth("w", I)));
+    EXPECT_FALSE(P.lookupSymbol(nth("b", I)));
+  }
+  EXPECT_EQ(P.lookupVar("v99"), std::optional<unsigned>(99));
+  EXPECT_EQ(P.print(), Program(P).print());
+}
+
+TEST(Program, SuiteFingerprintsPinned) {
+  // Every fingerprint of every suite program, as parsed and after the
+  // prepass, plus each reference's from collectReferences. The digest
+  // was computed before symbols kept their name hashes; fingerprints
+  // are reuse keys, so they must not drift.
+  uint64_t Digest = 0;
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions())) {
+    ParseResult R = parseProgram(Source);
+    ASSERT_TRUE(R.succeeded()) << Name;
+    Program &P = *R.Prog;
+    digestFingerprints(P, P.body(), emptyLoopChain(), Digest);
+    runPrepass(P);
+    digestFingerprints(P, P.body(), emptyLoopChain(), Digest);
+    for (const ArrayReference &Ref : collectReferences(P)) {
+      Digest = hashCombine(Digest, Ref.Fingerprint);
+      Digest = hashCombine(Digest, Ref.FingerprintNoBounds);
+    }
+  }
+  EXPECT_EQ(Digest, 0x0f23d76f2ebef49eull);
 }
 
 TEST(Program, StmtConstructionAndCasts) {

@@ -16,6 +16,7 @@
 #include "workload/Generator.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <iterator>
 #include <thread>
 
@@ -130,6 +131,52 @@ end
     if (Ref.ArrayId == *P.lookupArray("a") && !buildProblem(P, Ref, Ref))
       FoundUnanalyzable = true;
   EXPECT_TRUE(FoundUnanalyzable);
+}
+
+namespace {
+
+/// The tallest expression tree in \p Body.
+unsigned tallestTree(const std::vector<StmtPtr> &Body) {
+  unsigned Tallest = 0;
+  for (const StmtPtr &S : Body) {
+    if (S->kind() == StmtKind::Assign) {
+      const AssignStmt &As = asAssign(*S);
+      Tallest = std::max(Tallest, As.rhs()->height());
+      if (As.isArrayLhs())
+        for (const Expr *Sub : As.lhsSubscripts())
+          Tallest = std::max(Tallest, Sub->height());
+      continue;
+    }
+    const LoopStmt &L = asLoop(*S);
+    Tallest = std::max({Tallest, L.lo()->height(), L.hi()->height(),
+                        tallestTree(L.body())});
+  }
+  return Tallest;
+}
+
+} // namespace
+
+TEST(Pipeline, AssignmentChainsStayBounded) {
+  // x = i, then a chain of links, then a[x] = 0. Forward substitution
+  // once composed the whole chain into x's binding: 16,000 links of
+  // x = x * i took edda-cli 11 s (a tree 16,000 levels tall), and 60
+  // links of x = x * x, each doubling the tree, never finished.
+  const std::pair<const char *, unsigned> Chains[] = {
+      {"x = x * i", 16000}, {"x = x * x", 60}, {"x = x + i", 2000}};
+  for (const auto &[Link, Links] : Chains) {
+    std::string Source = "program chain\n  array a[10]\n"
+                         "  for i = 1 to 2 do\n    x = i\n";
+    for (unsigned I = 0; I < Links; ++I)
+      Source += std::string("    ") + Link + "\n";
+    Source += "    a[x] = 0\n  end\nend\n";
+    Program P = mustParse(Source, /*Prepass=*/false);
+    runPrepass(P);
+    EXPECT_LE(tallestTree(P.body()), 2 * MaxExprHeight) << Link;
+    // analyze() runs the same prepass on an unoptimized copy.
+    Program Parsed = mustParse(Source, /*Prepass=*/false);
+    DependenceAnalyzer Analyzer;
+    EXPECT_FALSE(Analyzer.analyze(Parsed).Pairs.empty()) << Link;
+  }
 }
 
 TEST(Pipeline, GeneratedSuiteIsFullyAnalyzable) {

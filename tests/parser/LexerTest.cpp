@@ -7,11 +7,13 @@
 
 #include "parser/Lexer.h"
 
+#include "support/Hashing.h"
 #include "support/IntMath.h"
 #include "workload/Generator.h"
 #include "gtest/gtest.h"
 
 #include <cctype>
+#include <string>
 
 using namespace edda;
 
@@ -119,8 +121,13 @@ std::vector<Token> referenceLexAll(std::string_view Source) {
   return Tokens;
 }
 
+bool isWord(TokenKind Kind) {
+  return Kind == TokenKind::Identifier ||
+         (Kind >= TokenKind::KwProgram && Kind <= TokenKind::KwParam);
+}
+
 /// Lexer::next() yields the reference's tokens field for field, then
-/// keeps yielding the same Eof.
+/// keeps yielding the same Eof. A word token carries its text's hash.
 void expectStreamMatchesReference(std::string_view Source) {
   std::vector<Token> Want = referenceLexAll(Source);
   Lexer Lex(Source);
@@ -132,6 +139,62 @@ void expectStreamMatchesReference(std::string_view Source) {
     ASSERT_EQ(Got.IntValue, W.IntValue) << "token " << I;
     ASSERT_EQ(Got.Line, W.Line) << "token " << I;
     ASSERT_EQ(Got.Column, W.Column) << "token " << I;
+    ASSERT_EQ(Got.NameHash, isWord(Got.Kind) ? hashName(Got.Text) : 0)
+        << "token " << I;
+  }
+}
+
+/// A random run of blanks and line ends, \p Length bytes long.
+std::string randomWhitespace(SplitRng &Rng, size_t Length) {
+  static const char Blanks[] = {' ', ' ', ' ', '\t', '\r', '\n'};
+  std::string Out;
+  for (size_t I = 0; I < Length; ++I)
+    Out += Blanks[Rng.below(sizeof(Blanks))];
+  return Out;
+}
+
+/// A random identifier of \p Length bytes.
+std::string randomIdentifier(SplitRng &Rng, size_t Length) {
+  static const std::string_view Start =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_";
+  static const std::string_view Rest =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789";
+  std::string Out(1, Start[Rng.below(Start.size())]);
+  while (Out.size() < Length)
+    Out += Rest[Rng.below(Rest.size())];
+  return Out;
+}
+
+/// One random fragment of lexer input: a word, a number, punctuation,
+/// a comment or stray bytes. Fragments are joined by random whitespace,
+/// so that adjacent ones also lex as one token (say "for" then "x").
+std::string randomFragment(SplitRng &Rng) {
+  static const char *const Words[] = {
+      "program", "end",  "for",  "to",   "step", "do",    "array",
+      "read",    "param", "forx", "endo", "fo",   "e",     "do1",
+      "arrays",  "_end", "Param", "tox",  "step_", "programs"};
+  static const char *const Numbers[] = {
+      "0", "7", "0042", "9223372036854775807", "9223372036854775808",
+      "18446744073709551616", "99999999999999999999999"};
+  switch (Rng.below(8)) {
+  case 0:
+    return Words[Rng.below(std::size(Words))];
+  case 1:
+    return randomIdentifier(Rng, 1 + Rng.below(40));
+  case 2:
+    return Numbers[Rng.below(std::size(Numbers))];
+  case 3:
+    return std::to_string(Rng.below(1000000));
+  case 4:
+    return std::string(1, "+-*()[]="[Rng.below(8)]);
+  case 5:
+    return "#" + randomIdentifier(Rng, 1 + Rng.below(10)) + " x" +
+           (Rng.below(2) ? "\n" : "");
+  case 6:
+    // Bytes LoopLang does not use, high-bit ones included.
+    return std::string(1, "$@%\x80\xc3\xa9\xff\x01"[Rng.below(8)]);
+  default:
+    return randomWhitespace(Rng, Rng.below(21));
   }
 }
 
@@ -258,6 +321,35 @@ TEST(Lexer, StreamMatchesBatchLexerOnTestInputs) {
   expectStreamMatchesReference("a # trailing");
   expectStreamMatchesReference("a\r\n\tb = 1\r\n");
   expectStreamMatchesReference("x\xc3\xa9y 7");
+}
+
+TEST(Lexer, StreamMatchesBatchLexerOnRandomInputs) {
+  // Every whitespace run length from 0 to 20 between two words.
+  SplitRng Rng(2323);
+  for (size_t Length = 0; Length <= 20; ++Length)
+    expectStreamMatchesReference("a" + randomWhitespace(Rng, Length) +
+                                 "b7" + randomWhitespace(Rng, Length));
+  // Identifiers of every length from 1 to 40, alone and in a statement.
+  for (size_t Length = 1; Length <= 40; ++Length) {
+    std::string Name = randomIdentifier(Rng, Length);
+    expectStreamMatchesReference(Name);
+    expectStreamMatchesReference(Name + "[" + Name + "+1] = 2");
+  }
+  // A comment at the very end of the input, with and without text.
+  expectStreamMatchesReference("x = 1 #");
+  expectStreamMatchesReference("x = 1\n  # last words");
+  // Random sequences of fragments.
+  for (unsigned Iter = 0; Iter < 2000; ++Iter) {
+    std::string Source;
+    for (uint64_t N = Rng.below(30); N > 0; --N) {
+      Source += randomFragment(Rng);
+      Source += randomWhitespace(Rng, Rng.below(3));
+    }
+    SCOPED_TRACE(Source);
+    expectStreamMatchesReference(Source);
+    if (testing::Test::HasFatalFailure())
+      return;
+  }
 }
 
 TEST(Lexer, StreamMatchesBatchLexerOnSuite) {
