@@ -4,6 +4,10 @@
 # byte-identical to fresh edda-cli runs — then kills the daemon,
 # restarts it from its warm-start checkpoint and requires the re-query
 # round to be answered (>= MIN_HIT_PCT) from the reloaded store.
+# Finally it restarts the daemon from two corrupt checkpoints (an
+# out-of-range decided-by, a truncated file): each must be refused
+# whole, with a cold start and its warning, and the corpus answered as
+# in the cold round.
 #
 # Usage: serve_smoke.sh [BUILD_DIR] [OUT_DIR] [MIN_HIT_PCT]
 #
@@ -268,5 +272,46 @@ if [ "$BAD_LINES" -ne 0 ] || [ "$NO_WALL" -ne 0 ]; then
   exit 1
 fi
 echo "stats log: $GOT_LINES lines, one per payload request, each with op, id and wall_ns"
+
+echo "== corrupt checkpoints (out-of-range decided-by, truncated) =="
+# The last checkpoint is good; each round restarts from a damaged copy
+# of it. Requests go to their own stats log so the checked one above
+# keeps one line per request of the first two daemons.
+GOOD="$tmp/good.cache"
+cp "$CACHE" "$GOOD"
+STATS_LOG="$OUT/request-stats-corrupt.jsonl"
+: > "$STATS_LOG"
+# Sets the first direction entry's decided-by to 42 (the file holds a
+# count per table, then its entries; a full entry is two lines).
+awk 'NR == 1 { print; next }
+     NR == 2 { skip = 2 * $1; print; next }
+     skip > 0 { skip--; print; next }
+     !counted { counted = 1; done = ($1 == 0); print; next }
+     !done && !key { key = 1; print; next }
+     !done { $2 = 42; done = 1; print; next }
+     { print }' "$GOOD" > "$tmp/bad-decided-by.cache"
+if cmp -s "$GOOD" "$tmp/bad-decided-by.cache"; then
+  echo "error: the checkpoint has no direction entry to corrupt" >&2
+  exit 1
+fi
+head -c 400 "$GOOD" > "$tmp/truncated.cache"
+for bad in bad-decided-by truncated; do
+  cp "$tmp/$bad.cache" "$CACHE"
+  WARNINGS=$(grep -c 'bad format; cold-starting' "$OUT/server-stderr.txt" || true)
+  start_server
+  "$SERVE" --client "$SOCK" --stats > "$OUT/stats-$bad.json"
+  if [ "$(grep -c 'bad format; cold-starting' "$OUT/server-stderr.txt")" \
+       -ne $((WARNINGS + 1)) ]; then
+    echo "error: no cold-start warning for the $bad checkpoint" >&2
+    exit 1
+  fi
+  grep -q '"warm_loaded_entries":0' "$OUT/stats-$bad.json" || {
+    echo "error: the $bad checkpoint was loaded" >&2; exit 1; }
+  query_round
+  check_round "$bad"
+  "$SERVE" --client "$SOCK" --shutdown > /dev/null
+  stop_server 2>/dev/null || true
+  echo "$bad checkpoint: refused, cold start, reports match"
+done
 
 echo "serve smoke passed (stats + per-request log in $OUT/)"

@@ -8,7 +8,6 @@
 #include "deptest/Memo.h"
 
 #include "support/Hashing.h"
-#include "support/IntMath.h"
 
 #include <algorithm>
 #include <fstream>
@@ -27,30 +26,15 @@ unsigned roundUpPow2(unsigned N) {
   return P;
 }
 
-/// One orientation of the problem a key serializes, as an index view
-/// of the keyed problem: key column J is problem column Cols[J], and
-/// key loop L's bounds are the problem's Lo/Hi[Cols[L]]. The improved
-/// scheme leaves out unused columns; the symmetric scheme's (B,A) view
-/// puts B's loops first and negates the equations.
+/// The problem a key serializes, as an index view of the keyed problem:
+/// key column J is problem column Cols[J], and key loop L's bounds are
+/// the problem's Lo/Hi[Cols[L]]. The improved scheme leaves out unused
+/// columns.
 struct KeyView {
   unsigned NumLoopsA = 0, NumLoopsB = 0, NumCommon = 0, NumSymbolic = 0;
   std::span<const unsigned> Cols;
-  bool NegateEquations = false;
 
   unsigned numLoopVars() const { return NumLoopsA + NumLoopsB; }
-
-  /// The same problem with A and B exchanged (DependenceProblem::
-  /// swapped of the viewed problem); \p Storage holds its columns.
-  KeyView swapped(std::vector<unsigned> &Storage) const {
-    KeyView S = *this;
-    std::swap(S.NumLoopsA, S.NumLoopsB);
-    S.NegateEquations = !NegateEquations;
-    Storage.assign(Cols.begin(), Cols.end());
-    for (unsigned P = 0; P < numLoopVars(); ++P)
-      Storage[P] = P < NumLoopsB ? Cols[NumLoopsA + P] : Cols[P - NumLoopsB];
-    S.Cols = Storage;
-    return S;
-  }
 };
 
 /// Per-thread scratch for makeKey, kept across calls so keying a
@@ -58,14 +42,12 @@ struct KeyView {
 /// problem-taking calls make and drop, so they allocate nothing.
 struct KeyScratch {
   std::vector<uint64_t> Used;
-  std::vector<unsigned> Cols, SwappedCols;
-  std::vector<int64_t> Other;
+  std::vector<unsigned> Cols;
   MemoKey Key;
 };
 thread_local KeyScratch Scratch;
 
-/// Words DependenceProblem::serialize writes for \p P seen through \p V
-/// (either orientation: swapping only permutes the loops).
+/// Words DependenceProblem::serialize writes for \p P seen through \p V.
 size_t serializedSize(const DependenceProblem &P, const KeyView &V) {
   const size_t NumX = V.Cols.size();
   size_t Size = 5 + P.Equations.size() * (1 + NumX);
@@ -78,45 +60,19 @@ size_t serializedSize(const DependenceProblem &P, const KeyView &V) {
 
 /// Writes the serialization (DependenceProblem::serialize) of \p P as
 /// seen through \p V to \p Out, serializedSize words, and returns the
-/// length of the no-bounds prefix. With \p Canonicalize the equations go
-/// in ascending (coefficients, constant) order, as sorting a copy would
-/// put them.
+/// length of the no-bounds prefix.
 size_t serializeView(const DependenceProblem &P, const KeyView &V,
-                     bool Canonicalize, int64_t *Out) {
+                     int64_t *Out) {
   int64_t *const Begin = Out;
-  const size_t NumEqs = P.Equations.size();
   *Out++ = V.NumLoopsA;
   *Out++ = V.NumLoopsB;
   *Out++ = V.NumCommon;
   *Out++ = V.NumSymbolic;
-  *Out++ = static_cast<int64_t>(NumEqs);
-
-  auto Word = [&V](int64_t X) {
-    return V.NegateEquations ? wrappingNeg(X) : X;
-  };
-  auto AppendEquation = [&](const XAffine &Eq) {
-    *Out++ = Word(Eq.Const);
+  *Out++ = static_cast<int64_t>(P.Equations.size());
+  for (const XAffine &Eq : P.Equations) {
+    *Out++ = Eq.Const;
     for (unsigned Col : V.Cols)
-      *Out++ = Word(Eq.Coeffs[Col]);
-  };
-  if (!Canonicalize) {
-    for (const XAffine &Eq : P.Equations)
-      AppendEquation(Eq);
-  } else {
-    std::vector<unsigned> Order(NumEqs);
-    for (unsigned E = 0; E < NumEqs; ++E)
-      Order[E] = E;
-    std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
-      const XAffine &EA = P.Equations[A], &EB = P.Equations[B];
-      for (unsigned Col : V.Cols) {
-        int64_t CA = Word(EA.Coeffs[Col]), CB = Word(EB.Coeffs[Col]);
-        if (CA != CB)
-          return CA < CB;
-      }
-      return Word(EA.Const) < Word(EB.Const);
-    });
-    for (unsigned E : Order)
-      AppendEquation(P.Equations[E]);
+      *Out++ = Eq.Coeffs[Col];
   }
   const size_t NoBoundsLen = static_cast<size_t>(Out - Begin);
 
@@ -144,11 +100,6 @@ DependenceCache::DependenceCache(MemoOptions Opts) : Opts(Opts) {
   Shards.reserve(Count);
   for (unsigned I = 0; I < Count; ++I)
     Shards.push_back(std::make_unique<Shard>());
-}
-
-uint64_t DependenceCache::hashOf(std::span<const int64_t> Words) const {
-  return Opts.Hash == MemoHashKind::PaperLiteral ? paperHashWords(Words)
-                                                 : hashWords(Words);
 }
 
 MemoKey DependenceCache::makeKey(const DependenceProblem &P) const {
@@ -184,10 +135,7 @@ void DependenceCache::appendKey(const DependenceProblem &P,
                                 std::vector<std::optional<unsigned>> &CommonMap,
                                 MemoKeyFields &K) const {
   assert(P.wellFormed() && "keying a malformed problem");
-  K.NumLoopsA = P.NumLoopsA;
-  K.NumLoopsB = P.NumLoopsB;
   K.NumCommon = P.NumCommon;
-  K.Swapped = K.NoBoundsSwapped = false;
 
   // The improved scheme keys the problem with its unused columns left
   // out (DependenceProblem::withUnusedLoopsRemoved, without the copy).
@@ -224,34 +172,8 @@ void DependenceCache::appendKey(const DependenceProblem &P,
   const size_t At = Words.size();
   Words.resize(At + serializedSize(P, V));
   const std::span<int64_t> Key = std::span<int64_t>(Words).subspan(At);
-  K.NoBoundsLen =
-      serializeView(P, V, Opts.CanonicalizeEquations, Key.data());
-  if (Opts.SymmetricKey) {
-    std::vector<int64_t> &Other = Scratch.Other;
-    Other.resize(Key.size());
-    serializeView(P, V.swapped(Scratch.SwappedCols),
-                  Opts.CanonicalizeEquations, Other.data());
-    if (std::ranges::lexicographical_compare(Other, Key)) {
-      K.NoBoundsSwapped = !std::equal(Other.begin(),
-                                      Other.begin() + K.NoBoundsLen,
-                                      Key.begin());
-      std::ranges::copy(Other, Key.begin());
-      K.Swapped = true;
-    }
-  }
-  std::tie(K.Hash, K.NoBoundsHash) =
-      Opts.Hash == MemoHashKind::PaperLiteral
-          ? paperHashWordsAndPrefix(Key, K.NoBoundsLen)
-          : hashWordsAndPrefix(Key, K.NoBoundsLen);
-}
-
-std::vector<int64_t>
-DependenceCache::keyFor(const DependenceProblem &P, bool IncludeBounds,
-                        bool &Swapped) const {
-  MemoKey K = makeKey(P);
-  Swapped = IncludeBounds ? K.Swapped : K.NoBoundsSwapped;
-  K.Words.resize(IncludeBounds ? K.Words.size() : K.NoBoundsLen);
-  return std::move(K.Words);
+  K.NoBoundsLen = serializeView(P, V, Key.data());
+  std::tie(K.Hash, K.NoBoundsHash) = hashWordsAndPrefix(Key, K.NoBoundsLen);
 }
 
 template <typename ResultT>
@@ -293,25 +215,17 @@ std::optional<CascadeResult> DependenceCache::lookupFull(const MemoKeyRef &K) {
   if (!R)
     return std::nullopt;
   FullHits.fetch_add(1, std::memory_order_relaxed);
-  if (K.Swapped && R->Witness)
-    R->Witness = swapWitness(*R->Witness, K.NumLoopsB, K.NumLoopsA);
   return R;
 }
 
 void DependenceCache::insertFull(const MemoKeyRef &K, const CascadeResult &R,
                                  uint64_t Tag) {
+  // The answer without its witness (see the file comment).
   CascadeResult Stored;
   Stored.Answer = R.Answer;
   Stored.DecidedBy = R.DecidedBy;
   Stored.Exact = R.Exact;
   Stored.Widened = R.Widened;
-  // Improved-key witnesses live in the reduced x space; dropping them is
-  // simpler than remembering the removal map and stays correct (the
-  // qualitative answer is what the cache is for).
-  if (R.Witness && !Opts.ImprovedKey)
-    Stored.Witness = K.Swapped ? swapWitness(*R.Witness, K.NumLoopsA,
-                                             K.NumLoopsB)
-                               : *R.Witness;
   insert(&Shard::Full, K, std::move(Stored), Tag);
 }
 
@@ -322,8 +236,6 @@ DependenceCache::lookupDirections(const MemoKeyRef &K) {
   if (!R)
     return std::nullopt;
   DirHits.fetch_add(1, std::memory_order_relaxed);
-  if (K.Swapped)
-    R = reverseDirections(*R);
   if (!Opts.ImprovedKey)
     return R;
   // Improved-key entries are stored in the reduced problem's common-loop
@@ -371,8 +283,6 @@ void DependenceCache::insertDirections(const MemoKeyRef &K,
     }
     Stored = std::move(Shrunk);
   }
-  if (K.Swapped)
-    Stored = reverseDirections(Stored);
   insert(&Shard::Directions, K, std::move(Stored), Tag);
 }
 
@@ -426,31 +336,24 @@ void DependenceCache::insertGcdSolvable(const MemoKeyRef &K, bool Solvable) {
                   Solvable);
 }
 
+template <typename TableT>
+uint64_t DependenceCache::countEntries(TableT Shard::*Which) const {
+  uint64_t Total = 0;
+  for (const auto &S : Shards) {
+    std::lock_guard<std::mutex> Lock(S->Mutex);
+    Total += ((*S).*Which).size();
+  }
+  return Total;
+}
+
 uint64_t DependenceCache::uniqueFull() const {
-  uint64_t Total = 0;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Total += S->Full.size();
-  }
-  return Total;
+  return countEntries(&Shard::Full);
 }
-
 uint64_t DependenceCache::uniqueDirections() const {
-  uint64_t Total = 0;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Total += S->Directions.size();
-  }
-  return Total;
+  return countEntries(&Shard::Directions);
 }
-
 uint64_t DependenceCache::uniqueNoBounds() const {
-  uint64_t Total = 0;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Total += S->Gcd.size();
-  }
-  return Total;
+  return countEntries(&Shard::Gcd);
 }
 
 uint64_t DependenceCache::evictOldest(uint64_t TargetEntries) {
@@ -504,34 +407,6 @@ void DependenceCache::clear() {
   GcdQueries = GcdHits = 0;
 }
 
-DirectionResult edda::reverseDirections(const DirectionResult &R) {
-  DirectionResult Out = R;
-  for (DirVector &V : Out.Vectors)
-    for (Dir &D : V) {
-      if (D == Dir::Less)
-        D = Dir::Greater;
-      else if (D == Dir::Greater)
-        D = Dir::Less;
-    }
-  for (std::optional<int64_t> &Dist : Out.Distances)
-    if (Dist)
-      *Dist = -*Dist;
-  return Out;
-}
-
-std::vector<int64_t> edda::swapWitness(const std::vector<int64_t> &X,
-                                       unsigned NumLoopsA,
-                                       unsigned NumLoopsB) {
-  // Input layout [A|B|sym] with |A| = NumLoopsA; output [B|A|sym].
-  std::vector<int64_t> Out;
-  Out.reserve(X.size());
-  Out.insert(Out.end(), X.begin() + NumLoopsA,
-             X.begin() + NumLoopsA + NumLoopsB);
-  Out.insert(Out.end(), X.begin(), X.begin() + NumLoopsA);
-  Out.insert(Out.end(), X.begin() + NumLoopsA + NumLoopsB, X.end());
-  return Out;
-}
-
 //===----------------------------------------------------------------------===//
 // Persistence
 //===----------------------------------------------------------------------===//
@@ -554,6 +429,18 @@ bool readVector(std::istream &In, std::vector<int64_t> &V) {
     if (!(In >> V[I]))
       return false;
   return true;
+}
+
+/// Whether a stored integer names a value of the enum: a file is
+/// checked before its entries reach code that indexes by them.
+bool validAnswer(int Raw) {
+  return Raw >= 0 && Raw <= static_cast<int>(DepAnswer::Unknown);
+}
+bool validTestKind(int Raw) {
+  return Raw >= 0 && Raw < static_cast<int>(NumTestKinds);
+}
+bool validDir(int Raw) {
+  return Raw >= 0 && Raw <= static_cast<int>(Dir::Any);
 }
 
 } // namespace
@@ -713,10 +600,6 @@ uint64_t countLegacyEntries(std::istream &In, int Version) {
 
 } // namespace
 
-bool DependenceCache::loadFromFile(const std::string &Path) {
-  return loadFromFile(Path, nullptr);
-}
-
 bool DependenceCache::loadFromFile(const std::string &Path,
                                    CacheLoadStats *LoadStats) {
   if (LoadStats)
@@ -736,7 +619,11 @@ bool DependenceCache::loadFromFile(const std::string &Path,
     return false;
   }
 
-  uint64_t Loaded = 0;
+  // Read and check the whole file before touching the tables, so a
+  // load adds every entry or none.
+  std::vector<std::pair<std::vector<int64_t>, Entry<CascadeResult>>> Full;
+  std::vector<std::pair<std::vector<int64_t>, Entry<DirectionResult>>> Dirs;
+  std::vector<std::pair<std::vector<int64_t>, bool>> Gcd;
   size_t Count;
   if (!(In >> Count))
     return false;
@@ -745,17 +632,15 @@ bool DependenceCache::loadFromFile(const std::string &Path,
     int Answer, DecidedBy, Exact, Widened;
     uint64_t Tag;
     if (!readVector(In, K) ||
-        !(In >> Answer >> DecidedBy >> Exact >> Widened >> Tag))
+        !(In >> Answer >> DecidedBy >> Exact >> Widened >> Tag) ||
+        !validAnswer(Answer) || !validTestKind(DecidedBy))
       return false;
     CascadeResult R;
     R.Answer = static_cast<DepAnswer>(Answer);
     R.DecidedBy = static_cast<TestKind>(DecidedBy);
     R.Exact = Exact != 0;
     R.Widened = Widened != 0;
-    uint64_t H = hashOf(K);
-    shardFor(H).Full.emplace(StoredKey{std::move(K), H},
-                             Entry<CascadeResult>{std::move(R), 0, Tag});
-    ++Loaded;
+    Full.emplace_back(std::move(K), Entry<CascadeResult>{std::move(R), 0, Tag});
   }
 
   if (!(In >> Count))
@@ -768,7 +653,12 @@ bool DependenceCache::loadFromFile(const std::string &Path,
     if (!readVector(In, K) ||
         !(In >> Root >> RootBy >> Exact >> Widened >> RootWidened >>
           Tag >> NumVectors >> NumDistances) ||
-        NumVectors > (1u << 20) || NumDistances > (1u << 10))
+        NumVectors > (1u << 20) || NumDistances > (1u << 10) ||
+        !validAnswer(Root) || !validTestKind(RootBy))
+      return false;
+    // Key word 2 is the keyed problem's common-loop count, the length
+    // of every vector and of the distance list stored under it.
+    if (K.size() < 3 || static_cast<uint64_t>(K[2]) != NumDistances)
       return false;
     DirectionResult R;
     R.RootAnswer = static_cast<DepAnswer>(Root);
@@ -778,37 +668,34 @@ bool DependenceCache::loadFromFile(const std::string &Path,
     R.RootWidened = RootWidened != 0;
     for (size_t V = 0; V < NumVectors; ++V) {
       size_t Len;
-      if (!(In >> Len) || Len > (1u << 10))
+      if (!(In >> Len) || Len != NumDistances)
         return false;
       DirVector Vec(Len);
       for (size_t D = 0; D < Len; ++D) {
         int Raw;
-        if (!(In >> Raw))
+        if (!(In >> Raw) || !validDir(Raw))
           return false;
         Vec[D] = static_cast<Dir>(Raw);
       }
       R.Vectors.push_back(std::move(Vec));
     }
     for (size_t D = 0; D < NumDistances; ++D) {
-      std::string Tag;
-      if (!(In >> Tag))
+      std::string Marker;
+      if (!(In >> Marker))
         return false;
-      if (Tag == "d") {
+      if (Marker == "d") {
         int64_t Value;
         if (!(In >> Value))
           return false;
         R.Distances.push_back(Value);
-      } else if (Tag == "u") {
+      } else if (Marker == "u") {
         R.Distances.push_back(std::nullopt);
       } else {
         return false;
       }
     }
-    uint64_t H = hashOf(K);
-    shardFor(H).Directions.emplace(
-        StoredKey{std::move(K), H},
-        Entry<DirectionResult>{std::move(R), 0, Tag});
-    ++Loaded;
+    Dirs.emplace_back(std::move(K),
+                      Entry<DirectionResult>{std::move(R), 0, Tag});
   }
 
   if (!(In >> Count))
@@ -818,11 +705,20 @@ bool DependenceCache::loadFromFile(const std::string &Path,
     int Solvable;
     if (!readVector(In, K) || !(In >> Solvable))
       return false;
-    uint64_t H = hashOf(K);
-    shardFor(H).Gcd.emplace(StoredKey{std::move(K), H}, Solvable != 0);
-    ++Loaded;
+    Gcd.emplace_back(std::move(K), Solvable != 0);
   }
+
+  auto Insert = [this](auto Shard::*Which, auto &Parsed) {
+    for (auto &[K, Value] : Parsed) {
+      uint64_t H = hashWords(K);
+      (shardFor(H).*Which).emplace(StoredKey{std::move(K), H},
+                                   std::move(Value));
+    }
+  };
+  Insert(&Shard::Full, Full);
+  Insert(&Shard::Directions, Dirs);
+  Insert(&Shard::Gcd, Gcd);
   if (LoadStats)
-    LoadStats->LoadedEntries = Loaded;
+    LoadStats->LoadedEntries = Full.size() + Dirs.size() + Gcd.size();
   return true;
 }

@@ -10,11 +10,14 @@
 /// the same small set of questions over and over, so results are cached
 /// in two hash tables: one keyed without loop bounds (the extended GCD
 /// test ignores bounds) and one keyed with them (full answers and
-/// direction vectors). The paper's "simple" scheme keys the problem
-/// verbatim; the "improved" scheme first removes unused loop variables,
-/// merging problems that differ only in irrelevant surrounding loops.
-/// Extensions the paper sketches are implemented behind options:
-/// symmetric-pair canonicalization and cross-compilation persistence.
+/// direction vectors). There is one key: the problem's words, hashed with
+/// a splitmix-based mixer. The paper's "simple" scheme keys the problem
+/// verbatim; the "improved" scheme (the default) first removes unused
+/// loop variables, merging problems that differ only in irrelevant
+/// surrounding loops. The tables hold answers, never witnesses: a
+/// witness belongs to the x space of the problem that found it, not to
+/// every problem that shares its key. One extension the paper sketches
+/// is implemented, persistence across compilations.
 ///
 /// A problem's key is computed once (makeKey) and then handed to every
 /// lookup and insert for that problem: the words, both table hashes
@@ -55,28 +58,11 @@
 
 namespace edda {
 
-/// Which hash function drives the tables (the bench compares collision
-/// behaviour; results are identical).
-enum class MemoHashKind {
-  Mixing,       ///< splitmix-based mixer (default).
-  PaperLiteral, ///< h(x) = size(x) + sum 2^i x_i, as published.
-};
-
 /// Memoization scheme configuration.
 struct MemoOptions {
   /// Remove unused loop variables before keying (the paper's improved
   /// scheme).
   bool ImprovedKey = true;
-  /// Canonicalize (A,B) and (B,A) to one key (extension sketched in
-  /// section 5: "comparing a[i] to a[i-1] is the same as comparing
-  /// a[i-1] to a[i]").
-  bool SymmetricKey = false;
-  /// Sort the subscript equations before keying, merging problems that
-  /// differ only in array-dimension order (the section 5 note that
-  /// "a[i][j] versus a[i+1][j+1] is equivalent to a[j][i] versus
-  /// a[j+1][i+1]"). Sound: the equations are a conjunction.
-  bool CanonicalizeEquations = false;
-  MemoHashKind Hash = MemoHashKind::Mixing;
   /// Number of independently-locked shards (rounded up to a power of
   /// two). 0 = auto: 1 shard for a serial analyzer, a few shards per
   /// thread otherwise (the analyzer resolves this from its thread
@@ -111,22 +97,16 @@ struct MemoKeyViewHash {
 };
 
 /// What makeKey computes of a key besides its words and common-loop
-/// map: the prefix length, the hashes, the orientation and the keyed
-/// problem's shape.
+/// map: the prefix length, the hashes and the keyed problem's common
+/// loop count.
 struct MemoKeyFields {
   /// Words[0, NoBoundsLen) is the without-bounds key.
   size_t NoBoundsLen = 0;
-  /// Table hashes (MemoOptions::Hash) of Words and of its prefix.
+  /// Table hashes (hashWords) of Words and of its prefix.
   uint64_t Hash = 0;
   uint64_t NoBoundsHash = 0;
-  /// The symmetric scheme keyed the (B,A) orientation: of the full key,
-  /// and of the no-bounds key taken alone (which can tie where the full
-  /// key does not).
-  bool Swapped = false;
-  bool NoBoundsSwapped = false;
-  /// The keyed problem's shape, for remapping witnesses and directions.
-  unsigned NumLoopsA = 0;
-  unsigned NumLoopsB = 0;
+  /// The keyed problem's common loops, for expanding improved-key
+  /// directions back to them.
   unsigned NumCommon = 0;
 };
 
@@ -134,12 +114,11 @@ struct MemoKeyFields {
 /// DependenceCache::makeKey in one pass over the problem.
 ///
 /// Words is the with-bounds key; its first NoBoundsLen words are the
-/// without-bounds key. The prefix property holds under every scheme
-/// (the improved scheme reduces once, with bounds, for both keys; the
-/// symmetric choice of the full key orders its prefix first), and the
-/// analyzer's determinism argument rests on it: equal full keys imply
-/// equal no-bounds keys. A key is only meaningful to caches with the
-/// same MemoOptions key and hash settings as the one that made it.
+/// without-bounds key. The prefix property holds under both schemes
+/// (the improved scheme reduces once, with bounds, for both keys), and
+/// the analyzer's determinism argument rests on it: equal full keys
+/// imply equal no-bounds keys. A key is only meaningful to caches with
+/// the same MemoOptions::ImprovedKey as the one that made it.
 struct MemoKey : MemoKeyFields {
   std::vector<int64_t> Words;
   /// Improved scheme: the keyed problem's common loop -> common loop of
@@ -291,14 +270,9 @@ public:
   uint64_t gcdHits() const { return GcdHits.load(); }
   uint64_t uniqueNoBounds() const;
 
-  /// The key words a problem maps to, with or without bounds (a
-  /// wrapper over makeKey).
-  std::vector<int64_t> keyFor(const DependenceProblem &P,
-                              bool IncludeBounds, bool &Swapped) const;
-
   /// Persistence across compilations (extension, paper section 5):
-  /// writes/reads the full-answer and direction tables (witnesses are
-  /// not persisted). Returns false on I/O or format errors.
+  /// writes/reads all three tables. Returns false on I/O or format
+  /// errors.
   ///
   /// saveToFile() takes each shard's lock while serializing that
   /// shard, so it is safe to checkpoint while analyzer threads insert
@@ -307,15 +281,20 @@ public:
   /// entries that exist when the save returns, and reloading it can
   /// only pre-answer questions with the exact results recomputation
   /// would produce. loadFromFile() is not concurrency-safe — call it
-  /// before serving starts.
-  bool saveToFile(const std::string &Path) const;
-  bool loadFromFile(const std::string &Path);
-  /// As above, additionally reporting what happened: on a format-version
-  /// mismatch the load still fails (returns false) but \p LoadStats
-  /// says which version the file declared and how many entries were
+  /// before serving starts. A load is all-or-nothing: the whole file
+  /// is parsed and checked (every enum in range, every direction vector
+  /// and distance list as long as its key's common-loop count) before
+  /// any entry enters the tables, so a failed load leaves them as they
+  /// were.
+  ///
+  /// \p LoadStats, when given, reports what happened: on a
+  /// format-version mismatch the load still fails (returns false) but
+  /// it says which version the file declared and how many entries were
   /// rejected with it, so warm-start callers can log the loss instead
   /// of silently cold-starting.
-  bool loadFromFile(const std::string &Path, CacheLoadStats *LoadStats);
+  bool saveToFile(const std::string &Path) const;
+  bool loadFromFile(const std::string &Path,
+                    CacheLoadStats *LoadStats = nullptr);
 
   /// Size-bounded "LRU-ish" eviction for long-lived caches: removes
   /// least-recently-used full/direction entries (per the TrackRecency
@@ -383,8 +362,9 @@ private:
   void appendKey(const DependenceProblem &P, std::vector<int64_t> &Words,
                  std::vector<std::optional<unsigned>> &CommonMap,
                  MemoKeyFields &K) const;
-  /// The table hash of \p Words under MemoOptions::Hash.
-  uint64_t hashOf(std::span<const int64_t> Words) const;
+  /// Entries in one table, summed over the shards.
+  template <typename TableT>
+  uint64_t countEntries(TableT Shard::*Which) const;
   Shard &shardFor(uint64_t Hash) {
     return *Shards[Hash & (Shards.size() - 1)];
   }
@@ -407,14 +387,6 @@ private:
   /// Monotone clock driving the TrackRecency stamps.
   std::atomic<uint64_t> UseTick{0};
 };
-
-/// Reverses a direction result between (A,B) and (B,A): '<' and '>'
-/// exchange and distances negate. Used by the symmetric key scheme.
-DirectionResult reverseDirections(const DirectionResult &R);
-
-/// Remaps a witness between (A,B) and (B,A) x layouts.
-std::vector<int64_t> swapWitness(const std::vector<int64_t> &X,
-                                 unsigned NumLoopsA, unsigned NumLoopsB);
 
 } // namespace edda
 

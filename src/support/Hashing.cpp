@@ -41,23 +41,19 @@ uint64_t edda::hashVector(const std::vector<int64_t> &Values) {
 }
 
 uint64_t edda::paperHash(const std::vector<int64_t> &Values) {
-  return paperHashWords(Values);
-}
-
-uint64_t edda::hashWords(std::span<const int64_t> Values) {
-  uint64_t H = seedFor(Values.size());
-  for (int64_t V : Values)
-    H = fold(H, mixValue(static_cast<uint64_t>(V)));
-  return H;
-}
-
-uint64_t edda::paperHashWords(std::span<const int64_t> Values) {
   uint64_t H = Values.size();
   uint64_t Pow = 1;
   for (int64_t V : Values) {
     H += Pow * static_cast<uint64_t>(V);
     Pow <<= 1; // 2^i, wrapping mod 2^64 after 64 elements.
   }
+  return H;
+}
+
+uint64_t edda::hashWords(std::span<const int64_t> Values) {
+  uint64_t H = seedFor(Values.size());
+  for (int64_t V : Values)
+    H = fold(H, mixValue(static_cast<uint64_t>(V)));
   return H;
 }
 
@@ -73,19 +69,4 @@ edda::hashWordsAndPrefix(std::span<const int64_t> Values, size_t PrefixLen) {
   for (; I < Values.size(); ++I)
     Full = fold(Full, mixValue(static_cast<uint64_t>(Values[I])));
   return {Full, Prefix};
-}
-
-std::pair<uint64_t, uint64_t>
-edda::paperHashWordsAndPrefix(std::span<const int64_t> Values,
-                              size_t PrefixLen) {
-  uint64_t Sum = 0, PrefixSum = 0, Pow = 1;
-  for (size_t I = 0; I < Values.size(); ++I) {
-    if (I == PrefixLen)
-      PrefixSum = Sum;
-    Sum += Pow * static_cast<uint64_t>(Values[I]);
-    Pow <<= 1;
-  }
-  if (PrefixLen >= Values.size())
-    PrefixSum = Sum;
-  return {Values.size() + Sum, PrefixLen + PrefixSum};
 }

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hashing for the memoization tables (paper section 5). Two functions are
-/// provided: the paper's literal hash,
+/// Hashing for the memoization tables (paper section 5). The tables hash
+/// their keys with a splitmix-based mixer. The paper's literal hash,
 ///     h(x) = size(x) + sum_i 2^i * x_i            (mod 2^64),
 /// chosen by the authors so that symmetrical or partially symmetrical
-/// references do not collide, and a modern mixing hash used as the default.
-/// The memoization bench compares their collision behaviour.
+/// references do not collide, is kept for the Table 2 bench, which
+/// compares the two hashes' collision behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,17 +54,14 @@ uint64_t hashVector(const std::vector<int64_t> &Values);
 /// 2^64. Kept for the Table 2 reproduction.
 uint64_t paperHash(const std::vector<int64_t> &Values);
 
-/// The same two hashes over a word span.
+/// The mixing hash over a word span.
 uint64_t hashWords(std::span<const int64_t> Values);
-uint64_t paperHashWords(std::span<const int64_t> Values);
 
-/// Both hashes of \p Values and of its first \p PrefixLen words, in one
-/// pass: {hash of Values, hash of the prefix}. A memo key hashes its
+/// The mixing hash of \p Values and of its first \p PrefixLen words, in
+/// one pass: {hash of Values, hash of the prefix}. A memo key hashes its
 /// without-bounds prefix this way.
 std::pair<uint64_t, uint64_t>
 hashWordsAndPrefix(std::span<const int64_t> Values, size_t PrefixLen);
-std::pair<uint64_t, uint64_t>
-paperHashWordsAndPrefix(std::span<const int64_t> Values, size_t PrefixLen);
 
 } // namespace edda
 

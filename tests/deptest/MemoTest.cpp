@@ -7,6 +7,7 @@
 
 #include "deptest/Memo.h"
 
+#include "analysis/Analyzer.h"
 #include "analysis/Builder.h"
 #include "fuzz/ProblemGen.h"
 #include "opt/Pipeline.h"
@@ -99,71 +100,6 @@ TEST(Memo, ImprovedKeyMergesUnusedLoops) {
   EXPECT_FALSE(SimpleCache.lookupFull(wrappedProblem(50)).has_value());
 }
 
-TEST(Memo, SymmetricKeyMergesSwappedPairs) {
-  MemoOptions Opts;
-  Opts.SymmetricKey = true;
-  DependenceCache Cache(Opts);
-  DependenceProblem P = simpleProblem(3);
-  Cache.insertFull(P, testDependence(P));
-  // a[i] vs a[i-3] is the same question as a[i-3] vs a[i].
-  EXPECT_TRUE(Cache.lookupFull(P.swapped()).has_value());
-
-  MemoOptions NoSym;
-  DependenceCache Plain(NoSym);
-  Plain.insertFull(P, testDependence(P));
-  // The asymmetric layout of the swapped problem still collides here
-  // because nA == nB and the improved key is identical; use distinct
-  // nest depths to tell them apart.
-  DependenceProblem Deep = ProblemBuilder(2, 1, 1)
-                               .eq({1, 0, -1}, 3)
-                               .bounds(0, 1, 10)
-                               .bounds(1, 1, 5)
-                               .bounds(2, 1, 10)
-                               .build();
-  Plain.insertFull(Deep, testDependence(Deep));
-  EXPECT_FALSE(Plain.lookupFull(Deep.swapped()).has_value());
-  DependenceCache Sym(Opts);
-  Sym.insertFull(Deep, testDependence(Deep));
-  EXPECT_TRUE(Sym.lookupFull(Deep.swapped()).has_value());
-}
-
-TEST(Memo, SymmetricDirectionsReversed) {
-  MemoOptions Opts;
-  Opts.SymmetricKey = true;
-  Opts.ImprovedKey = false;
-  DependenceCache Cache(Opts);
-  // Asymmetric problem so the swapped key differs: a[i+1] vs a[i] in
-  // nests of different depth.
-  DependenceProblem P = ProblemBuilder(2, 1, 1)
-                            .eq({1, 0, -1}, 1)
-                            .bounds(0, 1, 10)
-                            .bounds(1, 1, 5)
-                            .bounds(2, 1, 10)
-                            .build();
-  DirectionResult Dirs = computeDirectionVectors(P);
-  Cache.insertDirections(P, Dirs);
-  std::optional<DirectionResult> Swapped =
-      Cache.lookupDirections(P.swapped());
-  ASSERT_TRUE(Swapped.has_value());
-  ASSERT_EQ(Swapped->Vectors.size(), Dirs.Vectors.size());
-  // '<' components flip to '>' and distances negate.
-  for (unsigned V = 0; V < Dirs.Vectors.size(); ++V) {
-    for (unsigned K = 0; K < Dirs.Vectors[V].size(); ++K) {
-      Dir D = Dirs.Vectors[V][K];
-      Dir E = Swapped->Vectors[V][K];
-      if (D == Dir::Less)
-        EXPECT_EQ(E, Dir::Greater);
-      else if (D == Dir::Greater)
-        EXPECT_EQ(E, Dir::Less);
-      else
-        EXPECT_EQ(E, D);
-    }
-  }
-  for (unsigned K = 0; K < Dirs.Distances.size(); ++K)
-    if (Dirs.Distances[K])
-      EXPECT_EQ(*Swapped->Distances[K], -*Dirs.Distances[K]);
-}
-
 TEST(Memo, DirectionsRoundTripThroughImprovedKey) {
   DependenceCache Cache; // improved by default
   DependenceProblem P = wrappedProblem(10);
@@ -180,106 +116,6 @@ TEST(Memo, DirectionsRoundTripThroughImprovedKey) {
       Cache.lookupDirections(wrappedProblem(77));
   ASSERT_TRUE(Sibling.has_value());
   EXPECT_EQ(Sibling->Vectors.size(), Dirs.Vectors.size());
-}
-
-TEST(Memo, ReverseDirectionsHelper) {
-  DirectionResult R;
-  R.Vectors = {{Dir::Less, Dir::Equal}, {Dir::Greater, Dir::Any}};
-  R.Distances = {std::optional<int64_t>(3), std::nullopt};
-  DirectionResult Rev = reverseDirections(R);
-  EXPECT_EQ(Rev.Vectors[0], (DirVector{Dir::Greater, Dir::Equal}));
-  EXPECT_EQ(Rev.Vectors[1], (DirVector{Dir::Less, Dir::Any}));
-  EXPECT_EQ(*Rev.Distances[0], -3);
-  EXPECT_FALSE(Rev.Distances[1].has_value());
-}
-
-TEST(Memo, SwapWitnessLayout) {
-  std::vector<int64_t> X = {1, 2, 3, 4, 5}; // A = {1,2}, B = {3}, sym {4,5}
-  std::vector<int64_t> Swapped = swapWitness(X, 2, 1);
-  EXPECT_EQ(Swapped, (std::vector<int64_t>{3, 1, 2, 4, 5}));
-}
-
-TEST(Memo, EquationOrderCanonicalization) {
-  // a[i][j] vs a[i+1][j+2] and the dimension-swapped a[j][i] vs
-  // a[j+2][i+1] pose the same equations in a different order; the
-  // paper's "taken farther" extension merges them.
-  DependenceProblem P1 = ProblemBuilder(2, 2, 2)
-                             .eq({1, 0, -1, 0}, 1)
-                             .eq({0, 1, 0, -1}, 2)
-                             .bounds(0, 1, 10)
-                             .bounds(1, 1, 10)
-                             .bounds(2, 1, 10)
-                             .bounds(3, 1, 10)
-                             .build();
-  DependenceProblem P2 = P1;
-  std::swap(P2.Equations[0], P2.Equations[1]);
-
-  DependenceCache Plain;
-  Plain.insertFull(P1, testDependence(P1));
-  EXPECT_FALSE(Plain.lookupFull(P2).has_value());
-
-  MemoOptions Opts;
-  Opts.CanonicalizeEquations = true;
-  DependenceCache Canonical(Opts);
-  Canonical.insertFull(P1, testDependence(P1));
-  std::optional<CascadeResult> Hit = Canonical.lookupFull(P2);
-  ASSERT_TRUE(Hit.has_value());
-  EXPECT_EQ(Hit->Answer, testDependence(P2).Answer);
-}
-
-TEST(Memo, CanonicalizationPropertyOnRandomPermutations) {
-  // Shuffling a problem's equations never changes the canonical key or
-  // the cached answer.
-  MemoOptions Opts;
-  Opts.CanonicalizeEquations = true;
-  SplitRng Rng(777);
-  for (unsigned Iter = 0; Iter < 60; ++Iter) {
-    DependenceProblem P = randomProblem(Rng);
-    if (P.Equations.size() < 2)
-      continue;
-    DependenceCache Cache(Opts);
-    CascadeResult Fresh = testDependence(P);
-    Cache.insertFull(P, Fresh);
-    DependenceProblem Shuffled = P;
-    // Rotate the equations (a nontrivial permutation).
-    std::rotate(Shuffled.Equations.begin(),
-                Shuffled.Equations.begin() + 1,
-                Shuffled.Equations.end());
-    std::optional<CascadeResult> Hit = Cache.lookupFull(Shuffled);
-    ASSERT_TRUE(Hit.has_value()) << P.str();
-    EXPECT_EQ(Hit->Answer, Fresh.Answer);
-    // And the permuted problem genuinely has that answer.
-    EXPECT_EQ(testDependence(Shuffled).Answer, Fresh.Answer);
-  }
-}
-
-TEST(Memo, CanonicalizationComposesWithSymmetry) {
-  MemoOptions Opts;
-  Opts.CanonicalizeEquations = true;
-  Opts.SymmetricKey = true;
-  DependenceCache Cache(Opts);
-  DependenceProblem P = ProblemBuilder(2, 1, 1)
-                            .eq({1, 0, -1}, 3)
-                            .eq({0, 1, 0}, -2)
-                            .bounds(0, 1, 10)
-                            .bounds(1, 1, 5)
-                            .bounds(2, 1, 10)
-                            .build();
-  Cache.insertFull(P, testDependence(P));
-  DependenceProblem Swapped = P.swapped();
-  std::swap(Swapped.Equations[0], Swapped.Equations[1]);
-  EXPECT_TRUE(Cache.lookupFull(Swapped).has_value());
-}
-
-TEST(Memo, PaperLiteralHashStillCorrect) {
-  MemoOptions Opts;
-  Opts.Hash = MemoHashKind::PaperLiteral;
-  DependenceCache Cache(Opts);
-  for (int64_t D = 0; D < 50; ++D)
-    Cache.insertFull(simpleProblem(D), testDependence(simpleProblem(D)));
-  EXPECT_EQ(Cache.uniqueFull(), 50u);
-  for (int64_t D = 0; D < 50; ++D)
-    EXPECT_TRUE(Cache.lookupFull(simpleProblem(D)).has_value());
 }
 
 TEST(Memo, PersistenceRoundTrip) {
@@ -346,18 +182,137 @@ TEST(Memo, DirectionsRoundTripWidenedBits) {
   EXPECT_FALSE(N->RootWidened);
 }
 
+namespace {
+
+void writeFile(const std::string &Path, const std::string &Text) {
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  ASSERT_NE(F, nullptr);
+  std::fputs(Text.c_str(), F);
+  std::fclose(F);
+}
+
+uint64_t storeSize(const DependenceCache &C) {
+  return C.uniqueFull() + C.uniqueDirections() + C.uniqueNoBounds();
+}
+
+/// A v6 cache file of one entry per table, from its three sections. The
+/// direction entry's key says one common loop (key word 2), so its
+/// vectors and distance list must have one component.
+std::string v6File(const std::string &FullEntry = "2 7 7\n1 1 1 0 0\n",
+                   const std::string &DirEntry =
+                       "5 1 1 1 0 0\n1 2 1 0 0 0 1 1\n1 0\nd 1\n") {
+  return "edda-depcache 6\n1\n" + FullEntry + "1\n" + DirEntry +
+         "1\n2 7 7\n1\n";
+}
+
+} // namespace
+
 TEST(Memo, LoadRejectsGarbage) {
   std::string Path = ::testing::TempDir() + "/edda_cache_garbage.txt";
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    ASSERT_NE(F, nullptr);
-    std::fputs("not a cache file\n", F);
-    std::fclose(F);
-  }
   DependenceCache Cache;
+  writeFile(Path, "not a cache file\n");
   EXPECT_FALSE(Cache.loadFromFile(Path));
   EXPECT_FALSE(Cache.loadFromFile(Path + ".does-not-exist"));
+
+  // Hostile v6 files: enums out of range and direction entries whose
+  // lengths disagree with their key. Each is refused whole, leaving the
+  // tables empty rather than holding values later code indexes by.
+  const std::vector<std::pair<const char *, std::string>> Hostile = {
+      {"answer 3", v6File("2 7 7\n3 1 1 0 0\n")},
+      {"answer -1", v6File("2 7 7\n-1 1 1 0 0\n")},
+      {"decided-by 8", v6File("2 7 7\n1 8 1 0 0\n")},
+      {"decided-by -1", v6File("2 7 7\n1 -1 1 0 0\n")},
+      {"root answer 7",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n7 2 1 0 0 0 1 1\n1 0\nd 1\n")},
+      {"root decided-by 42",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n1 42 1 0 0 0 1 1\n1 0\nd 1\n")},
+      {"direction 4",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n1 2 1 0 0 0 1 1\n1 4\nd 1\n")},
+      {"direction -1",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n1 2 1 0 0 0 1 1\n1 -1\nd 1\n")},
+      {"vector longer than the common loops",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n1 2 1 0 0 0 1 1\n2 0 0\nd 1\n")},
+      {"vector shorter than the common loops",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n1 2 1 0 0 0 1 1\n0\nd 1\n")},
+      {"no distances",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n1 2 1 0 0 0 1 0\n1 0\n")},
+      {"two distances",
+       v6File("2 7 7\n1 1 1 0 0\n",
+              "5 1 1 1 0 0\n1 2 1 0 0 0 0 2\nu\nu\n")},
+      {"key without a common-loop word",
+       v6File("2 7 7\n1 1 1 0 0\n", "2 1 1\n1 2 1 0 0 0 0 0\n")},
+  };
+  for (const auto &[What, Text] : Hostile) {
+    writeFile(Path, Text);
+    CacheLoadStats LS;
+    EXPECT_FALSE(Cache.loadFromFile(Path, &LS)) << What;
+    EXPECT_EQ(LS.LoadedEntries, 0u) << What;
+    EXPECT_EQ(storeSize(Cache), 0u) << What;
+  }
+
+  // The template they were cut from loads.
+  writeFile(Path, v6File());
+  ASSERT_TRUE(Cache.loadFromFile(Path));
+  EXPECT_EQ(Cache.uniqueFull(), 1u);
+  EXPECT_EQ(Cache.uniqueDirections(), 1u);
+  EXPECT_EQ(Cache.uniqueNoBounds(), 1u);
   std::remove(Path.c_str());
+}
+
+// A load that fails part way adds nothing: entries read before the
+// failure do not reach the tables, and entries already there stay.
+TEST(Memo, FailedLoadAddsNothing) {
+  std::string Path = ::testing::TempDir() + "/edda_cache_whole.txt";
+  std::string Cut = ::testing::TempDir() + "/edda_cache_cut.txt";
+  {
+    DependenceCache Cache;
+    for (int64_t Delta = 0; Delta < 40; ++Delta) {
+      DependenceProblem P = simpleProblem(Delta);
+      Cache.insertFull(P, testDependence(P));
+      Cache.insertDirections(P, computeDirectionVectors(P));
+      Cache.insertGcdSolvable(simpleProblem(Delta, 99), true);
+    }
+    ASSERT_TRUE(Cache.saveToFile(Path));
+  }
+  std::string Text;
+  {
+    std::FILE *F = std::fopen(Path.c_str(), "r");
+    ASSERT_NE(F, nullptr);
+    for (int C; (C = std::fgetc(F)) != EOF;)
+      Text.push_back(static_cast<char>(C));
+    std::fclose(F);
+  }
+  ASSERT_GT(Text.size(), 800u);
+  // Cuts in the full section, in the middle, and before the last GCD
+  // entry's answer.
+  for (size_t Len : {size_t(400), Text.size() / 2, Text.size() - 2}) {
+    writeFile(Cut, Text.substr(0, Len));
+    DependenceCache Cold;
+    EXPECT_FALSE(Cold.loadFromFile(Cut)) << Len;
+    EXPECT_EQ(Cold.uniqueFull(), 0u) << Len;
+    EXPECT_EQ(Cold.uniqueDirections(), 0u) << Len;
+    EXPECT_EQ(Cold.uniqueNoBounds(), 0u) << Len;
+    EXPECT_FALSE(Cold.lookupFull(simpleProblem(0)).has_value()) << Len;
+
+    DependenceCache Warm;
+    Warm.insertFull(simpleProblem(500), testDependence(simpleProblem(500)));
+    EXPECT_FALSE(Warm.loadFromFile(Cut)) << Len;
+    EXPECT_EQ(storeSize(Warm), 1u) << Len;
+  }
+  DependenceCache Whole;
+  ASSERT_TRUE(Whole.loadFromFile(Path));
+  EXPECT_EQ(Whole.uniqueFull(), 40u);
+  EXPECT_EQ(Whole.uniqueDirections(), 40u);
+  EXPECT_EQ(Whole.uniqueNoBounds(), 40u);
+  std::remove(Path.c_str());
+  std::remove(Cut.c_str());
 }
 
 TEST(Memo, ClearResets) {
@@ -602,7 +557,8 @@ namespace {
 
 /// Problems covering the key's corners: random fuzz draws (symbolics,
 /// missing bounds, unused loops), random small problems, the suite's
-/// built pairs, and hand-written ties and extreme words.
+/// built pairs, and hand-written mirror images, repeated equations and
+/// extreme words.
 std::vector<DependenceProblem> keyCorpus() {
   std::vector<DependenceProblem> Out;
   SplitRng Rng(17);
@@ -623,8 +579,8 @@ std::vector<DependenceProblem> keyCorpus() {
                   buildProblem(Prog, Refs[I], Refs[J]))
             Out.push_back(std::move(B->Problem));
   }
-  // Symmetric ties: the no-bounds words of (A,B) and (B,A) agree while
-  // the bounds decide, and equations that sort differently once negated.
+  // Mirror images whose no-bounds words agree while the bounds differ,
+  // and a repeated equation.
   Out.push_back(ProblemBuilder(1, 1, 1)
                     .eq({1, -1}, 0)
                     .bounds(0, 1, 10)
@@ -651,87 +607,59 @@ std::vector<DependenceProblem> keyCorpus() {
 
 } // namespace
 
-// Every ImprovedKey x SymmetricKey x CanonicalizeEquations scheme under
-// both hash kinds: makeKey's words equal the copy-based serialization
-// word for word, with the same swap flags; the no-bounds key is a
-// prefix of the full key (the analyzer's determinism grouping relies on
-// it); the hashes are the table hash of those words; and the improved
-// scheme's common-loop map is withUnusedLoopsRemoved's. Every key made
-// into one shared MemoKeyPool reads back as the key made alone.
+// Under both schemes, makeKey's words equal the copy-based
+// serialization word for word; the no-bounds key is a prefix of the
+// full key (the analyzer's determinism grouping relies on it); the
+// hashes are hashWords of those words; and the improved scheme's
+// common-loop map is withUnusedLoopsRemoved's. Every key made into one
+// shared MemoKeyPool reads back as the key made alone.
 TEST(MemoKey, OnePassKeyMatchesReferenceKey) {
   const std::vector<DependenceProblem> Corpus = keyCorpus();
   ASSERT_GT(Corpus.size(), 1000u);
-  for (unsigned Scheme = 0; Scheme < 8; ++Scheme)
-    for (MemoHashKind Hash :
-         {MemoHashKind::Mixing, MemoHashKind::PaperLiteral}) {
-      MemoOptions Opts;
-      Opts.ImprovedKey = Scheme & 1;
-      Opts.SymmetricKey = Scheme & 2;
-      Opts.CanonicalizeEquations = Scheme & 4;
-      Opts.Hash = Hash;
-      DependenceCache Cache(Opts);
-      auto HashOf = [Hash](std::span<const int64_t> W) {
-        return Hash == MemoHashKind::PaperLiteral ? paperHashWords(W)
-                                                  : hashWords(W);
-      };
-      MemoKeyPool Pool;
-      for (size_t I = 0; I < Corpus.size(); ++I) {
-        const DependenceProblem &P = Corpus[I];
-        std::string Where = "scheme " + std::to_string(Scheme) +
-                            " hash " + std::to_string(int(Hash)) +
-                            " problem " + std::to_string(I) + "\n" +
-                            P.str();
-        bool WantSwapped, WantNbSwapped;
-        std::vector<int64_t> Full =
-            referenceKey(Opts, P, /*IncludeBounds=*/true, WantSwapped);
-        std::vector<int64_t> NoBounds =
-            referenceKey(Opts, P, /*IncludeBounds=*/false, WantNbSwapped);
-        MemoKey K = Cache.makeKey(P);
-        ASSERT_EQ(K.Words, Full) << Where;
-        EXPECT_EQ(K.Swapped, WantSwapped) << Where;
-        EXPECT_EQ(K.NoBoundsSwapped, WantNbSwapped) << Where;
-        ASSERT_EQ(K.NoBoundsLen, NoBounds.size()) << Where;
-        EXPECT_TRUE(std::equal(NoBounds.begin(), NoBounds.end(),
-                               K.Words.begin()))
-            << "no-bounds key is not a prefix of the full key: " << Where;
-        EXPECT_EQ(K.Hash, HashOf(Full)) << Where;
-        EXPECT_EQ(K.NoBoundsHash, HashOf(NoBounds)) << Where;
-        EXPECT_EQ(K.NumLoopsA, P.NumLoopsA) << Where;
-        EXPECT_EQ(K.NumLoopsB, P.NumLoopsB) << Where;
-        EXPECT_EQ(K.NumCommon, P.NumCommon) << Where;
-        if (Opts.ImprovedKey) {
-          std::vector<std::optional<unsigned>> CommonMap;
-          (void)P.withUnusedLoopsRemoved(CommonMap);
-          EXPECT_EQ(K.CommonMap, CommonMap) << Where;
-        }
-        bool Swapped;
-        EXPECT_EQ(Cache.keyFor(P, /*IncludeBounds=*/true, Swapped), Full);
-        EXPECT_EQ(Swapped, WantSwapped) << Where;
-        EXPECT_EQ(Cache.keyFor(P, /*IncludeBounds=*/false, Swapped),
-                  NoBounds);
-        EXPECT_EQ(Swapped, WantNbSwapped) << Where;
-        EXPECT_EQ(Cache.makeKey(P, Pool), I) << Where;
+  for (bool Improved : {false, true}) {
+    MemoOptions Opts;
+    Opts.ImprovedKey = Improved;
+    DependenceCache Cache(Opts);
+    MemoKeyPool Pool;
+    for (size_t I = 0; I < Corpus.size(); ++I) {
+      const DependenceProblem &P = Corpus[I];
+      std::string Where = "improved " + std::to_string(Improved) +
+                          " problem " + std::to_string(I) + "\n" + P.str();
+      std::vector<int64_t> Full =
+          referenceKey(Opts, P, /*IncludeBounds=*/true);
+      std::vector<int64_t> NoBounds =
+          referenceKey(Opts, P, /*IncludeBounds=*/false);
+      MemoKey K = Cache.makeKey(P);
+      ASSERT_EQ(K.Words, Full) << Where;
+      ASSERT_EQ(K.NoBoundsLen, NoBounds.size()) << Where;
+      EXPECT_TRUE(std::equal(NoBounds.begin(), NoBounds.end(),
+                             K.Words.begin()))
+          << "no-bounds key is not a prefix of the full key: " << Where;
+      EXPECT_EQ(K.Hash, hashWords(Full)) << Where;
+      EXPECT_EQ(K.NoBoundsHash, hashWords(NoBounds)) << Where;
+      EXPECT_EQ(K.NumCommon, P.NumCommon) << Where;
+      if (Improved) {
+        std::vector<std::optional<unsigned>> CommonMap;
+        (void)P.withUnusedLoopsRemoved(CommonMap);
+        EXPECT_EQ(K.CommonMap, CommonMap) << Where;
       }
-      // Read back only now, after every append has grown the pool.
-      for (size_t I = 0; I < Corpus.size(); ++I) {
-        const MemoKey K = Cache.makeKey(Corpus[I]);
-        const MemoKeyRef R = Pool[I];
-        std::string Where = "scheme " + std::to_string(Scheme) +
-                            " hash " + std::to_string(int(Hash)) +
-                            " pooled problem " + std::to_string(I);
-        ASSERT_TRUE(std::ranges::equal(R.Words, K.Words)) << Where;
-        EXPECT_TRUE(std::ranges::equal(R.CommonMap, K.CommonMap)) << Where;
-        EXPECT_EQ(R.NoBoundsLen, K.NoBoundsLen) << Where;
-        EXPECT_EQ(R.Hash, K.Hash) << Where;
-        EXPECT_EQ(R.NoBoundsHash, K.NoBoundsHash) << Where;
-        EXPECT_EQ(R.Swapped, K.Swapped) << Where;
-        EXPECT_EQ(R.NoBoundsSwapped, K.NoBoundsSwapped) << Where;
-        EXPECT_EQ(R.NumLoopsA, K.NumLoopsA) << Where;
-        EXPECT_EQ(R.NumLoopsB, K.NumLoopsB) << Where;
-        EXPECT_EQ(R.NumCommon, K.NumCommon) << Where;
-        EXPECT_TRUE(R.noBounds() == K.noBounds()) << Where;
-      }
+      EXPECT_EQ(Cache.makeKey(P, Pool), I) << Where;
     }
+    // Read back only now, after every append has grown the pool.
+    for (size_t I = 0; I < Corpus.size(); ++I) {
+      const MemoKey K = Cache.makeKey(Corpus[I]);
+      const MemoKeyRef R = Pool[I];
+      std::string Where = "improved " + std::to_string(Improved) +
+                          " pooled problem " + std::to_string(I);
+      ASSERT_TRUE(std::ranges::equal(R.Words, K.Words)) << Where;
+      EXPECT_TRUE(std::ranges::equal(R.CommonMap, K.CommonMap)) << Where;
+      EXPECT_EQ(R.NoBoundsLen, K.NoBoundsLen) << Where;
+      EXPECT_EQ(R.Hash, K.Hash) << Where;
+      EXPECT_EQ(R.NoBoundsHash, K.NoBoundsHash) << Where;
+      EXPECT_EQ(R.NumCommon, K.NumCommon) << Where;
+      EXPECT_TRUE(R.noBounds() == K.noBounds()) << Where;
+    }
+  }
 }
 
 // A v6 cache file whose keys come from the copy-based reference loads
@@ -739,11 +667,9 @@ TEST(MemoKey, OnePassKeyMatchesReferenceKey) {
 // itself: cache files need no version bump.
 TEST(MemoKey, ReferenceKeyedFileAnswersLikeSavedFile) {
   const std::vector<DependenceProblem> Corpus = keyCorpus();
-  for (unsigned Scheme = 0; Scheme < 8; ++Scheme) {
+  for (bool Improved : {false, true}) {
     MemoOptions Opts;
-    Opts.ImprovedKey = Scheme & 1;
-    Opts.SymmetricKey = Scheme & 2;
-    Opts.CanonicalizeEquations = Scheme & 4;
+    Opts.ImprovedKey = Improved;
 
     // Every other problem is stored; the rest must miss.
     DependenceCache Saved(Opts);
@@ -755,8 +681,7 @@ TEST(MemoKey, ReferenceKeyedFileAnswersLikeSavedFile) {
       CascadeResult R = testDependence(P);
       Saved.insertFull(P, R);
       Saved.insertGcdSolvable(P, R.Answer != DepAnswer::Independent);
-      bool Swapped;
-      std::vector<int64_t> K = referenceKey(Opts, P, true, Swapped);
+      std::vector<int64_t> K = referenceKey(Opts, P, true);
       if (std::find(SeenFull.begin(), SeenFull.end(), K) == SeenFull.end()) {
         SeenFull.push_back(K);
         Full += std::to_string(K.size());
@@ -768,7 +693,7 @@ TEST(MemoKey, ReferenceKeyedFileAnswersLikeSavedFile) {
                 " 0\n";
         ++NumFull;
       }
-      K = referenceKey(Opts, P, false, Swapped);
+      K = referenceKey(Opts, P, false);
       if (std::find(SeenGcd.begin(), SeenGcd.end(), K) == SeenGcd.end()) {
         SeenGcd.push_back(K);
         Gcd += std::to_string(K.size());
@@ -780,25 +705,21 @@ TEST(MemoKey, ReferenceKeyedFileAnswersLikeSavedFile) {
       }
     }
     std::string RefPath = ::testing::TempDir() + "/edda_cache_refkeys.txt";
-    {
-      std::FILE *F = std::fopen(RefPath.c_str(), "w");
-      ASSERT_NE(F, nullptr);
-      std::fprintf(F, "edda-depcache 6\n%zu\n%s0\n%zu\n%s", NumFull,
-                   Full.c_str(), NumGcd, Gcd.c_str());
-      std::fclose(F);
-    }
+    writeFile(RefPath, "edda-depcache 6\n" + std::to_string(NumFull) +
+                           "\n" + Full + "0\n" + std::to_string(NumGcd) +
+                           "\n" + Gcd);
     std::string SavedPath = ::testing::TempDir() + "/edda_cache_saved.txt";
     ASSERT_TRUE(Saved.saveToFile(SavedPath));
 
     DependenceCache FromRef(Opts), FromSaved(Opts);
-    ASSERT_TRUE(FromRef.loadFromFile(RefPath)) << "scheme " << Scheme;
-    ASSERT_TRUE(FromSaved.loadFromFile(SavedPath)) << "scheme " << Scheme;
+    ASSERT_TRUE(FromRef.loadFromFile(RefPath)) << "improved " << Improved;
+    ASSERT_TRUE(FromSaved.loadFromFile(SavedPath)) << "improved " << Improved;
     EXPECT_EQ(FromRef.uniqueFull(), FromSaved.uniqueFull());
     EXPECT_EQ(FromRef.uniqueNoBounds(), FromSaved.uniqueNoBounds());
     for (const DependenceProblem &P : Corpus) {
       std::optional<CascadeResult> A = FromRef.lookupFull(P);
       std::optional<CascadeResult> B = FromSaved.lookupFull(P);
-      ASSERT_EQ(A.has_value(), B.has_value()) << "scheme " << Scheme;
+      ASSERT_EQ(A.has_value(), B.has_value()) << "improved " << Improved;
       if (A) {
         EXPECT_EQ(A->Answer, B->Answer);
         EXPECT_EQ(A->DecidedBy, B->DecidedBy);
@@ -810,5 +731,60 @@ TEST(MemoKey, ReferenceKeyedFileAnswersLikeSavedFile) {
     EXPECT_GT(FromRef.fullHits(), Corpus.size() / 2 - 1);
     std::remove(RefPath.c_str());
     std::remove(SavedPath.c_str());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Key words are pinned
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Folds every tested pair's key over the 13 suite programs, under
+/// \p Opts, into one digest: the words, the no-bounds prefix length and
+/// both table hashes, in analysis order. \p NumKeys counts the keys.
+uint64_t suiteKeyDigest(const MemoOptions &Opts, size_t &NumKeys) {
+  DependenceCache Cache(Opts);
+  uint64_t Digest = 0;
+  NumKeys = 0;
+  for (const auto &[Name, Source] :
+       generatePerfectClubSuite(GeneratorOptions())) {
+    Program Prog = mustParse(Source, /*Prepass=*/false);
+    DependenceAnalyzer Analyzer{AnalyzerOptions()};
+    AnalysisResult R = Analyzer.analyze(Prog);
+    for (const DependencePair &Pair : R.Pairs) {
+      std::optional<BuiltProblem> B =
+          buildProblem(Prog, R.Refs[Pair.RefA], R.Refs[Pair.RefB]);
+      if (!B || std::ranges::all_of(B->Problem.Equations,
+                                    &XAffine::isConstant))
+        continue;
+      MemoKey K = Cache.makeKey(B->Problem);
+      for (int64_t W : K.Words)
+        Digest = hashCombine(Digest, static_cast<uint64_t>(W));
+      Digest = hashCombine(Digest, K.NoBoundsLen);
+      Digest = hashCombine(Digest, K.Hash);
+      Digest = hashCombine(Digest, K.NoBoundsHash);
+      ++NumKeys;
+    }
+  }
+  return Digest;
+}
+
+} // namespace
+
+// The keys of the suite's tested pairs, under both schemes, are pinned:
+// cache files hold these words, so a change to them needs a cache format
+// version bump (and a new digest).
+TEST(MemoKey, SuiteKeysPinned) {
+  const std::pair<bool, uint64_t> Want[] = {{false, 0x57a01c842ca24e93ull},
+                                            {true, 0xe322deb0705e71baull}};
+  for (const auto &[Improved, Digest] : Want) {
+    MemoOptions Opts;
+    Opts.ImprovedKey = Improved;
+    size_t NumKeys = 0;
+    EXPECT_EQ(suiteKeyDigest(Opts, NumKeys), Digest)
+        << "improved " << Improved;
+    // The golden's cache_full query count: one key per tested pair.
+    EXPECT_EQ(NumKeys, 6074u) << "improved " << Improved;
   }
 }

@@ -29,6 +29,7 @@
 #include <fstream>
 #include <mutex>
 #include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -589,6 +590,85 @@ TEST(Serve, WarmStartRejectsStaleFormatVersion) {
   EXPECT_EQ(Core.stats().WarmRejectedEntries, 6u);
   // The server still comes up and serves cold.
   EXPECT_TRUE(Core.handle(analyzeRequest(1)).Ok);
+  std::remove(Path.c_str());
+}
+
+namespace {
+
+/// Rewrites the cache file at \p Path so that every direction entry
+/// says it was decided by test kind 42, past the last one; returns how
+/// many entries it rewrote.
+size_t giveDirectionsHostileDecidedBy(const std::string &Path) {
+  std::vector<std::string> Lines;
+  {
+    std::ifstream In(Path);
+    for (std::string L; std::getline(In, L);)
+      Lines.push_back(L);
+  }
+  // Header, then the full section: a count and two lines per entry.
+  size_t At = 1;
+  At += 1 + 2 * std::stoul(Lines[At]);
+  const size_t NumDirs = std::stoul(Lines[At++]);
+  for (size_t E = 0; E < NumDirs; ++E) {
+    ++At; // The key.
+    std::istringstream Header(Lines[At]);
+    std::string Root, DecidedBy, Exact, Widened, RootWidened, Tag;
+    size_t NumVectors = 0, NumDistances = 0;
+    Header >> Root >> DecidedBy >> Exact >> Widened >> RootWidened >> Tag >>
+        NumVectors >> NumDistances;
+    Lines[At] = Root + " 42 " + Exact + " " + Widened + " " + RootWidened +
+                " " + Tag + " " + std::to_string(NumVectors) + " " +
+                std::to_string(NumDistances);
+    At += 1 + NumVectors + NumDistances;
+  }
+  std::ofstream Out(Path);
+  for (const std::string &L : Lines)
+    Out << L << "\n";
+  return NumDirs;
+}
+
+ServeRequest featuresRequest(int64_t Id) {
+  ServeRequest R;
+  R.Id = Id;
+  R.Operation = ServeRequest::Op::Features;
+  R.Payload = demoSource();
+  return R;
+}
+
+} // namespace
+
+TEST(Serve, WarmStartRejectsHostileCheckpoint) {
+  // A current-format checkpoint whose direction entries name a test
+  // kind out of range is refused whole: the daemon cold-starts with a
+  // diagnostic, and a features request (which counts decisions per
+  // kind) answers as it did before the checkpoint.
+  std::string Path = ::testing::TempDir() + "/edda_serve_hostile.txt";
+  std::remove(Path.c_str());
+  std::string ColdText;
+  {
+    ServeOptions Opts;
+    Opts.CachePath = Path;
+    ServeCore Core(Opts);
+    ServeResponse Cold = Core.handle(featuresRequest(1));
+    ASSERT_TRUE(Cold.Ok) << Cold.Error;
+    ColdText = Cold.Text;
+    ASSERT_TRUE(Core.checkpoint());
+  }
+  ASSERT_GT(giveDirectionsHostileDecidedBy(Path), 0u);
+
+  ServeOptions Opts;
+  Opts.CachePath = Path;
+  std::string Error;
+  ServeCore Warm(Opts, &Error);
+  EXPECT_NE(Error.find("bad format; cold-starting"), std::string::npos)
+      << Error;
+  EXPECT_EQ(Warm.stats().WarmLoadedEntries, 0u);
+  EXPECT_EQ(Warm.cache().uniqueFull(), 0u);
+  EXPECT_EQ(Warm.cache().uniqueDirections(), 0u);
+  EXPECT_EQ(Warm.cache().uniqueNoBounds(), 0u);
+  ServeResponse R = Warm.handle(featuresRequest(2));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Text, ColdText);
   std::remove(Path.c_str());
 }
 

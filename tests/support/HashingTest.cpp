@@ -74,8 +74,6 @@ TEST(HashWords, PrefixPairMatchesSeparateHashes) {
       std::vector<int64_t> Whole(Words.begin(), Words.begin() + Len);
       EXPECT_EQ(hashWordsAndPrefix(All, Prefix),
                 std::make_pair(hashVector(Whole), hashVector(Head)));
-      EXPECT_EQ(paperHashWordsAndPrefix(All, Prefix),
-                std::make_pair(paperHash(Whole), paperHash(Head)));
     }
   }
 }

@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The copy-based statement of a memo key: reduce the problem with
-/// withUnusedLoopsRemoved, sort a copy of its equations, build the
-/// swapped() problem, serialize both and keep the smaller.
-/// DependenceCache::makeKey computes the same words in one pass; the memo
-/// key identity test holds the two to word-for-word equality.
+/// The copy-based statement of a memo key: under the improved scheme,
+/// reduce a copy of the problem with withUnusedLoopsRemoved; then
+/// serialize it. DependenceCache::makeKey computes the same words in one
+/// pass; the memo key identity test holds the two to word-for-word
+/// equality.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,11 +24,10 @@
 namespace edda {
 namespace testutil {
 
-/// The key \p P maps to under \p Opts, with or without bounds; \p Swapped
-/// reports whether the symmetric scheme chose the (B,A) orientation.
+/// The key \p P maps to under \p Opts, with or without bounds.
 std::vector<int64_t> referenceKey(const MemoOptions &Opts,
                                   const DependenceProblem &P,
-                                  bool IncludeBounds, bool &Swapped);
+                                  bool IncludeBounds);
 
 } // namespace testutil
 } // namespace edda
