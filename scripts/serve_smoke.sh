@@ -243,6 +243,8 @@ if [ -z "$HIT" ] || [ -z "$WARM" ] || [ "$WARM" -eq 0 ]; then
   echo "error: warm restart loaded no checkpoint entries" >&2
   exit 1
 fi
+grep -q '"warm_failed_loads":0' "$OUT/stats-warm.json" || {
+  echo "error: the good checkpoint counted as a failed load" >&2; exit 1; }
 if ! awk -v h="$HIT" -v m="$MIN_HIT" 'BEGIN { exit !(h >= m) }'; then
   echo "error: warm hit rate ${HIT}% is below ${MIN_HIT}%" >&2
   exit 1
@@ -307,6 +309,9 @@ for bad in bad-decided-by truncated; do
   fi
   grep -q '"warm_loaded_entries":0' "$OUT/stats-$bad.json" || {
     echo "error: the $bad checkpoint was loaded" >&2; exit 1; }
+  grep -q '"warm_failed_loads":1' "$OUT/stats-$bad.json" || {
+    echo "error: the $bad checkpoint's failed load was not counted" >&2
+    exit 1; }
   query_round
   check_round "$bad"
   "$SERVE" --client "$SOCK" --shutdown > /dev/null

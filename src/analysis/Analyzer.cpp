@@ -531,17 +531,17 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   // Optional trace pass: re-run the pipeline observationally on every
   // analyzable pair — no stats, no memoization — so the records show
   // what each stage did without perturbing the results above. Every
-  // pair is rebuilt for it; reused pairs keep no trace.
+  // pair is rebuilt for it; reused pairs keep no trace. Each chunk
+  // writes only its own slots of the side table.
   if (Opts.Trace) {
+    Result.Traces.resize(Candidates.size());
     runChunks(Candidates.size(), [&](size_t K, size_t Begin, size_t End) {
       for (size_t C = Begin; C < End; ++C) {
         if (Reused[C] || !buildProblem(Prog, Refs[Candidates[C].I],
                                        Refs[Candidates[C].J], Scratch[K]))
           continue;
-        PipelineTrace Trace;
         Pipeline.run(Scratch[K].Problem, {}, Opts.Cascade,
-                     /*Stats=*/nullptr, &Trace);
-        Result.Pairs[C].Trace = std::move(Trace);
+                     /*Stats=*/nullptr, &Result.Traces[C].emplace());
       }
     });
   }

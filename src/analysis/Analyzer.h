@@ -33,6 +33,7 @@
 #include "deptest/Stats.h"
 #include "deptest/TestPipeline.h"
 #include "ir/Program.h"
+#include "support/Boxed.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
@@ -56,7 +57,7 @@ struct AnalyzerOptions {
   DirectionOptions Direction;
   CascadeOptions Cascade;
   /// Record a per-stage pipeline trace for every analyzable pair
-  /// (DependencePair::Trace; surfaced by `edda-cli --explain`). The
+  /// (AnalysisResult::Traces; surfaced by `edda-cli --explain`). The
   /// trace comes from an observational re-run of the pipeline on the
   /// pair's unconstrained problem — no stats, no memoization — so
   /// enabling it cannot perturb results; expect roughly double the
@@ -104,16 +105,21 @@ struct DependencePair {
   /// tables are (Refs.h).
   std::span<const LoopStmt *const> CommonLoops;
   /// Present when directions were requested and the pair may depend.
-  std::optional<DirectionResult> Directions;
-  /// Per-stage pipeline trace (AnalyzerOptions::Trace); absent for
-  /// pairs whose problem could not be built.
-  std::optional<PipelineTrace> Trace;
+  /// Boxed: the table-3 configuration never sets it, and one suite pass
+  /// makes 17,940 pairs.
+  Boxed<DirectionResult> Directions;
 };
+static_assert(sizeof(DependencePair) <= 48,
+              "keep rarely set members out of the pair record");
 
 /// Whole-program analysis result.
 struct AnalysisResult {
   std::vector<ArrayReference> Refs;
   std::vector<DependencePair> Pairs;
+  /// Per-stage pipeline traces, pair by pair, when AnalyzerOptions::Trace
+  /// was set (else empty); absent for pairs whose problem could not be
+  /// built and for pairs reanalyze() spliced in.
+  std::vector<std::optional<PipelineTrace>> Traces;
   /// Decisions per test kind (only cache misses run tests).
   DepStats Stats;
   uint64_t PairsConsidered = 0;

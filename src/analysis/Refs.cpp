@@ -51,13 +51,18 @@ public:
       : P(P), T(std::make_shared<ReferenceTables>()) {}
 
   std::vector<ArrayReference> run() {
-    // Sized once, so the walk never moves a reference.
-    size_t NumRefs = 0, NumSubs = 0;
-    count(P.body(), NumRefs, NumSubs);
-    Out.reserve(NumRefs);
-    Pending.reserve(NumRefs);
-    T->Subs.reserve(NumSubs);
-    SubTerms.reserve(NumSubs);
+    // Sized once, so the walk never moves a reference and no table
+    // regrows.
+    Sizes N;
+    count(P.body(), 0, N);
+    Out.reserve(N.Refs);
+    Pending.reserve(N.Refs);
+    T->Subs.reserve(N.Subs);
+    SubTerms.reserve(N.Subs);
+    T->Chains.reserve(N.Chains);
+    T->ChainInfo.reserve(N.Chains);
+    ChainTerms.reserve(N.Chains);
+    T->Terms.reserve(N.Terms);
     collectFrom(P.body());
     return finish();
   }
@@ -93,10 +98,15 @@ private:
   /// The current statement's array reads, in slot order.
   std::vector<const Expr *> Reads;
 
-  /// Adds the references under \p Body, and their subscripts, to
-  /// \p NumRefs and \p NumSubs.
-  void count(const std::vector<StmtPtr> &Body, size_t &NumRefs,
-             size_t &NumSubs);
+  /// What the walk appends to each table.
+  struct Sizes {
+    size_t Refs = 0, Subs = 0;
+    size_t Chains = 0; ///< Entries of Chains, ChainInfo and ChainTerms.
+    size_t Terms = 0;
+  };
+  /// Adds to \p N what the walk appends for \p Body, the body of a
+  /// loop nest \p Depth deep.
+  void count(const std::vector<StmtPtr> &Body, unsigned Depth, Sizes &N);
   /// Sets Reads to \p A's array reads, in slot order.
   void collectReads(const AssignStmt &A);
   void collectFrom(const std::vector<StmtPtr> &Body);
@@ -178,23 +188,40 @@ void Collector::collectReads(const AssignStmt &A) {
   A.rhs()->collectArrayReads(Reads);
 }
 
-void Collector::count(const std::vector<StmtPtr> &Body, size_t &NumRefs,
-                      size_t &NumSubs) {
+void Collector::count(const std::vector<StmtPtr> &Body, unsigned Depth,
+                      Sizes &N) {
+  // As many terms as summarize() appends for E.
+  auto TermsOf = [](const Expr *E) -> size_t {
+    const AffineForm *Affine = E->affine();
+    return Affine ? Affine->Terms.size() : 0;
+  };
+  auto AddRef = [&](std::span<const Expr *const> Subscripts) {
+    ++N.Refs;
+    N.Subs += Subscripts.size();
+    for (const Expr *Sub : Subscripts)
+      N.Terms += TermsOf(Sub);
+  };
+  // A loop whose body directly holds a reference gets a chain.
+  bool HoldsRef = false;
   for (const StmtPtr &S : Body) {
     if (S->kind() == StmtKind::Loop) {
-      count(asLoop(*S).body(), NumRefs, NumSubs);
+      const LoopStmt &L = asLoop(*S);
+      N.Terms += TermsOf(L.lo()) + TermsOf(L.hi());
+      count(L.body(), Depth + 1, N);
       continue;
     }
     const AssignStmt &A = asAssign(*S);
     if (A.isArrayLhs()) {
-      ++NumRefs;
-      NumSubs += A.lhsSubscripts().size();
+      AddRef(A.lhsSubscripts());
+      HoldsRef = true;
     }
     collectReads(A);
-    NumRefs += Reads.size();
     for (const Expr *Read : Reads)
-      NumSubs += Read->subscripts().size();
+      AddRef(Read->subscripts());
+    HoldsRef |= !Reads.empty();
   }
+  if (HoldsRef)
+    N.Chains += Depth;
 }
 
 void Collector::collectFrom(const std::vector<StmtPtr> &Body) {

@@ -51,7 +51,11 @@ class InductionPass {
 public:
   explicit InductionPass(Program &P) : P(P), A(P.exprs()), Env(P) {}
 
-  void run() { walk(P.body()); }
+  void run() {
+    // An induction variable is a scalar the loop assigns.
+    if (!Env.noScalarAssigned())
+      walk(P.body());
+  }
 
 private:
   Program &P;

@@ -40,6 +40,10 @@ public:
   /// reshape.
   explicit ScalarBindings(const Program &P);
 
+  /// True when the program assigns no scalar: no binding can ever be
+  /// made, so a pass that only substitutes bindings has nothing to do.
+  bool noScalarAssigned() const { return Assigned.empty(); }
+
   /// The binding of \p VarId, or null.
   const Expr *lookup(unsigned VarId) const;
 

@@ -18,7 +18,12 @@ class Propagator {
 public:
   explicit Propagator(Program &P) : P(P), A(P.exprs()), Env(P) {}
 
-  void run() { walk(P.body()); }
+  void run() {
+    // With no binding to substitute, the walk would only fold again
+    // what the caller folded.
+    if (!Env.noScalarAssigned())
+      walk(P.body());
+  }
 
 private:
   Program &P;

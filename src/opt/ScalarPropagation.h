@@ -24,7 +24,9 @@
 
 namespace edda {
 
-/// Runs constant propagation + forward substitution over \p P.
+/// Runs constant propagation + forward substitution over \p P, folding
+/// every expression it visits. A program that assigns no scalar is left
+/// as it is, unfolded too: callers fold first, as runPrepass does.
 void propagateScalars(Program &P);
 
 } // namespace edda

@@ -71,7 +71,8 @@ std::string edda::renderAnalysisReport(const Program &Prog,
           Prog.name().c_str(),
           static_cast<unsigned long long>(Result.PairsConsidered),
           static_cast<unsigned long long>(Result.UnanalyzablePairs));
-  for (const DependencePair &Pair : Result.Pairs) {
+  for (size_t I = 0; I < Result.Pairs.size(); ++I) {
+    const DependencePair &Pair = Result.Pairs[I];
     const ArrayReference &A = Result.Refs[Pair.RefA];
     const ArrayReference &B = Result.Refs[Pair.RefB];
     appendf(Out, "  %s vs %s: %s [%s]%s\n", refStr(Prog, A).c_str(),
@@ -81,8 +82,8 @@ std::string edda::renderAnalysisReport(const Program &Prog,
     if (Opts.Directions && Pair.Directions &&
         !Pair.Directions->Vectors.empty())
       renderDirections(Out, *Pair.Directions, 4);
-    if (Opts.Explain && Pair.Trace)
-      Out += Pair.Trace->str(4);
+    if (Opts.Explain && I < Result.Traces.size() && Result.Traces[I])
+      Out += Result.Traces[I]->str(4);
   }
   return Out;
 }

@@ -132,6 +132,7 @@ constexpr std::pair<const char *, uint64_t ServeStats::*> ServeCounters[] = {
     {"evicted", &ServeStats::Evicted},
     {"warm_loaded_entries", &ServeStats::WarmLoadedEntries},
     {"warm_rejected_entries", &ServeStats::WarmRejectedEntries},
+    {"warm_failed_loads", &ServeStats::WarmFailedLoads},
     {"pairs_reused", &ServeStats::PairsReused},
     {"pairs_invalidated", &ServeStats::PairsInvalidated},
 };
@@ -183,7 +184,7 @@ std::optional<Program> parsePayload(const std::string &Source,
 /// True when the FM work budget cut an answer short: an inexact
 /// Fourier-Motzkin Unknown, or a direction refinement that gave up.
 bool budgetDegraded(DepAnswer Answer, bool Exact, TestKind DecidedBy,
-                    const std::optional<DirectionResult> &Dirs) {
+                    const DirectionResult *Dirs) {
   return (Answer == DepAnswer::Unknown && !Exact &&
           DecidedBy == TestKind::FourierMotzkin) ||
          (Dirs && !Dirs->Exact);
@@ -205,7 +206,7 @@ void tallyPairs(const AnalysisResult &Result, JsonFields &Stats,
     else
       ++Delta.PairsTested;
     Degraded |= budgetDegraded(Pair.Answer, Pair.Exact, Pair.DecidedBy,
-                               Pair.Directions);
+                               Pair.Directions.get());
   }
   Delta.TestsRun = Result.Stats.totalDecided();
   Delta.MemoHitsFull = Result.Stats.MemoHitsFull;
@@ -296,13 +297,16 @@ ServeCore::ServeCore(ServeOptions O, std::string *Error)
                                    Cache.uniqueNoBounds();
       } else {
         // Report what was lost instead of silently cold-starting: a
-        // stale-format file says how many entries it held, and the
-        // count stays visible through the stats op afterwards.
+        // stale-format file says how many entries it held, any other
+        // refused file counts as a failed load, and both stay visible
+        // through the stats op afterwards.
+        const bool Stale =
+            LoadStats.FileVersion != 0 && LoadStats.RejectedEntries != 0;
         Totals.WarmRejectedEntries = LoadStats.RejectedEntries;
+        Totals.WarmFailedLoads = !Stale;
         if (Error) {
           *Error = "warm-start file '" + Opts.CachePath + "' ";
-          if (LoadStats.FileVersion != 0 &&
-              LoadStats.RejectedEntries != 0)
+          if (Stale)
             *Error += "declares stale format version " +
                       std::to_string(LoadStats.FileVersion) +
                       "; rejected " +
@@ -542,7 +546,8 @@ ServeCore::Reply ServeCore::handleProblem(const ServeRequest &R) {
 
   bool Cached = FromCache && (!Dirs || DirsFromCache);
   bool Degraded =
-      budgetDegraded(Result.Answer, Result.Exact, Result.DecidedBy, Dirs);
+      budgetDegraded(Result.Answer, Result.Exact, Result.DecidedBy,
+                     Dirs ? &*Dirs : nullptr);
   Reply A;
   A.Text = renderProblemReport(P, Result, Dirs ? &*Dirs : nullptr,
                                Trace ? &*Trace : nullptr);

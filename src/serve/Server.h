@@ -124,6 +124,10 @@ struct ServeStats {
   /// stale cache format version (surfaced instead of silently
   /// cold-starting).
   uint64_t WarmRejectedEntries = 0;
+  /// 1 when the warm-start file existed but was refused for any reason
+  /// other than a stale format version: unreadable, cut short, or
+  /// holding an out-of-range entry. Such a file adds no entry.
+  uint64_t WarmFailedLoads = 0;
   /// Incremental accounting across edit requests: pairs whose previous
   /// outcome was spliced in because their content fingerprints were
   /// unchanged, versus pairs rebuilt and re-tested. The reuse ratio —

@@ -84,6 +84,6 @@ TEST(AllocationCount, SuitePass) {
               static_cast<unsigned long long>(Pairs));
   EXPECT_EQ(Pairs, 17940u);
   EXPECT_LE(Parse, 75000u);
-  EXPECT_LE(Refs, 700u);
+  EXPECT_LE(Refs, 170u);
   EXPECT_LE(Analyze, 23500u);
 }

@@ -611,10 +611,10 @@ TEST(Analyzer, TraceBuildsConstantPairs) {
   Opts.Trace = true;
   Program P = mustParse(ConstantPairs);
   AnalysisResult R = expectConstantPairsAsBuilt(P, Opts);
-  for (const DependencePair &Pair : R.Pairs) {
-    ASSERT_TRUE(Pair.Trace.has_value());
-    ASSERT_FALSE(Pair.Trace->Stages.empty());
-    EXPECT_EQ(Pair.Trace->Stages.front().Stage->kind(),
-              TestKind::ArrayConstant);
+  ASSERT_EQ(R.Traces.size(), R.Pairs.size());
+  for (const std::optional<PipelineTrace> &Trace : R.Traces) {
+    ASSERT_TRUE(Trace.has_value());
+    ASSERT_FALSE(Trace->Stages.empty());
+    EXPECT_EQ(Trace->Stages.front().Stage->kind(), TestKind::ArrayConstant);
   }
 }

@@ -205,6 +205,58 @@ end
   EXPECT_EQ(P.print(), Once);
 }
 
+// The passes after foldConstants return at once on a program that
+// assigns no scalar, but each decides that after its own index, so the
+// recomputation normalization inserts for a strided loop is still
+// substituted away. The expected texts are the prepass output from
+// before the passes could return early.
+TEST(Pipeline, StridedLoopWithoutScalarsStillSubstituted) {
+  Program P = prepassed(R"(program s
+  array a[100]
+  read n
+  for i = 1 to 19 step 2 do
+    a[i] = a[i + 1] + n
+  end
+  for j = 1 to 10 do
+    a[j + 40] = a[j]
+  end
+end
+)");
+  EXPECT_EQ(P.print(), R"(program s
+  array a[100]
+  read n
+  for i__n = 0 to 9 do
+    i = ((2 * i__n) + 1)
+    a[((2 * i__n) + 1)] = (a[((2 * i__n) + 2)] + n)
+  end
+  for j = 1 to 10 do
+    a[(j + 40)] = a[j]
+  end
+end
+)");
+  EXPECT_TRUE(allAnalyzable(P));
+}
+
+TEST(Pipeline, ParamIsTheOnlyScalar) {
+  // A param is an assignment, so the passes run and fold it away.
+  Program P = prepassed(R"(program s
+  array a[200]
+  param n = 50
+  for i = 1 to 10 do
+    a[i + n] = a[i] + n
+  end
+end
+)");
+  EXPECT_EQ(P.print(), R"(program s
+  array a[200]
+  n = 50
+  for i = 1 to 10 do
+    a[(i + 50)] = (a[i] + 50)
+  end
+end
+)");
+}
+
 TEST(Pipeline, SuitePrepassOutputGolden) {
   // Digests of Program::print() after runPrepass for every suite
   // program at the default generator options. They pin the prepass's

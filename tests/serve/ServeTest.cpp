@@ -325,6 +325,7 @@ TEST(Serve, CheckpointThenWarmReload) {
     ServeCore Core(Opts, &Error);
     ASSERT_TRUE(Error.empty()) << Error;
     EXPECT_EQ(Core.stats().WarmLoadedEntries, 0u);
+    EXPECT_EQ(Core.stats().WarmFailedLoads, 0u); // A missing file.
     ServeResponse Cold = Core.handle(analyzeRequest(1));
     ASSERT_TRUE(Cold.Ok) << Cold.Error;
     ColdText = stripCached(Cold.Text);
@@ -338,6 +339,7 @@ TEST(Serve, CheckpointThenWarmReload) {
   ServeCore Warm(Opts, &Error);
   ASSERT_TRUE(Error.empty()) << Error;
   EXPECT_GT(Warm.stats().WarmLoadedEntries, 0u);
+  EXPECT_EQ(Warm.stats().WarmFailedLoads, 0u);
   ServeResponse R = Warm.handle(analyzeRequest(1));
   ASSERT_TRUE(R.Ok) << R.Error;
   // The whole repeat round is answered from the reloaded store, and
@@ -588,6 +590,7 @@ TEST(Serve, WarmStartRejectsStaleFormatVersion) {
       << Error;
   EXPECT_EQ(Core.stats().WarmLoadedEntries, 0u);
   EXPECT_EQ(Core.stats().WarmRejectedEntries, 6u);
+  EXPECT_EQ(Core.stats().WarmFailedLoads, 0u);
   // The server still comes up and serves cold.
   EXPECT_TRUE(Core.handle(analyzeRequest(1)).Ok);
   std::remove(Path.c_str());
@@ -663,6 +666,8 @@ TEST(Serve, WarmStartRejectsHostileCheckpoint) {
   EXPECT_NE(Error.find("bad format; cold-starting"), std::string::npos)
       << Error;
   EXPECT_EQ(Warm.stats().WarmLoadedEntries, 0u);
+  EXPECT_EQ(Warm.stats().WarmRejectedEntries, 0u);
+  EXPECT_EQ(Warm.stats().WarmFailedLoads, 1u);
   EXPECT_EQ(Warm.cache().uniqueFull(), 0u);
   EXPECT_EQ(Warm.cache().uniqueDirections(), 0u);
   EXPECT_EQ(Warm.cache().uniqueNoBounds(), 0u);
@@ -915,8 +920,9 @@ TEST(Serve, StatsOpServerKeysAndValues) {
       "\"requests\":6",             "\"tests_run\":7",
       "\"threads\":2",              "\"unique_directions\":3",
       "\"unique_full\":4",          "\"unique_nobounds\":2",
-      "\"wall_ns\":0",              "\"warm_loaded_entries\":0",
-      "\"warm_rejected_entries\":0", "\"widened\":0"};
+      "\"wall_ns\":0",              "\"warm_failed_loads\":0",
+      "\"warm_loaded_entries\":0",  "\"warm_rejected_entries\":0",
+      "\"widened\":0"};
   EXPECT_EQ(Members, Want) << Flat;
 }
 
