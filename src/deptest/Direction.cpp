@@ -347,12 +347,10 @@ edda::computeDirectionVectors(const DependenceProblem &Problem,
   // cascade query (root, refinements, separable dimensions) through the
   // FM options. Queries run sequentially and insertion is
   // first-insert-wins, so the vectors, stats, and answers are
-  // deterministic; the table dies with this call, keeping concurrent
-  // computations independent.
+  // deterministic.
   FmShareTable Share;
   DirectionOptions SharedOpts = Opts;
-  if (Opts.ShareFmResults)
-    SharedOpts.Cascade.Fm.Share = &Share;
+  SharedOpts.Cascade.Fm.Share = &Share;
 
   DirectionResult Inner;
   if (Opts.SeparableDimensions && isSeparable(*Work)) {
@@ -414,25 +412,26 @@ edda::computeDirectionVectors(const DependenceProblem &Problem,
     }
   }
 
-  // Map vectors and distances back to the original common loops.
-  DirectionResult Result;
-  Result.RootAnswer = Inner.RootAnswer;
-  Result.RootDecidedBy = Inner.RootDecidedBy;
-  Result.Exact = Inner.Exact;
-  Result.Widened = Inner.Widened;
-  Result.RootWidened = Inner.RootWidened;
-  Result.TestStats = Inner.TestStats;
-  Result.TestsRun = Inner.TestsRun;
-  Result.Distances.assign(Problem.NumCommon, std::nullopt);
-  for (unsigned K = 0; K < Problem.NumCommon; ++K)
-    if (CommonMap[K] && *CommonMap[K] < Inner.Distances.size())
-      Result.Distances[K] = Inner.Distances[*CommonMap[K]];
-  for (const DirVector &V : Inner.Vectors) {
-    DirVector Mapped(Problem.NumCommon, Dir::Any);
-    for (unsigned K = 0; K < Problem.NumCommon; ++K)
-      if (CommonMap[K])
+  return expandDirections(std::move(Inner), CommonMap);
+}
+
+DirectionResult
+edda::expandDirections(DirectionResult R,
+                       std::span<const std::optional<unsigned>> CommonMap) {
+  const unsigned NumCommon = static_cast<unsigned>(CommonMap.size());
+  std::vector<std::optional<int64_t>> Distances(NumCommon);
+  for (unsigned K = 0; K < NumCommon; ++K)
+    if (CommonMap[K] && *CommonMap[K] < R.Distances.size())
+      Distances[K] = R.Distances[*CommonMap[K]];
+  std::vector<DirVector> Vectors;
+  Vectors.reserve(R.Vectors.size());
+  for (const DirVector &V : R.Vectors) {
+    DirVector &Mapped = Vectors.emplace_back(NumCommon, Dir::Any);
+    for (unsigned K = 0; K < NumCommon; ++K)
+      if (CommonMap[K] && *CommonMap[K] < V.size())
         Mapped[K] = V[*CommonMap[K]];
-    Result.Vectors.push_back(std::move(Mapped));
   }
-  return Result;
+  R.Distances = std::move(Distances);
+  R.Vectors = std::move(Vectors);
+  return R;
 }

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,13 +82,6 @@ struct DirectionOptions {
   /// (two-variable subproblems) are not limited, but the root's work
   /// does count against the budget. 0 disables the cap.
   uint64_t MaxRefineFmWork = 1u << 20;
-  /// Share FM results between the hierarchy's sibling refinements
-  /// through a per-computation FmShareTable: after equation
-  /// substitution, many direction refinements collapse to the same
-  /// constraint system, and a shared decisive answer costs no FM work.
-  /// The table lives and dies with one computeDirectionVectors call,
-  /// so computations stay independent and thread-safe.
-  bool ShareFmResults = true;
 };
 
 /// Result of direction/distance vector computation.
@@ -119,9 +113,23 @@ struct DirectionResult {
   uint64_t TestsRun = 0;
 };
 
-/// Computes the dependent direction vectors of \p Problem.
+/// Computes the dependent direction vectors of \p Problem. FM results
+/// are shared between the hierarchy's queries through one FmShareTable
+/// per call: after equation substitution, many direction refinements
+/// collapse to the same constraint system, and a shared decisive answer
+/// costs no FM work. The table dies with the call, so computations stay
+/// independent and thread-safe.
 DirectionResult computeDirectionVectors(const DependenceProblem &Problem,
                                         const DirectionOptions &Opts = {});
+
+/// Expands \p R, computed on a problem with unused loops removed, to the
+/// common loops of the problem they were removed from: \p CommonMap
+/// holds, per original common loop, its index in the reduced problem
+/// (see DependenceProblem::withUnusedLoopsRemoved). Removed loops get
+/// '*' and no distance.
+DirectionResult
+expandDirections(DirectionResult R,
+                 std::span<const std::optional<unsigned>> CommonMap);
 
 } // namespace edda
 

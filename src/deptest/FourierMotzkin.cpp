@@ -308,7 +308,6 @@ public:
     }
     FmResultT<T> Result =
         Contradiction ? independent() : attempt(std::move(Work), NumVars);
-    Result.UsedBranchAndBound = EnteredSplinters;
     Result.BranchNodes = NodesUsed;
     Result.Combines = CombinesUsed;
     Result.DarkDecided = DarkDecided;
@@ -326,7 +325,6 @@ private:
   uint64_t CombinesUsed = 0;
   unsigned DarkDecided = 0;
   uint64_t Pruned = 0;
-  bool EnteredSplinters = false;
 
   FmResultT<T> attempt(std::vector<LinearConstraintT<T>> Work,
                        unsigned NumVars);
@@ -352,8 +350,7 @@ private:
   }
 
   /// Picks the next variable to eliminate: exact shadows first, fewest
-  /// upper-x-lower combines next, lowest index as the tiebreak (plain
-  /// index order when GreedyOrder is off).
+  /// upper-x-lower combines next, lowest index as the tiebreak.
   unsigned pickVariable(const std::vector<LinearConstraintT<T>> &Work,
                         unsigned NumVars) const {
     struct Info {
@@ -382,8 +379,6 @@ private:
       const Info &I = Infos[V];
       if (!I.Active)
         continue;
-      if (!Opts.GreedyOrder)
-        return V;
       bool Exact = I.P == 0 || I.Q == 0 || I.UnitUp || I.UnitLo;
       uint64_t Key = (Exact ? 0 : uint64_t(1) << 63) | (I.P * I.Q);
       if (Best == NumVars || Key < BestKey) {
@@ -487,8 +482,7 @@ FmResultT<T> FmSolver<T>::attempt(std::vector<LinearConstraintT<T>> Work,
     if (C.numActiveVars() == 0 && C.Bound < T(0))
       return independent();
 
-  if (Opts.PruneRedundant)
-    Pruned += fmPruneRedundant(Work);
+  Pruned += fmPruneRedundant(Work);
 
   if (Work.empty())
     return dependent(std::vector<T>(NumVars, T(0)));
@@ -516,21 +510,10 @@ FmResultT<T> FmSolver<T>::attempt(std::vector<LinearConstraintT<T>> Work,
 
     if (E.Exact) {
       Work = std::move(E.Real);
-      if (Opts.PruneRedundant)
-        Pruned += fmPruneRedundant(Work);
+      Pruned += fmPruneRedundant(Work);
       Steps.push_back(
           ElimStep<T>{Var, std::move(E.Uppers), std::move(E.Lowers)});
       continue;
-    }
-
-    if (!Opts.DarkShadow) {
-      // The paper-configuration fallback: the real shadow can still
-      // prove independence, but its points need not lift integrally.
-      FmResultT<T> RealR = attempt(std::move(E.Real), NumVars);
-      if (RealR.St == FmResultT<T>::Status::Independent)
-        return independent();
-      return unknown(RealR.St == FmResultT<T>::Status::Unknown &&
-                     RealR.Overflowed);
     }
 
     // Dark shadow first: any integer point of it lifts to an integer
@@ -600,7 +583,6 @@ FmResultT<T> FmSolver<T>::attempt(std::vector<LinearConstraintT<T>> Work,
         if (Opts.MaxBranchNodes == 0 || NodesUsed >= Opts.MaxBranchNodes)
           return unknown(false);
         ++NodesUsed;
-        EnteredSplinters = true;
         // Work plus the equality c*Var == beta + I as an inequality
         // pair (see fmSplinterSystems for the derivation).
         std::vector<LinearConstraintT<T>> Splinter = Work;

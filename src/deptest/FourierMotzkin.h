@@ -49,7 +49,7 @@ namespace edda {
 
 class FmShareTable;
 
-/// Resource limits and feature gates for the Fourier-Motzkin test.
+/// Resource limits for the Fourier-Motzkin test.
 struct FourierMotzkinOptions {
   /// Abort (Unknown) when an elimination round grows the system past
   /// this many constraints.
@@ -66,16 +66,6 @@ struct FourierMotzkinOptions {
   /// deriving it — and the unit the direction hierarchy's refinement
   /// budget is charged in (DepStats::FmWork). 0 disables the cap.
   uint64_t MaxCombines = 0;
-  /// Decide non-exact eliminations through the dark shadow / splinter
-  /// decomposition. When off, a non-exact elimination can only prove
-  /// independence (via the real shadow); integer feasibility comes back
-  /// Unknown.
-  bool DarkShadow = true;
-  /// Run redundant-inequality pruning before every elimination round.
-  bool PruneRedundant = true;
-  /// Pick elimination variables exact-shadow-first / fewest-combines
-  /// next. When off, variables are eliminated in index order.
-  bool GreedyOrder = true;
   /// Optional sub-result sharing table (int64_t tier only; the widened
   /// tier runs rarely enough that keying 128-bit systems is not worth
   /// it). Not owned. See FmShareTable.
@@ -99,10 +89,8 @@ template <typename T> struct FmResultT {
   Status St = Status::Unknown;
   /// Witness when Dependent.
   std::optional<std::vector<T>> Sample;
-  /// True when splinter enumeration was entered (the Omega test's
-  /// analogue of the old branch & bound).
-  bool UsedBranchAndBound = false;
-  /// Splinter subproblems expended.
+  /// Splinter subproblems expended (nonzero exactly when splinter
+  /// enumeration was entered).
   unsigned BranchNodes = 0;
   /// Upper-x-lower combine operations performed (the solver's work
   /// measure; see FourierMotzkinOptions::MaxCombines).

@@ -240,21 +240,7 @@ DependenceCache::lookupDirections(const MemoKeyRef &K) {
     return R;
   // Improved-key entries are stored in the reduced problem's common-loop
   // coordinates; expand to this caller's loops, '*' for removed ones.
-  const std::span<const std::optional<unsigned>> CommonMap = K.CommonMap;
-  DirectionResult Expanded = *R;
-  Expanded.Distances.assign(K.NumCommon, std::nullopt);
-  Expanded.Vectors.clear();
-  for (unsigned C = 0; C < K.NumCommon; ++C)
-    if (CommonMap[C] && *CommonMap[C] < R->Distances.size())
-      Expanded.Distances[C] = R->Distances[*CommonMap[C]];
-  for (const DirVector &Vec : R->Vectors) {
-    DirVector Mapped(K.NumCommon, Dir::Any);
-    for (unsigned C = 0; C < K.NumCommon; ++C)
-      if (CommonMap[C] && *CommonMap[C] < Vec.size())
-        Mapped[C] = Vec[*CommonMap[C]];
-    Expanded.Vectors.push_back(std::move(Mapped));
-  }
-  return Expanded;
+  return expandDirections(std::move(*R), K.CommonMap);
 }
 
 void DependenceCache::insertDirections(const MemoKeyRef &K,

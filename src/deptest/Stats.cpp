@@ -9,8 +9,6 @@
 
 #include "deptest/TestPipeline.h"
 
-#include <algorithm>
-
 using namespace edda;
 
 const char *edda::testKindName(TestKind Kind) {
@@ -46,29 +44,14 @@ DepStats &DepStats::operator+=(const DepStats &RHS) {
   for (unsigned K = 0; K < NumTestKinds; ++K) {
     Decided[K] += RHS.Decided[K];
     DecidedIndependent[K] += RHS.DecidedIndependent[K];
-  }
-  size_t NumStages = std::max(StageDecided.size(), RHS.StageDecided.size());
-  if (StageDecided.size() < NumStages) {
-    StageDecided.resize(NumStages);
-    StageIndependent.resize(NumStages);
-    StageOverflow.resize(NumStages);
-    StageWiden.resize(NumStages);
-  }
-  for (unsigned S = 0; S < RHS.StageDecided.size(); ++S) {
-    StageDecided[S] += RHS.StageDecided[S];
-    StageIndependent[S] += RHS.StageIndependent[S];
-    StageOverflow[S] += RHS.StageOverflow[S];
-    StageWiden[S] += RHS.StageWiden[S];
+    StageOverflow[K] += RHS.StageOverflow[K];
+    StageWiden[K] += RHS.StageWiden[K];
   }
   Queries += RHS.Queries;
   MemoHitsFull += RHS.MemoHitsFull;
   MemoHitsNoBounds += RHS.MemoHitsNoBounds;
   WidenedQueries += RHS.WidenedQueries;
-  FmWork += RHS.FmWork;
-  FmDarkShadowExact += RHS.FmDarkShadowExact;
-  FmSplinters += RHS.FmSplinters;
-  FmRedundantPruned += RHS.FmRedundantPruned;
-  FmShareHits += RHS.FmShareHits;
+  *this += static_cast<const FmCounters &>(RHS);
   return *this;
 }
 
@@ -81,18 +64,16 @@ std::string DepStats::str() const {
            std::to_string(Decided[K]) + " decided, " +
            std::to_string(DecidedIndependent[K]) + " independent\n";
   }
-  for (unsigned S = 0; S < StageOverflow.size(); ++S) {
-    if (StageOverflow[S] == 0)
-      continue;
-    Out += std::string("overflow in stage '") + stageName(S) +
-           "': " + std::to_string(StageOverflow[S]) + "\n";
-  }
-  for (unsigned S = 0; S < StageWiden.size(); ++S) {
-    if (StageWiden[S] == 0)
-      continue;
-    Out += std::string("widened in stage '") + stageName(S) +
-           "': " + std::to_string(StageWiden[S]) + "\n";
-  }
+  auto PerStage = [&Out](const char *What,
+                         const std::array<uint64_t, NumTestKinds> &Counts) {
+    for (unsigned K = 0; K < NumTestKinds; ++K)
+      if (Counts[K] != 0)
+        Out += std::string(What) + " in stage '" +
+               stageForKind(static_cast<TestKind>(K))->name() +
+               "': " + std::to_string(Counts[K]) + "\n";
+  };
+  PerStage("overflow", StageOverflow);
+  PerStage("widened", StageWiden);
   Out += "queries: " + std::to_string(Queries) +
          ", memo hits (full): " + std::to_string(MemoHitsFull) +
          ", memo hits (no bounds): " + std::to_string(MemoHitsNoBounds) +

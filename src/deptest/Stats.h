@@ -18,7 +18,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace edda {
 
@@ -40,27 +39,51 @@ constexpr unsigned NumTestKinds = 8;
 /// Printable name of a test kind.
 const char *testKindName(TestKind Kind);
 
+/// The Fourier-Motzkin stage's work accounting (docs/ALGORITHMS.md
+/// section 13). One record carries it from the stage's result through
+/// the trace into the run's totals.
+struct FmCounters {
+  /// Fourier-Motzkin work performed (combine operations plus splinter
+  /// subproblems, across both arithmetic tiers — the units elimination
+  /// cost actually scales with). Solves the witness guess settles
+  /// outright and shared-result hits charge nothing. This is the work
+  /// metric the direction hierarchy budgets against — see
+  /// DirectionOptions::MaxRefineFmWork.
+  uint64_t FmWork = 0;
+  /// Non-exact eliminations settled by the shadow decomposition alone,
+  /// splinter subproblems solved, redundant inequalities pruned, and FM
+  /// queries served from the per-query sharing table.
+  uint64_t FmDarkShadowExact = 0;
+  uint64_t FmSplinters = 0;
+  uint64_t FmRedundantPruned = 0;
+  uint64_t FmShareHits = 0;
+
+  FmCounters &operator+=(const FmCounters &RHS) {
+    FmWork += RHS.FmWork;
+    FmDarkShadowExact += RHS.FmDarkShadowExact;
+    FmSplinters += RHS.FmSplinters;
+    FmRedundantPruned += RHS.FmRedundantPruned;
+    FmShareHits += RHS.FmShareHits;
+    return *this;
+  }
+};
+
 /// Aggregated counters for one analysis run.
-struct DepStats {
+struct DepStats : FmCounters {
   /// Problems decided by each test.
   std::array<uint64_t, NumTestKinds> Decided{};
   /// Of those, how many were decided independent (section 7 reports the
   /// per-test independence rates).
   std::array<uint64_t, NumTestKinds> DecidedIndependent{};
 
-  /// Per-pipeline-stage counters, indexed by registry stage id (see
-  /// stageRegistry() in TestPipeline.h) and grown on demand — the
-  /// dynamic generalization of the fixed TestKind arrays above, which
-  /// survive for the Table 1-5 reproductions. StageOverflow records
+  /// Provenance, indexed by the stage's TestKind. StageOverflow records
   /// which stage's arithmetic gave up on queries that end Unanalyzable
   /// (provenance the single Unanalyzable bucket cannot carry).
   /// StageWiden mirrors it for the 128-bit retry tier: which stage's
   /// 64-bit arithmetic overflowed on queries the wide tier then decided
   /// (preprocessing widening is the GCD stage's, like its overflows).
-  std::vector<uint64_t> StageDecided;
-  std::vector<uint64_t> StageIndependent;
-  std::vector<uint64_t> StageOverflow;
-  std::vector<uint64_t> StageWiden;
+  std::array<uint64_t, NumTestKinds> StageOverflow{};
+  std::array<uint64_t, NumTestKinds> StageWiden{};
 
   /// Memoization accounting (paper section 5 / Table 2).
   uint64_t Queries = 0;          ///< Dependence questions asked.
@@ -70,44 +93,10 @@ struct DepStats {
   uint64_t WidenedQueries = 0;   ///< Decided only after the 128-bit
                                  ///< retry (64-bit overflowed).
 
-  /// Fourier-Motzkin work performed (combine operations plus splinter
-  /// subproblems, across both arithmetic tiers — the units elimination
-  /// cost actually scales with). Solves the witness guess settles
-  /// outright and shared-result hits charge nothing. This is the work
-  /// metric the direction hierarchy budgets against — see
-  /// DirectionOptions::MaxRefineFmWork.
-  uint64_t FmWork = 0;
-
-  /// Omega-core accounting (docs/ALGORITHMS.md section 13): non-exact
-  /// eliminations settled by the shadow decomposition alone, splinter
-  /// subproblems solved, redundant inequalities pruned, and FM queries
-  /// served from the per-query sharing table.
-  uint64_t FmDarkShadowExact = 0;
-  uint64_t FmSplinters = 0;
-  uint64_t FmRedundantPruned = 0;
-  uint64_t FmShareHits = 0;
-
   void recordDecision(TestKind Kind, bool Independent) {
     ++Decided[static_cast<unsigned>(Kind)];
     if (Independent)
       ++DecidedIndependent[static_cast<unsigned>(Kind)];
-  }
-
-  void recordStageDecision(unsigned StageId, bool Independent) {
-    growStage(StageId);
-    ++StageDecided[StageId];
-    if (Independent)
-      ++StageIndependent[StageId];
-  }
-
-  void recordStageOverflow(unsigned StageId) {
-    growStage(StageId);
-    ++StageOverflow[StageId];
-  }
-
-  void recordStageWiden(unsigned StageId) {
-    growStage(StageId);
-    ++StageWiden[StageId];
   }
 
   uint64_t decided(TestKind Kind) const {
@@ -120,20 +109,11 @@ struct DepStats {
   /// Total problems decided by any real test (excludes memo hits).
   uint64_t totalDecided() const;
 
+  using FmCounters::operator+=;
   DepStats &operator+=(const DepStats &RHS);
 
   /// Multi-line human-readable dump.
   std::string str() const;
-
-private:
-  void growStage(unsigned StageId) {
-    if (StageDecided.size() <= StageId) {
-      StageDecided.resize(StageId + 1);
-      StageIndependent.resize(StageId + 1);
-      StageOverflow.resize(StageId + 1);
-      StageWiden.resize(StageId + 1);
-    }
-  }
 };
 
 } // namespace edda

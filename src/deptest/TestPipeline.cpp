@@ -128,19 +128,6 @@ template <typename T> const SvpcResultT<T> &PipelineContext::svpcPassT() {
   return *A.Svpc;
 }
 
-std::optional<unsigned> PipelineContext::prepOverflowStage() const {
-  if (narrowPrepOverflowed()) {
-    // All of preprocessing — the Diophantine solve and the free-space
-    // rewrite of bounds and direction constraints — lives in
-    // ExtendedGcd.*, so its overflows are the GCD stage's regardless of
-    // which stage's lazy access tripped them (stage order must not
-    // change the attribution).
-    if (const DependenceTest *Gcd = stageForKind(TestKind::GcdTest))
-      return Gcd->id();
-  }
-  return std::nullopt;
-}
-
 template <typename T>
 std::optional<std::vector<int64_t>>
 PipelineContext::witnessFromT(const std::vector<T> &TSample) {
@@ -174,16 +161,6 @@ PipelineContext::witnessFromT<Int128>(const std::vector<Int128> &);
 // The stages
 //===----------------------------------------------------------------------===//
 
-namespace edda {
-
-/// Grants the registry builder access to assign stage ids.
-class StageRegistryBuilder {
-public:
-  static void setId(DependenceTest &T, unsigned Id) { T.Id = Id; }
-};
-
-} // namespace edda
-
 namespace {
 
 /// Runs a stage's width-templated body on the 64-bit fast path first,
@@ -198,19 +175,11 @@ StageResult runWidened(const StageT &Stage, PipelineContext &Ctx) {
     return Narrow;
   StageResult Wide = Stage.template runT<Int128>(Ctx);
   if (Wide.St == StageResult::Status::Overflow) {
-    Narrow.FmWork += Wide.FmWork;
-    Narrow.FmDarkDecided += Wide.FmDarkDecided;
-    Narrow.FmSplinters += Wide.FmSplinters;
-    Narrow.FmPruned += Wide.FmPruned;
-    Narrow.FmShareHit |= Wide.FmShareHit;
+    Narrow.Fm += Wide.Fm;
     return Narrow;
   }
   Wide.Widened = true;
-  Wide.FmWork += Narrow.FmWork;
-  Wide.FmDarkDecided += Narrow.FmDarkDecided;
-  Wide.FmSplinters += Narrow.FmSplinters;
-  Wide.FmPruned += Narrow.FmPruned;
-  Wide.FmShareHit |= Narrow.FmShareHit;
+  Wide.Fm += Narrow.Fm;
   return Wide;
 }
 
@@ -219,10 +188,43 @@ StageResult runWidened(const StageT &Stage, PipelineContext &Ctx) {
 /// (Without this, a narrow prep overflow would skip every stage and the
 /// wide tier would never get its chance.)
 bool prepUsable(PipelineContext &Ctx) {
-  if (Ctx.prep() != PipelineContext::Prep::Overflow)
+  if (Ctx.prepT<int64_t>() != PipelineContext::Prep::Overflow)
     return true;
   return Ctx.options().Widen &&
          Ctx.prepT<Int128>() != PipelineContext::Prep::Overflow;
+}
+
+/// What the shared preprocessing alone says at width T: Overflow,
+/// Independent when the equations have no integer solution, and
+/// NotApplicable once the free-space system is ready for the stage.
+template <typename T> StageResult prepResult(PipelineContext &Ctx) {
+  switch (Ctx.prepT<T>()) {
+  case PipelineContext::Prep::Overflow:
+    return StageResult::overflow();
+  case PipelineContext::Prep::Infeasible:
+    return StageResult::independent();
+  case PipelineContext::Prep::Ready:
+    break;
+  }
+  return StageResult::notApplicable();
+}
+
+/// Translates an SVPC or Acyclic verdict at width T, mapping its sample
+/// back to an x-space witness; NeedsMore becomes NotApplicable.
+template <typename T, typename ResultT>
+StageResult verdictResult(PipelineContext &Ctx, const ResultT &R) {
+  switch (R.St) {
+  case ResultT::Status::Independent:
+    return StageResult::independent();
+  case ResultT::Status::Dependent:
+    return StageResult::dependent(R.Sample ? Ctx.witnessFromT<T>(*R.Sample)
+                                           : std::nullopt);
+  case ResultT::Status::NeedsMore:
+    return StageResult::notApplicable();
+  case ResultT::Status::Overflow:
+    return StageResult::overflow();
+  }
+  return StageResult::notApplicable();
 }
 
 /// Step 0 of the cascade (paper Table 1, first column): all-constant
@@ -295,15 +297,7 @@ public:
   }
 
   template <typename T> StageResult runT(PipelineContext &Ctx) const {
-    switch (Ctx.prepT<T>()) {
-    case PipelineContext::Prep::Overflow:
-      return StageResult::overflow();
-    case PipelineContext::Prep::Infeasible:
-      return StageResult::independent();
-    case PipelineContext::Prep::Ready:
-      return StageResult::notApplicable();
-    }
-    return StageResult::notApplicable();
+    return prepResult<T>(Ctx);
   }
 };
 
@@ -328,27 +322,10 @@ public:
   }
 
   template <typename T> StageResult runT(PipelineContext &Ctx) const {
-    switch (Ctx.prepT<T>()) {
-    case PipelineContext::Prep::Overflow:
-      return StageResult::overflow();
-    case PipelineContext::Prep::Infeasible:
-      return StageResult::independent();
-    case PipelineContext::Prep::Ready:
-      break;
-    }
-    const SvpcResultT<T> &Svpc = Ctx.svpcPassT<T>();
-    switch (Svpc.St) {
-    case SvpcResultT<T>::Status::Independent:
-      return StageResult::independent();
-    case SvpcResultT<T>::Status::Dependent:
-      return StageResult::dependent(
-          Svpc.Sample ? Ctx.witnessFromT<T>(*Svpc.Sample) : std::nullopt);
-    case SvpcResultT<T>::Status::NeedsMore:
-      return StageResult::notApplicable();
-    case SvpcResultT<T>::Status::Overflow:
-      return StageResult::overflow();
-    }
-    return StageResult::notApplicable();
+    if (StageResult Prep = prepResult<T>(Ctx);
+        Prep.St != StageResult::Status::NotApplicable)
+      return Prep;
+    return verdictResult<T>(Ctx, Ctx.svpcPassT<T>());
   }
 };
 
@@ -374,43 +351,18 @@ public:
   }
 
   template <typename T> StageResult runT(PipelineContext &Ctx) const {
-    switch (Ctx.prepT<T>()) {
-    case PipelineContext::Prep::Overflow:
-      return StageResult::overflow();
-    case PipelineContext::Prep::Infeasible:
-      return StageResult::independent();
-    case PipelineContext::Prep::Ready:
-      break;
-    }
+    if (StageResult Prep = prepResult<T>(Ctx);
+        Prep.St != StageResult::Status::NotApplicable)
+      return Prep;
     const SvpcResultT<T> &Svpc = Ctx.svpcPassT<T>();
     // In a permuted pipeline SVPC may not have run as a stage; its
     // classification is shared preprocessing either way, and a system it
     // already decides is decided here with the same certainty.
-    if (Svpc.St == SvpcResultT<T>::Status::Independent)
-      return StageResult::independent();
-    if (Svpc.St == SvpcResultT<T>::Status::Dependent)
-      return StageResult::dependent(
-          Svpc.Sample ? Ctx.witnessFromT<T>(*Svpc.Sample) : std::nullopt);
-    if (Svpc.St == SvpcResultT<T>::Status::Overflow)
-      return StageResult::overflow();
+    if (Svpc.St != SvpcResultT<T>::Status::NeedsMore)
+      return verdictResult<T>(Ctx, Svpc);
     AcyclicResultT<T> Acyc = runAcyclic(Ctx.systemT<T>().numVars(),
                                         Svpc.MultiVar, Svpc.Intervals);
-    StageResult Out;
-    switch (Acyc.St) {
-    case AcyclicResultT<T>::Status::Independent:
-      Out = StageResult::independent();
-      break;
-    case AcyclicResultT<T>::Status::Dependent:
-      Out = StageResult::dependent(
-          Acyc.Sample ? Ctx.witnessFromT<T>(*Acyc.Sample) : std::nullopt);
-      break;
-    case AcyclicResultT<T>::Status::NeedsMore:
-      Out = StageResult::notApplicable();
-      break;
-    case AcyclicResultT<T>::Status::Overflow:
-      Out = StageResult::overflow();
-      break;
-    }
+    StageResult Out = verdictResult<T>(Ctx, Acyc);
     Ctx.setAcyclicOutcomeT<T>(std::move(Acyc));
     return Out;
   }
@@ -439,7 +391,7 @@ public:
     // Fourier-Motzkin as the cascade always has.
     if (const AcyclicResultT<Int128> *W = Ctx.acyclicOutcomeT<Int128>())
       return W->St == AcyclicResultT<Int128>::Status::NeedsMore;
-    if (const AcyclicResult *Acyc = Ctx.acyclicOutcome())
+    if (const AcyclicResult *Acyc = Ctx.acyclicOutcomeT<int64_t>())
       return Acyc->St == AcyclicResult::Status::NeedsMore ||
              (Acyc->St == AcyclicResult::Status::Overflow &&
               Ctx.options().Widen);
@@ -451,14 +403,9 @@ public:
   }
 
   template <typename T> StageResult runT(PipelineContext &Ctx) const {
-    switch (Ctx.prepT<T>()) {
-    case PipelineContext::Prep::Overflow:
-      return StageResult::overflow();
-    case PipelineContext::Prep::Infeasible:
-      return StageResult::independent();
-    case PipelineContext::Prep::Ready:
-      break;
-    }
+    if (StageResult Prep = prepResult<T>(Ctx);
+        Prep.St != StageResult::Status::NotApplicable)
+      return Prep;
 
     const std::vector<LinearConstraintT<T>> *MultiVar;
     const VarIntervalsT<T> *Intervals;
@@ -470,14 +417,8 @@ public:
       Intervals = &Acyc->Intervals;
     } else {
       const SvpcResultT<T> &Svpc = Ctx.svpcPassT<T>();
-      if (Svpc.St == SvpcResultT<T>::Status::Independent)
-        return StageResult::independent();
-      if (Svpc.St == SvpcResultT<T>::Status::Dependent)
-        return StageResult::dependent(
-            Svpc.Sample ? Ctx.witnessFromT<T>(*Svpc.Sample)
-                        : std::nullopt);
-      if (Svpc.St == SvpcResultT<T>::Status::Overflow)
-        return StageResult::overflow();
+      if (Svpc.St != SvpcResultT<T>::Status::NeedsMore)
+        return verdictResult<T>(Ctx, Svpc);
       MultiVar = &Svpc.MultiVar;
       Intervals = &Svpc.Intervals;
     }
@@ -513,8 +454,8 @@ public:
   const char *name() const override { return "fm"; }
   const char *label() const override { return "F-M"; }
   const char *description() const override {
-    return "Fourier-Motzkin backup: real projection with gcd tightening "
-           "and branch & bound; inexact only on budget exhaustion";
+    return "Fourier-Motzkin backup: real and dark shadows plus splinters; "
+           "inexact only on budget exhaustion or 128-bit overflow";
   }
   TestKind kind() const override { return TestKind::FourierMotzkin; }
   bool exact() const override { return true; }
@@ -528,28 +469,15 @@ public:
     // An overflow surviving the ladder is still this stage's call: FM
     // has always answered its own overflows with a decided (inexact)
     // Unknown rather than falling through, and --no-widen keeps that.
-    if (R.St == StageResult::Status::Overflow) {
-      StageResult Out = StageResult::unknown();
-      Out.Widened = R.Widened;
-      Out.FmWork = R.FmWork;
-      Out.FmDarkDecided = R.FmDarkDecided;
-      Out.FmSplinters = R.FmSplinters;
-      Out.FmPruned = R.FmPruned;
-      Out.FmShareHit = R.FmShareHit;
-      return Out;
-    }
+    if (R.St == StageResult::Status::Overflow)
+      R.St = StageResult::Status::Unknown;
     return R;
   }
 
   template <typename T> StageResult runT(PipelineContext &Ctx) const {
-    switch (Ctx.prepT<T>()) {
-    case PipelineContext::Prep::Overflow:
-      return StageResult::overflow();
-    case PipelineContext::Prep::Infeasible:
-      return StageResult::independent();
-    case PipelineContext::Prep::Ready:
-      break;
-    }
+    if (StageResult Prep = prepResult<T>(Ctx);
+        Prep.St != StageResult::Status::NotApplicable)
+      return Prep;
     FmResultT<T> Fm = runFourierMotzkin(Ctx.systemT<T>(), Ctx.options().Fm);
     StageResult Out;
     switch (Fm.St) {
@@ -572,12 +500,13 @@ public:
     // DepStats::FmWork counts in. A solve the witness guess settles
     // outright charges nothing, and a sharing-table hit charges
     // nothing — the original solve already paid.
-    Out.FmShareHit = Fm.ShareHit;
-    if (!Fm.ShareHit) {
-      Out.FmWork = Fm.Combines + uint64_t(Fm.BranchNodes);
-      Out.FmDarkDecided = Fm.DarkDecided;
-      Out.FmSplinters = Fm.BranchNodes;
-      Out.FmPruned = Fm.RedundantPruned;
+    if (Fm.ShareHit) {
+      Out.Fm.FmShareHits = 1;
+    } else {
+      Out.Fm.FmWork = Fm.Combines + uint64_t(Fm.BranchNodes);
+      Out.Fm.FmDarkShadowExact = Fm.DarkDecided;
+      Out.Fm.FmSplinters = Fm.BranchNodes;
+      Out.Fm.FmRedundantPruned = Fm.RedundantPruned;
     }
     return Out;
   }
@@ -702,14 +631,11 @@ const std::vector<const DependenceTest *> &edda::stageRegistry() {
     static LoopResidueStage Residue;
     static FourierMotzkinStage Fm;
     static BanerjeeStage Banerjee;
-    std::vector<DependenceTest *> Stages = {
+    std::vector<const DependenceTest *> Out = {
         &Const, &Gcd, &Svpc, &Acyclic, &Residue, &Fm, &Banerjee};
-    std::vector<const DependenceTest *> Out;
-    Out.reserve(Stages.size());
-    for (unsigned I = 0; I < Stages.size(); ++I) {
-      StageRegistryBuilder::setId(*Stages[I], I);
-      Out.push_back(Stages[I]);
-    }
+    for (unsigned I = 0; I < Out.size(); ++I)
+      assert(Out[I]->kind() == static_cast<TestKind>(I) &&
+             "registry order must be TestKind order");
     return Out;
   }();
   return Registry;
@@ -723,18 +649,9 @@ const DependenceTest *edda::findStage(std::string_view Name) {
 }
 
 const DependenceTest *edda::stageForKind(TestKind Kind) {
-  for (const DependenceTest *Stage : stageRegistry())
-    if (Stage->kind() == Kind)
-      return Stage;
-  return nullptr;
-}
-
-/// Printable name for an overflow-provenance stage id (see
-/// DepStats::StageOverflow).
-const char *edda::stageName(unsigned StageId) {
   const std::vector<const DependenceTest *> &Registry = stageRegistry();
-  return StageId < Registry.size() ? Registry[StageId]->name()
-                                   : "unknown";
+  const unsigned K = static_cast<unsigned>(Kind);
+  return K < Registry.size() ? Registry[K] : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -812,16 +729,6 @@ edda::makePipeline(std::string_view Spec, std::string *Error) {
   return std::make_shared<const TestPipeline>(std::move(*P));
 }
 
-namespace {
-
-void recordStageDecision(DepStats &Stats, const DependenceTest &Stage,
-                         DepAnswer Answer) {
-  Stats.recordDecision(Stage.kind(), Answer == DepAnswer::Independent);
-  Stats.recordStageDecision(Stage.id(), Answer == DepAnswer::Independent);
-}
-
-} // namespace
-
 std::optional<CascadeResult>
 TestPipeline::runConstant(bool NonzeroDifference, bool ConstantEmptyLoop,
                           const CascadeOptions &Opts,
@@ -842,7 +749,8 @@ TestPipeline::runConstant(bool NonzeroDifference, bool ConstantEmptyLoop,
   Result.Exact = true;
   if (Stats) {
     ++Stats->Queries;
-    recordStageDecision(*Stats, *Stages.front(), Result.Answer);
+    Stats->recordDecision(TestKind::ArrayConstant,
+                          Result.Answer == DepAnswer::Independent);
   }
   return Result;
 }
@@ -859,23 +767,20 @@ CascadeResult TestPipeline::run(const DependenceProblem &Problem,
   PipelineContext Ctx(Problem, ExtraLe0, Opts);
   // First stage whose own arithmetic gave up, for Unanalyzable
   // provenance (one record per query even if several stages overflow).
-  std::optional<unsigned> OverflowStage;
+  std::optional<TestKind> OverflowStage;
 
   auto Decide = [&](const DependenceTest *Stage, DepAnswer Answer,
                     std::optional<std::vector<int64_t>> Witness,
                     bool Widened) {
     if (Stats) {
-      recordStageDecision(*Stats, *Stage, Answer);
+      Stats->recordDecision(Stage->kind(), Answer == DepAnswer::Independent);
       if (Widened) {
         ++Stats->WidenedQueries;
         // A widening forced by shared-preprocessing overflow is the GCD
         // stage's, whichever stage's retry then decided — the same
         // order-independence rule as overflow provenance.
-        unsigned WidenId = Stage->id();
-        if (Ctx.narrowPrepOverflowed())
-          if (const DependenceTest *Gcd = stageForKind(TestKind::GcdTest))
-            WidenId = Gcd->id();
-        Stats->recordStageWiden(WidenId);
+        ++Stats->StageWiden[static_cast<unsigned>(
+            Ctx.prepOverflowStage().value_or(Stage->kind()))];
       }
     }
     CascadeResult Result;
@@ -900,32 +805,15 @@ CascadeResult TestPipeline::run(const DependenceProblem &Problem,
       StageTrace &T = Trace->Stages.emplace_back();
       T.Stage = Stage;
       T.Applicable = Applicable;
-      T.St = R.St;
-      // Mirrors CascadeResult::Exact: a decided Independent/Dependent is
-      // certain (even from the Banerjee stage, whose Independent answers
-      // are sound); only Unknown is inexact.
-      T.Exact = R.St == StageResult::Status::Independent ||
-                R.St == StageResult::Status::Dependent;
-      T.Widened = R.Widened;
-      T.Witness = R.Witness;
-      T.FmWork = R.FmWork;
-      T.FmDarkDecided = R.FmDarkDecided;
-      T.FmSplinters = R.FmSplinters;
-      T.FmPruned = R.FmPruned;
-      T.FmShareHit = R.FmShareHit;
+      T.Result = R;
       T.Nanos = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - Start)
               .count());
     }
 
-    if (Stats) {
-      Stats->FmWork += R.FmWork;
-      Stats->FmDarkShadowExact += R.FmDarkDecided;
-      Stats->FmSplinters += R.FmSplinters;
-      Stats->FmRedundantPruned += R.FmPruned;
-      Stats->FmShareHits += R.FmShareHit ? 1 : 0;
-    }
+    if (Stats)
+      *Stats += R.Fm;
 
     switch (R.St) {
     case StageResult::Status::Independent:
@@ -938,7 +826,7 @@ CascadeResult TestPipeline::run(const DependenceProblem &Problem,
       return Decide(Stage, DepAnswer::Unknown, std::nullopt, R.Widened);
     case StageResult::Status::Overflow:
       if (!OverflowStage)
-        OverflowStage = Stage->id();
+        OverflowStage = Stage->kind();
       continue;
     case StageResult::Status::NotApplicable:
       continue;
@@ -953,7 +841,7 @@ CascadeResult TestPipeline::run(const DependenceProblem &Problem,
   if (Stats) {
     Stats->recordDecision(TestKind::Unanalyzable, false);
     if (OverflowStage)
-      Stats->recordStageOverflow(*OverflowStage);
+      ++Stats->StageOverflow[static_cast<unsigned>(*OverflowStage)];
   }
   CascadeResult Result;
   Result.Answer = DepAnswer::Unknown;
@@ -987,36 +875,37 @@ std::string PipelineTrace::str(unsigned Indent) const {
   std::string Out;
   for (const StageTrace &T : Stages) {
     Out += Pad + T.Stage->name() + std::string(": ");
+    const StageResult &R = T.Result;
     if (!T.Applicable) {
       Out += "skipped (not applicable)";
     } else {
-      Out += statusStr(T.St);
-      if (T.St == StageResult::Status::Independent ||
-          T.St == StageResult::Status::Dependent)
-        Out += T.Exact ? " (exact)" : " (inexact)";
-      else if (T.St == StageResult::Status::Unknown)
+      Out += statusStr(R.St);
+      if (R.St == StageResult::Status::Independent ||
+          R.St == StageResult::Status::Dependent)
+        Out += " (exact)";
+      else if (R.St == StageResult::Status::Unknown)
         Out += " (inexact)";
-      if (T.Widened)
+      if (R.Widened)
         Out += " (widened to 128-bit)";
-      if (T.Witness) {
+      if (R.Witness) {
         Out += ", witness [";
-        for (unsigned J = 0; J < T.Witness->size(); ++J) {
+        for (unsigned J = 0; J < R.Witness->size(); ++J) {
           if (J)
             Out += ", ";
-          Out += std::to_string((*T.Witness)[J]);
+          Out += std::to_string((*R.Witness)[J]);
         }
         Out += "]";
       }
-      if (T.FmShareHit)
+      if (R.Fm.FmShareHits)
         Out += ", fm shared";
-      else if (T.FmWork > 0) {
-        Out += ", fm work " + std::to_string(T.FmWork);
-        if (T.FmDarkDecided)
-          Out += ", dark-decided " + std::to_string(T.FmDarkDecided);
-        if (T.FmSplinters)
-          Out += ", splinters " + std::to_string(T.FmSplinters);
-        if (T.FmPruned)
-          Out += ", pruned " + std::to_string(T.FmPruned);
+      else if (R.Fm.FmWork > 0) {
+        Out += ", fm work " + std::to_string(R.Fm.FmWork);
+        if (R.Fm.FmDarkShadowExact)
+          Out += ", dark-decided " + std::to_string(R.Fm.FmDarkShadowExact);
+        if (R.Fm.FmSplinters)
+          Out += ", splinters " + std::to_string(R.Fm.FmSplinters);
+        if (R.Fm.FmRedundantPruned)
+          Out += ", pruned " + std::to_string(R.Fm.FmRedundantPruned);
       }
     }
     char Buf[32];

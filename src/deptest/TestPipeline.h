@@ -75,18 +75,10 @@ struct StageResult {
   /// True when this outcome came from the 128-bit retry tier (the
   /// stage's 64-bit attempt overflowed).
   bool Widened = false;
-  /// Fourier-Motzkin work this stage performed (zero for every other
-  /// stage, and zero on sharing-table hits); accumulated into
-  /// DepStats::FmWork by the runner.
-  uint64_t FmWork = 0;
-  /// Omega-core accounting from the FM stage (see the matching DepStats
-  /// counters): shadow-decomposition decisions, splinter subproblems,
-  /// redundant rows pruned, and whether the result was served from the
-  /// sharing table.
-  uint64_t FmDarkDecided = 0;
-  uint64_t FmSplinters = 0;
-  uint64_t FmPruned = 0;
-  bool FmShareHit = false;
+  /// The work this stage's Fourier-Motzkin solves did, across both
+  /// tiers (zero for every other stage); the runner adds it to
+  /// DepStats.
+  FmCounters Fm{};
 
   static StageResult independent() {
     return {Status::Independent, std::nullopt};
@@ -160,25 +152,17 @@ public:
     arts<T>().Acyclic = std::move(R);
   }
 
-  /// The historical 64-bit names, still the fast path everywhere.
-  const DiophantineSolution &solution() { return solutionT<int64_t>(); }
-  Prep prep() { return prepT<int64_t>(); }
-  const LinearSystem &system() { return systemT<int64_t>(); }
-  const SvpcResult &svpcPass() { return svpcPassT<int64_t>(); }
-  const AcyclicResult *acyclicOutcome() const {
-    return acyclicOutcomeT<int64_t>();
-  }
-  void setAcyclicOutcome(AcyclicResult R) {
-    setAcyclicOutcomeT<int64_t>(std::move(R));
-  }
-
-  /// Registry id of the stage whose 64-bit *preprocessing* overflowed,
-  /// when prep() == Prep::Overflow (always the extended-GCD stage:
+  /// The stage whose 64-bit *preprocessing* overflowed, when
+  /// prepT<int64_t>() == Prep::Overflow (always the extended-GCD stage:
   /// attribution must not depend on which stage triggered the lazy
   /// computation, or permutations would disagree). The same rule
   /// attributes widening provenance when the wide tier rescued a query
   /// whose narrow preprocessing overflowed.
-  std::optional<unsigned> prepOverflowStage() const;
+  std::optional<TestKind> prepOverflowStage() const {
+    if (narrowPrepOverflowed())
+      return TestKind::GcdTest;
+    return std::nullopt;
+  }
 
   /// True when any 64-bit preprocessing artifact overflowed (whether or
   /// not a wide twin later succeeded).
@@ -193,11 +177,6 @@ public:
   template <typename T>
   std::optional<std::vector<int64_t>>
   witnessFromT(const std::vector<T> &TSample);
-
-  std::optional<std::vector<int64_t>>
-  witnessFrom(const std::vector<int64_t> &TSample) {
-    return witnessFromT<int64_t>(TSample);
-  }
 
 private:
   /// The lazy artifact set of one widening tier.
@@ -244,7 +223,8 @@ public:
   virtual const char *label() const = 0;
   /// One-line description for `edda-cli --list-tests`.
   virtual const char *description() const = 0;
-  /// Stats bucket this stage decides into.
+  /// The stage's identity: the stats bucket it decides into and its
+  /// index in stageRegistry().
   virtual TestKind kind() const = 0;
   /// False for the inexact baselines (their Unknown answers assume
   /// dependence instead of proving it).
@@ -256,17 +236,10 @@ public:
 
   /// Runs the test. Called only when applicable() returned true.
   virtual StageResult run(PipelineContext &Ctx) const = 0;
-
-  /// Registry id (index in stageRegistry()); assigned at registration.
-  unsigned id() const { return Id; }
-
-private:
-  friend class StageRegistryBuilder;
-  unsigned Id = 0;
 };
 
-/// All registered stages, in registration (= default cascade) order.
-/// Stage ids index this vector.
+/// All registered stages, in TestKind (= default cascade) order, so a
+/// stage's kind() indexes this vector.
 const std::vector<const DependenceTest *> &stageRegistry();
 
 /// Looks a stage up by spec token; nullptr when unknown.
@@ -275,10 +248,6 @@ const DependenceTest *findStage(std::string_view Name);
 /// The registered stage that decides into \p Kind; nullptr for
 /// TestKind::Unanalyzable. Single source of truth for table headers.
 const DependenceTest *stageForKind(TestKind Kind);
-
-/// Printable spec token for a registry stage id ("unknown" when out of
-/// range); used for overflow-provenance reporting.
-const char *stageName(unsigned StageId);
 
 /// The const stage's rule (paper section 4) for a question whose
 /// subscript equations are all constant: Independent when some
@@ -294,19 +263,10 @@ StageResult::Status arrayConstantRule(bool NonzeroDifference,
 struct StageTrace {
   const DependenceTest *Stage = nullptr;
   bool Applicable = false;
-  StageResult::Status St = StageResult::Status::NotApplicable;
-  /// True when the stage decided and the answer is exact.
-  bool Exact = false;
-  /// True when the outcome came from the 128-bit retry tier.
-  bool Widened = false;
-  std::optional<std::vector<int64_t>> Witness;
-  /// FM-stage Omega-core accounting, mirrored from StageResult so
-  /// --explain can show where the solve's effort went.
-  uint64_t FmWork = 0;
-  uint64_t FmDarkDecided = 0;
-  uint64_t FmSplinters = 0;
-  uint64_t FmPruned = 0;
-  bool FmShareHit = false;
+  /// What the stage returned; notApplicable() when it was skipped. A
+  /// decided Independent/Dependent is exact (even from the Banerjee
+  /// stage, whose Independent answers are sound); only Unknown is not.
+  StageResult Result;
   /// Wall-clock spent in applicable() + run(), nanoseconds.
   uint64_t Nanos = 0;
 };

@@ -62,13 +62,15 @@ void setWiden(AnalyzerOptions &AO, bool Widen) {
   AO.Direction.Cascade.Widen = Widen;
 }
 
-/// Display name of a direction-option combination: mask bit 0 =
+/// Direction-option combinations the dirs axis runs: mask bit 0 =
 /// EliminateUnusedVars, bit 1 = DistanceVectorPruning, bit 2 =
-/// SeparableDimensions, bit 3 = FM sub-result sharing DISABLED (sharing
-/// is the default, so the unsuffixed half runs with it on).
+/// SeparableDimensions.
+constexpr unsigned NumDirCombos = 8;
+
+/// Display name of a direction-option combination.
 std::string dirComboName(unsigned Mask) {
   std::string Name;
-  for (const char *Part : {"elim", "prune", "sep", "noshare"}) {
+  for (const char *Part : {"elim", "prune", "sep"}) {
     if (Mask & 1)
       Name += (Name.empty() ? "" : "+") + std::string(Part);
     Mask >>= 1;
@@ -280,23 +282,20 @@ std::optional<std::string> checkOracle(const ProblemCase &C, unsigned,
 std::optional<std::string> checkDirs(const ProblemCase &C, unsigned,
                                      bool &Conclusive) {
   const DependenceProblem &P = C.P;
-  DirectionResult Results[16];
-  for (unsigned Mask = 0; Mask < 16; ++Mask) {
+  DirectionResult Results[NumDirCombos];
+  for (unsigned Mask = 0; Mask < NumDirCombos; ++Mask) {
     DirectionOptions DO = C.Ctx.Subject.Direction;
     DO.Cascade = C.Ctx.Subject.Cascade;
     DO.EliminateUnusedVars = (Mask & 1) != 0;
     DO.DistanceVectorPruning = (Mask & 2) != 0;
     DO.SeparableDimensions = (Mask & 4) != 0;
-    DO.ShareFmResults = (Mask & 8) == 0;
     Results[Mask] = computeDirectionVectors(C.UnderTest, DO);
   }
 
   // The pruning options may trade exactness for work, never flip a
-  // decisive root or move a pinned distance — and FM sub-result
-  // sharing (the +noshare half of the table) may change nothing at
-  // all, which pairwise agreement across the two halves enforces.
-  for (unsigned I = 0; I < 16; ++I)
-    for (unsigned J = I + 1; J < 16; ++J) {
+  // decisive root or move a pinned distance.
+  for (unsigned I = 0; I < NumDirCombos; ++I)
+    for (unsigned J = I + 1; J < NumDirCombos; ++J) {
       const DirectionResult &A = Results[I];
       const DirectionResult &B = Results[J];
       if (A.RootAnswer != DepAnswer::Unknown &&
@@ -322,7 +321,7 @@ std::optional<std::string> checkDirs(const ProblemCase &C, unsigned,
     if (!Truth)
       return std::nullopt;
     Conclusive = true;
-    for (unsigned Mask = 0; Mask < 16; ++Mask)
+    for (unsigned Mask = 0; Mask < NumDirCombos; ++Mask)
       if (std::optional<std::string> Detail =
               dirComboVsTruth(Mask, Results[Mask], *Truth,
                               /*SoundOnly=*/false, ""))
@@ -367,7 +366,7 @@ std::optional<std::string> checkDirs(const ProblemCase &C, unsigned,
       for (unsigned K = 0; K < P.NumSymbolic; ++K)
         Where += (K ? ", " : "") + std::to_string(Values[K]);
       Where += ")";
-      for (unsigned Mask = 0; Mask < 16; ++Mask)
+      for (unsigned Mask = 0; Mask < NumDirCombos; ++Mask)
         if (std::optional<std::string> Detail =
                 dirComboVsTruth(Mask, Results[Mask], *Truth,
                                 /*SoundOnly=*/true, Where))
@@ -719,8 +718,8 @@ const std::vector<FuzzAxisSpec> &fuzzAxes() {
       // covered by a reported vector, Exact results must also be
       // minimal, pinned distances must equal the unique concrete
       // i'_k - i_k, and every EliminateUnusedVars /
-      // DistanceVectorPruning / SeparableDimensions / ShareFmResults
-      // combination must agree on decisive roots and pinned distances
+      // DistanceVectorPruning / SeparableDimensions combination must
+      // agree on decisive roots and pinned distances
       // (symbolic problems via sampled concretization, checked in the
       // sound direction only).
       {.Name = "dirs",

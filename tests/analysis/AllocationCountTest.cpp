@@ -8,8 +8,10 @@
 /// Counts the heap allocations of one pass over the 13 PERFECT Club
 /// programs in the table-3 configuration (a fresh serial analyzer per
 /// program, directions off): parseProgram, collectReferences on the
-/// prepassed program, and analyze() without its prepass. The counting
-/// global operator new is why this test is an executable of its own.
+/// prepassed program, and analyze() without its prepass; then of
+/// analyze() with directions on, by a fresh analyzer and again by the
+/// same analyzer once its memo is warm. The counting global operator
+/// new is why this test is an executable of its own.
 ///
 /// The counts are deterministic for a given standard library; the
 /// bounds leave headroom over them so a sanitizer or debug build passes
@@ -86,4 +88,27 @@ TEST(AllocationCount, SuitePass) {
   EXPECT_LE(Parse, 75000u);
   EXPECT_LE(Refs, 170u);
   EXPECT_LE(Analyze, 23500u);
+}
+
+TEST(AllocationCount, SuitePassWithDirections) {
+  const auto Suite = generatePerfectClubSuite(GeneratorOptions());
+  AnalyzerOptions Opts;
+  Opts.ComputeDirections = true;
+  Opts.RunPrepass = false;
+  uint64_t Cold = 0, Warm = 0;
+  for (const auto &[Name, Source] : Suite) {
+    ParseResult Parsed = parseProgram(Source);
+    ASSERT_TRUE(Parsed.succeeded()) << Name;
+    Program &Prog = *Parsed.Prog;
+    runPrepass(Prog);
+    DependenceAnalyzer Analyzer(Opts);
+    Cold += allocationsOf([&] { (void)Analyzer.analyze(Prog); });
+    Warm += allocationsOf([&] { (void)Analyzer.analyze(Prog); });
+  }
+  std::printf("allocations per directions-on suite pass: analyze() %llu "
+              "cold, %llu warm\n",
+              static_cast<unsigned long long>(Cold),
+              static_cast<unsigned long long>(Warm));
+  EXPECT_LE(Cold, 170000u);
+  EXPECT_LE(Warm, 80000u);
 }

@@ -504,9 +504,8 @@ AnalysisResult expectConstantPairsAsBuilt(Program &P,
   EXPECT_EQ(R.Stats.Queries, Want.Queries);
   EXPECT_EQ(R.Stats.Decided, Want.Decided);
   EXPECT_EQ(R.Stats.DecidedIndependent, Want.DecidedIndependent);
-  EXPECT_EQ(R.Stats.StageDecided, Want.StageDecided);
-  EXPECT_EQ(R.Stats.StageIndependent, Want.StageIndependent);
   EXPECT_EQ(R.Stats.StageOverflow, Want.StageOverflow);
+  EXPECT_EQ(R.Stats.StageWiden, Want.StageWiden);
   return R;
 }
 

@@ -15,8 +15,8 @@
 ///   * dark shadow plus splinters cover the projection exactly (Pugh's
 ///     splinter theorem), in both directions;
 ///   * redundant-inequality pruning preserves the integer solution set;
-///   * the pruning / ordering / dark-shadow feature gates and FM
-///     sub-result sharing never change a decisive verdict;
+///   * the core decides every boxed system as enumeration does, and FM
+///     sub-result sharing serves what a fresh solve returns;
 ///   * the 128-bit tier agrees with the 64-bit tier wherever both
 ///     decide.
 ///
@@ -253,35 +253,24 @@ TEST(FourierMotzkinProperty, PruningPreservesTheSolutionSet) {
   EXPECT_GT(Dropped, 100u) << "pruning never fired on the random mix";
 }
 
-TEST(FourierMotzkinProperty, FeatureGatesNeverChangeTheVerdict) {
-  // Pruning, greedy ordering and the dark-shadow decomposition trade
-  // work, never answers: under every gate combination a decisive
-  // verdict must match enumeration. DarkShadow=false may degrade to
-  // Unknown (the paper's configuration) — that is the only latitude.
+TEST(FourierMotzkinProperty, DefaultCoreMatchesEnumeration) {
+  // Pruning, greedy ordering and the dark-shadow decomposition are the
+  // one configuration the core has: on every boxed system it must
+  // decide, agree with enumeration, and back a Dependent verdict with a
+  // valid witness.
   SplitRng Rng(7004);
   for (unsigned Iter = 0; Iter < 300; ++Iter) {
     LinearSystem S = randomBoxedSystem(Rng);
     bool Feasible = firstBoxPoint(S).has_value();
-    for (unsigned Mask = 0; Mask < 8; ++Mask) {
-      FourierMotzkinOptions Opts;
-      Opts.PruneRedundant = (Mask & 1) != 0;
-      Opts.GreedyOrder = (Mask & 2) != 0;
-      Opts.DarkShadow = (Mask & 4) != 0;
-      FmResult R = runFourierMotzkin(S, Opts);
-      if (R.St == FmResult::Status::Unknown) {
-        EXPECT_FALSE(Opts.DarkShadow)
-            << "full core returned Unknown on a boxed system: iter "
-            << Iter << " mask " << Mask;
-        continue;
-      }
-      EXPECT_EQ(R.St == FmResult::Status::Dependent, Feasible)
-          << "verdict flipped: iter " << Iter << " mask " << Mask
-          << " sys:\n"
-          << S.str();
-      if (R.St == FmResult::Status::Dependent)
-        EXPECT_TRUE(S.satisfiedBy(*R.Sample))
-            << "invalid witness: iter " << Iter << " mask " << Mask;
-    }
+    FmResult R = runFourierMotzkin(S);
+    ASSERT_NE(R.St, FmResult::Status::Unknown)
+        << "core returned Unknown on a boxed system: iter " << Iter;
+    EXPECT_EQ(R.St == FmResult::Status::Dependent, Feasible)
+        << "verdict flipped: iter " << Iter << " sys:\n"
+        << S.str();
+    if (R.St == FmResult::Status::Dependent)
+      EXPECT_TRUE(S.satisfiedBy(*R.Sample)) << "invalid witness: iter "
+                                            << Iter;
   }
 }
 

@@ -160,15 +160,26 @@ TEST(FourierMotzkin, CombineBudgetGivesUpUnknown) {
 }
 
 TEST(FourierMotzkin, BranchNodeAccounting) {
-  LinearSystem S = makeSystem(2, {{{1, 2}, 2},
-                                  {{-1, -2}, -2},
-                                  {{2, 1}, 2},
-                                  {{-2, -1}, -2}});
+  // Integer-empty, yet neither shadow settles it: the solve takes three
+  // splinters and counts them. With no splinter budget the same system
+  // comes back Unknown (budget, not overflow), having taken none.
+  LinearSystem S = makeSystem(2, {{{1, 0}, 6},
+                                  {{-1, 0}, 6},
+                                  {{0, 1}, 6},
+                                  {{0, -1}, 6},
+                                  {{-3, -5}, 5},
+                                  {{-4, 5}, -6},
+                                  {{4, -2}, 5}});
   FmResult R = runFourierMotzkin(S);
-  if (R.UsedBranchAndBound)
-    EXPECT_GT(R.BranchNodes, 0u);
-  else
-    EXPECT_EQ(R.BranchNodes, 0u);
+  EXPECT_EQ(R.St, FmResult::Status::Independent);
+  EXPECT_EQ(R.BranchNodes, 3u);
+
+  FourierMotzkinOptions NoSplinters;
+  NoSplinters.MaxBranchNodes = 0;
+  FmResult R0 = runFourierMotzkin(S, NoSplinters);
+  EXPECT_EQ(R0.St, FmResult::Status::Unknown);
+  EXPECT_FALSE(R0.Overflowed);
+  EXPECT_EQ(R0.BranchNodes, 0u);
 }
 
 TEST(FourierMotzkin, BudgetExhaustionReturnsUnknown) {

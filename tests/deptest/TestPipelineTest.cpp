@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <climits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace edda;
@@ -79,17 +80,16 @@ TEST(StageRegistry, NamesKindsAndIds) {
       TestKind::Banerjee};
   for (unsigned I = 0; I < Reg.size(); ++I) {
     EXPECT_STREQ(Reg[I]->name(), Names[I]);
+    // A stage's kind is its registry index.
     EXPECT_EQ(Reg[I]->kind(), Kinds[I]);
-    EXPECT_EQ(Reg[I]->id(), I);
+    EXPECT_EQ(static_cast<unsigned>(Kinds[I]), I);
     EXPECT_EQ(findStage(Names[I]), Reg[I]);
     EXPECT_EQ(stageForKind(Kinds[I]), Reg[I]);
-    EXPECT_STREQ(stageName(I), Names[I]);
     // Banerjee is the one inexact stage.
     EXPECT_EQ(Reg[I]->exact(), std::string(Names[I]) != "banerjee");
   }
   EXPECT_EQ(findStage("nope"), nullptr);
   EXPECT_EQ(stageForKind(TestKind::Unanalyzable), nullptr);
-  EXPECT_STREQ(stageName(999), "unknown");
 }
 
 TEST(StageRegistry, DefaultPipelineIsTheExactCascade) {
@@ -242,11 +242,9 @@ TEST(PipelineTraceTest, RecordsSkipsAndDecision) {
   EXPECT_FALSE(Trace.Stages[0].Applicable);
   EXPECT_STREQ(Trace.Stages[1].Stage->name(), "gcd");
   EXPECT_TRUE(Trace.Stages[1].Applicable);
-  EXPECT_EQ(Trace.Stages[1].St, StageResult::Status::Independent);
-  EXPECT_TRUE(Trace.Stages[1].Exact);
+  EXPECT_EQ(Trace.Stages[1].Result.St, StageResult::Status::Independent);
   std::string Str = Trace.str();
-  EXPECT_NE(Str.find("gcd"), std::string::npos) << Str;
-  EXPECT_NE(Str.find("independent"), std::string::npos) << Str;
+  EXPECT_NE(Str.find("gcd: independent (exact)"), std::string::npos) << Str;
 }
 
 TEST(PipelineTraceTest, DependentStageCarriesVerifiedWitness) {
@@ -261,12 +259,15 @@ TEST(PipelineTraceTest, DependentStageCarriesVerifiedWitness) {
   ASSERT_EQ(R.Answer, DepAnswer::Dependent);
   ASSERT_FALSE(Trace.Stages.empty());
   const StageTrace &Last = Trace.Stages.back();
-  EXPECT_EQ(Last.St, StageResult::Status::Dependent);
+  EXPECT_EQ(Last.Result.St, StageResult::Status::Dependent);
   EXPECT_EQ(Last.Stage->kind(), R.DecidedBy);
-  EXPECT_TRUE(Last.Exact);
-  ASSERT_TRUE(Last.Witness.has_value());
-  EXPECT_TRUE(verifyWitness(P, *Last.Witness));
+  ASSERT_TRUE(Last.Result.Witness.has_value());
+  EXPECT_TRUE(verifyWitness(P, *Last.Result.Witness));
 }
+
+// The counters are plain data: copying a DepStats, or a DirectionResult
+// that holds one, allocates nothing.
+static_assert(std::is_trivially_copyable_v<DepStats>);
 
 TEST(PipelineStats, PerStageCountersTrackDecisions) {
   DepStats Stats;
@@ -278,10 +279,10 @@ TEST(PipelineStats, PerStageCountersTrackDecisions) {
   TestPipeline::defaultPipeline().run(Indep, {}, {}, &Stats);
   const DependenceTest *Gcd = findStage("gcd");
   ASSERT_TRUE(Gcd != nullptr);
-  ASSERT_GT(Stats.StageDecided.size(), Gcd->id());
-  EXPECT_EQ(Stats.StageDecided[Gcd->id()], 1u);
-  EXPECT_EQ(Stats.StageIndependent[Gcd->id()], 1u);
-  EXPECT_EQ(Stats.decided(TestKind::GcdTest), 1u);
+  EXPECT_EQ(Stats.decided(Gcd->kind()), 1u);
+  EXPECT_EQ(Stats.decidedIndependent(Gcd->kind()), 1u);
+  EXPECT_EQ(Stats.totalDecided(), 1u);
+  EXPECT_EQ(Stats.Queries, 1u);
 }
 
 TEST(PipelineOverflow, ProvenanceRecordedWhenUnanalyzable) {
@@ -314,7 +315,7 @@ TEST(PipelineOverflow, ProvenanceRecordedWhenUnanalyzable) {
       << Stats.str();
   bool Traced = false;
   for (const StageTrace &T : Trace.Stages)
-    Traced = Traced || T.St == StageResult::Status::Overflow;
+    Traced = Traced || T.Result.St == StageResult::Status::Overflow;
   EXPECT_TRUE(Traced);
 }
 

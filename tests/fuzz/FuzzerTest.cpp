@@ -45,7 +45,7 @@ FuzzOptions quickOptions(uint64_t Seed, uint64_t Count) {
 
 TEST(Fuzzer, SameSeedIsDeterministic) {
   // 150 iterations keeps both runs under ctest's parallel-load budget
-  // now that the dirs axis replays sixteen option combinations per
+  // with the dirs axis replaying eight option combinations per
   // problem; determinism is a per-iteration property, so the shorter
   // stream loses no checking power.
   FuzzSummary A = runFuzz(quickOptions(11, 150));
